@@ -1700,6 +1700,8 @@ void ClusterScheduler::LaunchDump(RtTask* victim, int attempt,
     submit();
     return;
   }
+  // A deferred request lengthens EstimateAdmitDelay for every later victim.
+  BumpOverheadEpoch();
   *ticket = dump_scheduler_->Request(
       victim->node.value(), victim->spec->id.value(), dump_bytes,
       [this, victim, attempt, ticket, submit = std::move(submit)]() mutable {
