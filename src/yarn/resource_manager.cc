@@ -15,7 +15,10 @@ ResourceManager::ResourceManager(Simulator* sim,
   CKPT_CHECK(!nodes_.empty());
   for (NodeManager* nm : nodes_) {
     CKPT_CHECK(nm != nullptr);
-    node_by_id_[nm->id()] = nm;
+    CKPT_CHECK(nm->id().valid());
+    const auto i = static_cast<size_t>(nm->id().value());
+    if (node_by_id_.size() <= i) node_by_id_.resize(i + 1, nullptr);
+    node_by_id_[i] = nm;
     const Resources capacity = nm->node().capacity();
     const int by_cpu = static_cast<int>(capacity.cpus /
                                         config_.container_size.cpus);
@@ -28,6 +31,15 @@ ResourceManager::ResourceManager(Simulator* sim,
   guaranteed_slots_[1] = static_cast<int>(
       total_slots_ * config_.production_guarantee + 0.5);
   guaranteed_slots_[0] = total_slots_ - guaranteed_slots_[1];
+  vacating_.assign(node_by_id_.size(), 0);
+}
+
+NodeManager* ResourceManager::NodeOf(NodeId node) const {
+  const auto i = static_cast<size_t>(node.value());
+  CKPT_CHECK(node.valid() && i < node_by_id_.size() &&
+             node_by_id_[i] != nullptr)
+      << "unknown node " << node.value();
+  return node_by_id_[i];
 }
 
 std::array<int, 2> ResourceManager::QueueUsage() const {
@@ -48,7 +60,7 @@ AppId ResourceManager::RegisterApp(AppClient* client, int priority) {
 void ResourceManager::UnregisterApp(AppId app) {
   apps_.erase(app);
   for (auto it = asks_.begin(); it != asks_.end();) {
-    it = it->app == app ? asks_.erase(it) : std::next(it);
+    it = it->app == app ? EraseAsk(it) : std::next(it);
   }
 }
 
@@ -56,10 +68,31 @@ void ResourceManager::RequestContainers(AppId app, int count,
                                         NodeId preferred) {
   auto it = apps_.find(app);
   CKPT_CHECK(it != apps_.end());
+  const int priority = it->second.priority;
   for (int i = 0; i < count; ++i) {
-    asks_.insert(Ask{app, it->second.priority, preferred, next_seq_++});
+    asks_.insert(Ask{app, priority, preferred, next_seq_++});
   }
+  if (count > 0) asks_by_priority_[priority] += count;
   RequestSchedule();
+}
+
+ResourceManager::AskSet::iterator ResourceManager::EraseAsk(
+    AskSet::iterator it) {
+  auto count = asks_by_priority_.find(it->priority);
+  CKPT_CHECK(count != asks_by_priority_.end());
+  if (--count->second == 0) asks_by_priority_.erase(count);
+  return asks_.erase(it);
+}
+
+void ResourceManager::MarkPreemptPending(const Container& container) {
+  preempt_pending_.insert(container.id);
+  vacating_[static_cast<size_t>(container.node.value())]++;
+}
+
+void ResourceManager::ClearPreemptPending(const Container& container) {
+  if (preempt_pending_.erase(container.id) > 0) {
+    vacating_[static_cast<size_t>(container.node.value())]--;
+  }
 }
 
 void ResourceManager::ReleaseContainer(ContainerId id) {
@@ -67,30 +100,30 @@ void ResourceManager::ReleaseContainer(ContainerId id) {
   // A node crash may have torn the container down while the AM's release
   // was in flight; that is not an error.
   if (it == live_.end()) return;
-  node_by_id_.at(it->second.node)->StopContainer(id);
+  NodeOf(it->second.node)->StopContainer(id);
+  ClearPreemptPending(it->second);
   live_.erase(it);
-  preempt_pending_.erase(id);
   RequestSchedule();
 }
 
 SimDuration ResourceManager::DumpQueueDelay(NodeId node) const {
-  return node_by_id_.at(node)->node().storage().QueueDelay();
+  return NodeOf(node)->node().storage().QueueDelay();
 }
 
 void ResourceManager::SuspendContainer(ContainerId id) {
   auto it = live_.find(id);
   if (it == live_.end()) return;  // lost to a node crash
-  node_by_id_.at(it->second.node)->SuspendContainer(id);
+  NodeOf(it->second.node)->SuspendContainer(id);
 }
 
 void ResourceManager::ResumeContainer(ContainerId id) {
   auto it = live_.find(id);
   if (it == live_.end()) return;  // lost to a node crash
-  node_by_id_.at(it->second.node)->ResumeContainer(id);
+  NodeOf(it->second.node)->ResumeContainer(id);
 }
 
 void ResourceManager::OnNodeFailure(NodeId node) {
-  NodeManager* nm = node_by_id_.at(node);
+  NodeManager* nm = NodeOf(node);
   if (!nm->node().online()) return;
   ++node_failures_;
   std::vector<Container> evicted = nm->Drain();
@@ -108,7 +141,7 @@ void ResourceManager::OnNodeFailure(NodeId node) {
   }
   for (const Container& container : evicted) {
     live_.erase(container.id);
-    preempt_pending_.erase(container.id);
+    ClearPreemptPending(container);
     auto app_it = apps_.find(container.app);
     if (app_it == apps_.end()) continue;
     AppClient* client = app_it->second.client;
@@ -121,7 +154,7 @@ void ResourceManager::OnNodeFailure(NodeId node) {
 }
 
 void ResourceManager::OnNodeRecovered(NodeId node) {
-  NodeManager* nm = node_by_id_.at(node);
+  NodeManager* nm = NodeOf(node);
   if (nm->node().online()) return;
   nm->node().SetOnline(true);
   if (Observability* obs = config_.obs) {
@@ -146,11 +179,11 @@ void ResourceManager::RequestSchedule() {
 }
 
 NodeManager* ResourceManager::PickNode(NodeId preferred) {
-  if (preferred.valid()) {
-    auto it = node_by_id_.find(preferred);
-    if (it != node_by_id_.end() &&
-        config_.container_size.FitsIn(it->second->Available())) {
-      return it->second;
+  const auto pi = static_cast<size_t>(preferred.value());
+  if (preferred.valid() && pi < node_by_id_.size()) {
+    NodeManager* nm = node_by_id_[pi];
+    if (nm != nullptr && config_.container_size.FitsIn(nm->Available())) {
+      return nm;
     }
   }
   const size_t n = nodes_.size();
@@ -230,7 +263,7 @@ void ResourceManager::PriorityAllocate() {
   // Satisfy asks highest-priority first while slots last.
   for (auto it = asks_.begin(); it != asks_.end();) {
     if (!Allocate(*it)) break;  // cluster full: fall through to the monitor
-    it = asks_.erase(it);
+    it = EraseAsk(it);
   }
 }
 
@@ -245,13 +278,13 @@ void ResourceManager::CapacityAllocate() {
     }
     if (!Allocate(*it)) return;
     usage[queue]++;
-    it = asks_.erase(it);
+    it = EraseAsk(it);
   }
   // Pass 2: work conservation — idle slots may be borrowed beyond the
   // guarantee (they come back through the capacity monitor when needed).
   for (auto it = asks_.begin(); it != asks_.end();) {
     if (!Allocate(*it)) return;
-    it = asks_.erase(it);
+    it = EraseAsk(it);
   }
 }
 
@@ -259,29 +292,41 @@ SimDuration ResourceManager::VictimCost(const Container& container) const {
   // Paper S5.2.2 "checkpoint cost-aware eviction": container memory divided
   // by the node's checkpoint bandwidth, plus that node's current
   // checkpoint-queue backlog.
-  const StorageDevice& device = node_by_id_.at(container.node)->node().storage();
+  const StorageDevice& device = NodeOf(container.node)->node().storage();
   return device.QueueDelay() + device.EstimateWrite(container.size.memory);
 }
 
-void ResourceManager::RankVictims(
-    std::vector<const Container*>& victims) const {
+template <typename Pred>
+void ResourceManager::CollectVictims(Pred eligible) {
+  victims_.clear();
+  for (const auto& [id, container] : live_) {
+    if (eligible(container) && preempt_pending_.count(id) == 0) {
+      victims_.push_back(Victim{&container, VictimCost(container)});
+    }
+  }
+  RankVictims();
+}
+
+void ResourceManager::RankVictims() {
   switch (config_.victim_order) {
     case VictimOrder::kCostAware:
-      std::sort(victims.begin(), victims.end(),
-                [this](const Container* a, const Container* b) {
-                  const SimDuration ca = VictimCost(*a);
-                  const SimDuration cb = VictimCost(*b);
-                  if (ca != cb) return ca < cb;
+      std::sort(victims_.begin(), victims_.end(),
+                [](const Victim& va, const Victim& vb) {
+                  if (va.cost != vb.cost) return va.cost < vb.cost;
                   // Equal checkpoint cost (same container size and queue):
                   // vacate the youngest container — it has the least
                   // progress to save or lose.
+                  const Container* a = va.container;
+                  const Container* b = vb.container;
                   if (a->started != b->started) return a->started > b->started;
                   return a->id.value() < b->id.value();
                 });
       break;
     case VictimOrder::kLowestPriority:
-      std::sort(victims.begin(), victims.end(),
-                [](const Container* a, const Container* b) {
+      std::sort(victims_.begin(), victims_.end(),
+                [](const Victim& va, const Victim& vb) {
+                  const Container* a = va.container;
+                  const Container* b = vb.container;
                   if (a->priority != b->priority)
                     return a->priority < b->priority;
                   return a->id.value() < b->id.value();
@@ -289,10 +334,10 @@ void ResourceManager::RankVictims(
       break;
     case VictimOrder::kRandom:
       // Deterministic shuffle stand-in: order by id hash-ish.
-      std::sort(victims.begin(), victims.end(),
-                [](const Container* a, const Container* b) {
-                  return (a->id.value() * 2654435761u % 1000003) <
-                         (b->id.value() * 2654435761u % 1000003);
+      std::sort(victims_.begin(), victims_.end(),
+                [](const Victim& a, const Victim& b) {
+                  return (a.container->id.value() * 2654435761u % 1000003) <
+                         (b.container->id.value() * 2654435761u % 1000003);
                 });
       break;
   }
@@ -306,17 +351,7 @@ const std::string& ResourceManager::NodeTrackCached(NodeId node) {
   return track;
 }
 
-void ResourceManager::DispatchPreempts(std::vector<const Container*> victims,
-                                       std::int64_t count) {
-  // Per-node cap on concurrent vacating containers: checkpoints on a node
-  // are sequential, so asking more victims than that to dump at once only
-  // freezes work that could still be executing.
-  std::unordered_map<NodeId, int> vacating;
-  for (ContainerId id : preempt_pending_) {
-    auto it = live_.find(id);
-    if (it != live_.end()) vacating[it->second.node]++;
-  }
-
+void ResourceManager::DispatchPreempts(std::int64_t count) {
   // Audit envelope: which ranked victims the monitor examined this round
   // and why each was dispatched or passed over.
   Observability* obs = config_.obs;
@@ -343,9 +378,10 @@ void ResourceManager::DispatchPreempts(std::vector<const Container*> victims,
     audit.track.assign("rm");
     audit.t = sim_->Now();
   }
-  auto audit_victim = [&](const Container* victim, const char* action,
+  auto audit_victim = [&](const Victim& v, const char* action,
                           const char* reason) {
     if (obs == nullptr) return;
+    const Container* victim = v.container;
     if (audit.candidates.size() <= cand_used) audit.candidates.emplace_back();
     TraceArgs& cand = audit.candidates[cand_used++];
     if (cand.size() != 7) {
@@ -356,31 +392,35 @@ void ResourceManager::DispatchPreempts(std::vector<const Container*> victims,
     set_num(cand[1], "app", static_cast<double>(victim->app.value()));
     set_num(cand[2], "node", static_cast<double>(victim->node.value()));
     set_num(cand[3], "priority", victim->priority);
-    set_num(cand[4], "cost_s", ToSeconds(VictimCost(*victim)));
+    set_num(cand[4], "cost_s", ToSeconds(v.cost));
     set_str(cand[5], "action", action);
     set_str(cand[6], "reason", reason);
   };
 
-  for (const Container* victim : victims) {
+  for (const Victim& v : victims_) {
+    const Container* victim = v.container;
     if (count <= 0) {
       if (obs == nullptr) break;  // the seed's early exit
-      audit_victim(victim, "skipped", "quota_filled");
+      audit_victim(v, "skipped", "quota_filled");
       continue;
     }
+    // Per-node cap on concurrent vacating containers: checkpoints on a node
+    // are sequential, so asking more victims than that to dump at once only
+    // freezes work that could still be executing.
     if (config_.policy != PreemptionPolicy::kKill &&
-        vacating[victim->node] >= config_.max_vacating_per_node) {
-      audit_victim(victim, "skipped", "vacating_cap");
+        vacating_[static_cast<size_t>(victim->node.value())] >=
+            config_.max_vacating_per_node) {
+      audit_victim(v, "skipped", "vacating_cap");
       continue;
     }
     auto app_it = apps_.find(victim->app);
     if (app_it == apps_.end()) {
-      audit_victim(victim, "skipped", "app_gone");
+      audit_victim(v, "skipped", "app_gone");
       continue;
     }
-    audit_victim(victim, "dispatched", "selected");
+    audit_victim(v, "dispatched", "selected");
     ++dispatched;
-    preempt_pending_.insert(victim->id);
-    vacating[victim->node]++;
+    MarkPreemptPending(*victim);
     ++preempt_events_;
     --count;
     if (obs != nullptr) {
@@ -397,7 +437,7 @@ void ResourceManager::DispatchPreempts(std::vector<const Container*> victims,
               static_cast<double>(victim->id.value()));
       set_num(rec.args[1], "app", static_cast<double>(victim->app.value()));
       set_num(rec.args[2], "priority", victim->priority);
-      set_num(rec.args[3], "victim_cost_s", ToSeconds(VictimCost(*victim)));
+      set_num(rec.args[3], "victim_cost_s", ToSeconds(v.cost));
       set_num(rec.args[4], "dump_queue_s", ToSeconds(queue_delay));
       obs->tracer().InstantSwap(&rec, sim_->Now());
       const size_t ni = static_cast<size_t>(victim->node.value());
@@ -439,22 +479,14 @@ void ResourceManager::RunPreemptionMonitor() {
   if (asks_.empty()) return;
   // Consider only the top ask's priority level; lower asks wait their turn.
   const int want_priority = asks_.begin()->priority;
-  std::int64_t unsatisfied = 0;
-  for (const Ask& ask : asks_) {
-    if (ask.priority == want_priority) ++unsatisfied;
-  }
+  const std::int64_t unsatisfied = asks_by_priority_.at(want_priority);
   const auto in_flight = static_cast<std::int64_t>(preempt_pending_.size());
   if (unsatisfied <= in_flight) return;
 
-  std::vector<const Container*> victims;
-  for (const auto& [id, container] : live_) {
-    if (container.priority < want_priority &&
-        preempt_pending_.count(id) == 0) {
-      victims.push_back(&container);
-    }
-  }
-  RankVictims(victims);
-  DispatchPreempts(std::move(victims), unsatisfied - in_flight);
+  CollectVictims([want_priority](const Container& c) {
+    return c.priority < want_priority;
+  });
+  DispatchPreempts(unsatisfied - in_flight);
 }
 
 void ResourceManager::RunCapacityMonitor() {
@@ -463,8 +495,8 @@ void ResourceManager::RunCapacityMonitor() {
 
   // Count unsatisfied asks and pending reclaims per queue.
   std::array<std::int64_t, 2> unsatisfied{};
-  for (const Ask& ask : asks_) {
-    unsatisfied[static_cast<size_t>(QueueOf(ask.priority))]++;
+  for (const auto& [priority, count] : asks_by_priority_) {
+    unsatisfied[static_cast<size_t>(QueueOf(priority))] += count;
   }
   std::array<std::int64_t, 2> pending{};
   for (ContainerId id : preempt_pending_) {
@@ -487,15 +519,10 @@ void ResourceManager::RunCapacityMonitor() {
         std::min({deficit, unsatisfied[queue], surplus});
     if (want <= 0) continue;
 
-    std::vector<const Container*> victims;
-    for (const auto& [id, container] : live_) {
-      if (static_cast<size_t>(QueueOf(container.priority)) == other &&
-          preempt_pending_.count(id) == 0) {
-        victims.push_back(&container);
-      }
-    }
-    RankVictims(victims);
-    DispatchPreempts(std::move(victims), want);
+    CollectVictims([other](const Container& c) {
+      return static_cast<size_t>(QueueOf(c.priority)) == other;
+    });
+    DispatchPreempts(want);
     return;  // one queue per monitor round
   }
 }

@@ -8,11 +8,17 @@
 // containers cost-aware — estimated checkpoint time, i.e. container memory
 // over the node's checkpoint bandwidth plus the node's checkpoint-queue
 // backlog — and asks their ApplicationMasters to vacate the cheapest ones.
+//
+// A scheduling round costs O(candidates), not O(outstanding asks): asks are
+// counted per priority as they enter and leave `asks_`, each candidate's
+// cost is evaluated once before ranking, and per-node vacating counts move
+// with `preempt_pending_`.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -94,9 +100,15 @@ class ResourceManager {
       return a.seq < b.seq;
     }
   };
+  using AskSet = std::multiset<Ask, AskOrder>;
   struct AppInfo {
     AppClient* client = nullptr;
     int priority = 0;
+  };
+  // A preemption candidate with its VictimCost, evaluated once per round.
+  struct Victim {
+    const Container* container = nullptr;
+    SimDuration cost = 0;
   };
 
   void RequestSchedule();
@@ -106,11 +118,19 @@ class ResourceManager {
   void RunPreemptionMonitor();
   void RunCapacityMonitor();
   bool Allocate(const Ask& ask);
-  void DispatchPreempts(std::vector<const Container*> victims,
-                        std::int64_t count);
+  // Every asks_ erase goes through here to keep asks_by_priority_ exact.
+  AskSet::iterator EraseAsk(AskSet::iterator it);
+  // Live containers not yet asked to vacate that satisfy `eligible`, costed
+  // and ranked into victims_.
+  template <typename Pred>
+  void CollectVictims(Pred eligible);
+  void DispatchPreempts(std::int64_t count);
+  void MarkPreemptPending(const Container& container);
+  void ClearPreemptPending(const Container& container);
   NodeManager* PickNode(NodeId preferred);
+  NodeManager* NodeOf(NodeId node) const;
   SimDuration VictimCost(const Container& container) const;
-  void RankVictims(std::vector<const Container*>& victims) const;
+  void RankVictims();
   // Cached "node/N" tracer-track spelling, built once per node.
   const std::string& NodeTrackCached(NodeId node);
 
@@ -122,13 +142,16 @@ class ResourceManager {
 
   Simulator* sim_;
   std::vector<NodeManager*> nodes_;
-  std::unordered_map<NodeId, NodeManager*> node_by_id_;
+  std::vector<NodeManager*> node_by_id_;  // indexed by NodeId; null = absent
   YarnConfig config_;
 
   std::unordered_map<AppId, AppInfo> apps_;
-  std::multiset<Ask, AskOrder> asks_;
+  AskSet asks_;
+  std::map<int, std::int64_t> asks_by_priority_;  // no zero entries
   std::unordered_map<ContainerId, Container> live_;
   std::unordered_set<ContainerId> preempt_pending_;
+  std::vector<int> vacating_;  // preempt_pending_ containers per NodeId
+  std::vector<Victim> victims_;  // per-round scratch
 
   int total_slots_ = 0;
   std::array<int, 2> guaranteed_slots_{};  // capacity mode, by queue
