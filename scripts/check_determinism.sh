@@ -14,6 +14,10 @@
 #     comparing stdout plus the exported metrics + audit artifacts
 #   * bench_scale --shards=1 vs --shards=4 (streaming sharded driver)
 #
+# YARN observability lane (the RM/AM/NM front-end): bench_fig8_yarn and
+# bench_fig10_yarn_adaptive with CKPT_OBS=1 vs without. Recording decisions
+# must never change one.
+#
 # CKPT_SWEEP_NO_CLAMP keeps --jobs/--parallel at their literal values on
 # small machines — these lanes exist precisely to exercise multi-threaded
 # execution, so the core-count clamp must not quietly reduce them to the
@@ -37,7 +41,7 @@ compare() {
   if cmp -s "$ref" "$par"; then
     echo "check_determinism: $name identical"
   else
-    echo "check_determinism: FAIL: $name differs between serial and parallel:"
+    echo "check_determinism: FAIL: $name differs from its reference run:"
     diff "$ref" "$par" | head -20
     fail=1
   fi
@@ -214,5 +218,20 @@ compare "ckpt-sim batching-on sharded metrics (1 vs 4 workers)" \
 compare "ckpt-sim batching-on sharded audit log (1 vs 4 workers)" \
   "$work_dir/batchshards.1/ckpt_sim.adaptive.audit.jsonl" \
   "$work_dir/batchshards.4/ckpt_sim.adaptive.audit.jsonl"
+
+# YARN lane: the ResourceManager's preemption monitor, the AMs and the node
+# managers print the same tables with observability on and off.
+mkdir -p "$work_dir/yarn_obs"
+yarn_obs_lane() {
+  local name="$1"
+  shift
+  "$build_dir/bench/$name" "$@" > "$work_dir/$name.plain.txt"
+  CKPT_OBS=1 CKPT_OBS_DIR="$work_dir/yarn_obs" \
+    "$build_dir/bench/$name" "$@" > "$work_dir/$name.obs.txt"
+  compare "$name (CKPT_OBS=1 vs off)" \
+    "$work_dir/$name.plain.txt" "$work_dir/$name.obs.txt"
+}
+yarn_obs_lane bench_fig8_yarn 600
+yarn_obs_lane bench_fig10_yarn_adaptive
 
 exit "$fail"

@@ -4,6 +4,9 @@
 # scripts/check_trace.py accepts, including ckpt.dump spans and
 # policy.decision instants (the Algorithm-1 cost terms).
 #
+# The repository benchmark's smoke run (benchmark/run.py --smoke) must pass
+# every output check.
+#
 # A second lane rebuilds the threaded pieces under ThreadSanitizer and runs
 # the thread-pool tests plus the parallel-sweep determinism check
 # (scripts/check_determinism.sh) with TSan watching the workers.
@@ -80,6 +83,11 @@ grep -q "kill_lost_work" "$obs_dir/diff_report.txt"
 python3 "$repo_root/scripts/bench_perf_diff.py" --check \
   "$repo_root/BENCH_PERF.json" "$repo_root/BENCH_PERF.baseline.json"
 
+# Repository benchmark smoke: every workload at ~1/20 size, plain and traced,
+# with the output checks (completion, waste identity, traced digest equal to
+# plain, ledger reconciliation, ckpt-report). Builds into build-bench/.
+python3 "$repo_root/benchmark/run.py" --smoke
+
 # ThreadSanitizer lane: threads appear in two places — the sweep runner
 # (thread pool + per-cell merge) and the sharded single-run driver (shard
 # mailboxes drained on pool workers between barriers). Build just those
@@ -93,7 +101,7 @@ if [[ "${CKPT_CI_TSAN:-1}" != "0" && -z "${CKPT_SANITIZE:-}" ]]; then
     test_sharded_simulator test_workload_stream test_interference \
     test_service \
     bench_fig3_trace_sim bench_ext_failure bench_scale bench_interference \
-    bench_services ckpt_sim_cli
+    bench_services bench_fig8_yarn bench_fig10_yarn_adaptive ckpt_sim_cli
   "$tsan_dir/tests/test_thread_pool"
   # The sharded single-run driver drains shard mailboxes on pool workers;
   # TSan watches the barrier hand-offs, outbox merges, and the parallel
