@@ -18,6 +18,14 @@ strictly increasing integer `seq`, non-decreasing non-negative `t`, a
 known `kind` with its required args keys, an object `args`, and (when
 present) a `candidates` array of objects. --require matches kinds there.
 
+With --summary the files are not validated. Instead the script prints,
+from Python's json module, what `ckpt-report` prints for the same files:
+per audit stream the record count, candidate rows, time span and records
+per kind; per trace (Chrome .trace.json or .trace.jsonl) the non-metadata
+events per category. The layout is ckpt-report's, byte for byte, so CI
+diffs the two to cross-check ckpt-report's streaming parser against an
+independent one.
+
 Exit code 0 on success; 1 with a diagnostic on the first violation.
 """
 
@@ -153,6 +161,110 @@ def check_audit(path, requirements):
     print(f"check_trace: OK: {path}: {total} audit records ({by_kind})")
 
 
+# --- --summary: ckpt-report's audit/trace sections, from Python's json ------
+
+
+def utf8(text):
+    # ckpt-report encodes lone \ud800-style escapes as 3-byte UTF-8 too.
+    return text.encode("utf-8", "surrogatepass")
+
+
+def render_table(rows):
+    """metrics/report.cc's RenderTable: byte-width columns, two-space gaps,
+    a dashed rule under the header."""
+    widths = [0] * max(len(row) for row in rows)
+    for row in rows:
+        for c, cell in enumerate(row):
+            widths[c] = max(widths[c], len(utf8(cell)))
+    lines = []
+    for r, row in enumerate(rows):
+        line = "  "
+        for c, cell in enumerate(row):
+            line += cell
+            if c + 1 < len(row):
+                line += " " * (widths[c] - len(utf8(cell)) + 2)
+        lines.append(line)
+        if r == 0:
+            lines.append("  " + "-" * (sum(widths) + 2 * len(widths)))
+    return "".join(line + "\n" for line in lines)
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def field(obj, key, want, fallback):
+    """json::Value::NumberOr/StringOr: the member if it has the type."""
+    value = obj.get(key)
+    if want == "number":
+        return value if is_number(value) else fallback
+    return value if isinstance(value, str) else fallback
+
+
+def table_section(counts, header):
+    if not counts:
+        return ""
+    rows = [header] + [[k, str(v)] for k, v in
+                       sorted(counts.items(), key=lambda kv: utf8(kv[0]))]
+    return render_table(rows)
+
+
+def jsonl_objects(path, what):
+    # Lines end at "\n" only, as in ckpt-report; a stray "\r" is JSON
+    # whitespace, not a line break.
+    with open(path, "r", encoding="utf-8", errors="surrogatepass",
+              newline="\n") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                fail(f"{path}:{lineno}: bad {what}: {e}")
+            if not isinstance(obj, dict):
+                fail(f"{path}:{lineno}: bad {what}: not a JSON object")
+            yield obj
+
+
+def audit_summary(path):
+    records = candidates = 0
+    first_t = last_t = 0
+    kinds = collections.Counter()
+    for rec in jsonl_objects(path, "record"):
+        t = field(rec, "t", "number", 0)
+        if records == 0:
+            first_t = t
+        last_t = t
+        records += 1
+        cands = rec.get("candidates")
+        candidates += len(cands) if isinstance(cands, list) else 0
+        kinds[field(rec, "kind", "string", "?")] += 1
+    return (f"\n=== audit: {path} ===\n"
+            f"  {records} records ({candidates} candidate rows), "
+            f"t=[{float(first_t):.0f}, {float(last_t):.0f}]\n" +
+            table_section(kinds, ["kind", "records"]))
+
+
+def trace_summary(path):
+    if path.endswith(".jsonl"):
+        events = list(jsonl_objects(path, "event"))
+    else:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+        if not isinstance(doc, dict):
+            fail(f"{path}: not a JSON object")
+        events = doc.get("traceEvents")
+        events = [e for e in events if isinstance(e, dict)] \
+            if isinstance(events, list) else []
+    categories = collections.Counter(
+        field(e, "cat", "string", "?") for e in events
+        if field(e, "ph", "string", "") != "M")
+    return (f"\n=== trace: {path} ===\n"
+            f"  {sum(categories.values())} events\n" +
+            table_section(categories, ["category", "events"]))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", nargs="+",
@@ -160,7 +272,17 @@ def main():
     parser.add_argument(
         "--require", action="append", default=[], metavar="NAME[:MINCOUNT]",
         help="require at least MINCOUNT (default 1) events named NAME")
+    parser.add_argument(
+        "--summary", action="store_true",
+        help="print ckpt-report's audit/trace summaries instead of checking")
     args = parser.parse_args()
+
+    if args.summary:
+        for path in args.trace:
+            text = audit_summary(path) if path.endswith(".audit.jsonl") \
+                else trace_summary(path)
+            sys.stdout.buffer.write(utf8(text))
+        return
 
     requirements = []
     for spec in args.require:

@@ -65,6 +65,22 @@ if grep -q "MISMATCH" "$obs_dir/fig3_report.txt"; then
   exit 1
 fi
 
+# Parser cross-check: ckpt-report's streaming tallies of the fig3 audit
+# streams and the fig8 Chrome traces must equal what Python's json module
+# counts in the same files (check_trace.py --summary prints them in
+# ckpt-report's layout).
+for artifacts in "bench_fig3_trace_sim.*.audit.jsonl" "bench_fig8_yarn.*.trace.json"; do
+  # shellcheck disable=SC2086  # the pattern is meant to glob
+  "$build_dir/tools/ckpt-report" "$obs_dir"/$artifacts > "$obs_dir/report.txt"
+  # shellcheck disable=SC2086
+  python3 "$repo_root/scripts/check_trace.py" --summary "$obs_dir"/$artifacts \
+    > "$obs_dir/summary.txt"
+  if ! diff -u "$obs_dir/summary.txt" "$obs_dir/report.txt"; then
+    echo "ci.sh: ckpt-report disagrees with Python's json on $artifacts" >&2
+    exit 1
+  fi
+done
+
 # A/B analyzer lane: kill vs adaptive single runs must diff with a
 # non-empty waste attribution table.
 CKPT_OBS=1 CKPT_OBS_DIR="$obs_dir" "$build_dir/tools/ckpt-sim" \

@@ -1,41 +1,10 @@
 #include "obs/audit_log.h"
 
-#include <charconv>
 #include <utility>
 
 #include "common/json.h"
 
 namespace ckpt {
-
-namespace {
-
-void AppendArgsObject(const TraceArgs& args, std::string* out) {
-  out->push_back('{');
-  bool first = true;
-  for (const TraceArg& arg : args) {
-    if (!first) out->push_back(',');
-    first = false;
-    out->push_back('"');
-    json::AppendEscaped(arg.key, out);
-    *out += "\":";
-    if (arg.is_string) {
-      out->push_back('"');
-      json::AppendEscaped(arg.str, out);
-      out->push_back('"');
-    } else {
-      json::AppendNumber(arg.num, out);
-    }
-  }
-  out->push_back('}');
-}
-
-void AppendInt(std::int64_t v, std::string* out) {
-  char buf[24];
-  const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
-  out->append(buf, static_cast<std::size_t>(end - buf));
-}
-
-}  // namespace
 
 AuditLog::AuditLog(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
@@ -62,22 +31,22 @@ std::string AuditLog::ToJsonl() const {
   for (std::size_t i = 0; i < ring_.size(); ++i) {
     const AuditRecord& rec = record(i);
     out += "{\"seq\":";
-    AppendInt(rec.seq, &out);
+    json::AppendInt(rec.seq, &out);
     out += ",\"t\":";
-    AppendInt(rec.t, &out);
+    json::AppendInt(rec.t, &out);
     out += ",\"kind\":\"";
     json::AppendEscaped(rec.kind, &out);
     out += "\",\"track\":\"";
     json::AppendEscaped(rec.track, &out);
     out += "\",\"args\":";
-    AppendArgsObject(rec.args, &out);
+    AppendArgsJson(rec.args, &out);
     if (!rec.candidates.empty()) {
       out += ",\"candidates\":[";
       bool first = true;
       for (const TraceArgs& cand : rec.candidates) {
         if (!first) out.push_back(',');
         first = false;
-        AppendArgsObject(cand, &out);
+        AppendArgsJson(cand, &out);
       }
       out.push_back(']');
     }

@@ -1,47 +1,14 @@
 #include "obs/metrics_registry.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "metrics/report.h"
 
 namespace ckpt {
 
 namespace {
-
-// Minimal JSON string escaping (quotes, backslash, control chars).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string JsonNumber(double v) {
-  // Shortest round-trippable form keeps snapshots byte-deterministic.
-  std::ostringstream out;
-  out.precision(15);
-  out << v;
-  return out.str();
-}
 
 std::string LabelString(const MetricLabels& labels) {
   std::string out;
@@ -114,55 +81,70 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
 }
 
 std::string MetricsRegistry::ToJson() const {
-  std::ostringstream out;
-  out << "{\"metrics\":[";
+  std::string out;
+  out.reserve(16 + series_.size() * 128);
+  out += "{\"metrics\":[";
   bool first = true;
   for (const auto& [key, series] : series_) {
-    if (!first) out << ",";
+    if (!first) out.push_back(',');
     first = false;
-    out << "{\"name\":\"" << JsonEscape(series.name) << "\",\"labels\":{";
+    out += "{\"name\":\"";
+    json::AppendEscaped(series.name, &out);
+    out += "\",\"labels\":{";
     for (size_t i = 0; i < series.labels.size(); ++i) {
-      if (i > 0) out << ",";
-      out << "\"" << JsonEscape(series.labels[i].first) << "\":\""
-          << JsonEscape(series.labels[i].second) << "\"";
+      if (i > 0) out.push_back(',');
+      out.push_back('"');
+      json::AppendEscaped(series.labels[i].first, &out);
+      out += "\":\"";
+      json::AppendEscaped(series.labels[i].second, &out);
+      out.push_back('"');
     }
-    out << "},";
+    out += "},";
     switch (series.kind) {
       case Kind::kCounter:
-        out << "\"type\":\"counter\",\"value\":" << series.counter->value();
+        out += "\"type\":\"counter\",\"value\":";
+        json::AppendInt(series.counter->value(), &out);
         break;
       case Kind::kGauge:
-        out << "\"type\":\"gauge\",\"value\":"
-            << JsonNumber(series.gauge->value());
+        out += "\"type\":\"gauge\",\"value\":";
+        json::AppendNumber(series.gauge->value(), &out);
         break;
       case Kind::kHistogram: {
         const Histogram& h = *series.histogram;
-        out << "\"type\":\"histogram\",\"count\":" << h.count()
-            << ",\"sum\":" << JsonNumber(h.sum())
-            << ",\"min\":" << JsonNumber(h.stats().Min())
-            << ",\"max\":" << JsonNumber(h.stats().Max())
-            << ",\"mean\":" << JsonNumber(h.stats().Mean())
-            << ",\"p50\":" << JsonNumber(h.stats().Quantile(0.5))
-            << ",\"p95\":" << JsonNumber(h.stats().Quantile(0.95))
-            << ",\"p99\":" << JsonNumber(h.stats().Quantile(0.99))
-            << ",\"bounds\":[";
+        out += "\"type\":\"histogram\",\"count\":";
+        json::AppendInt(h.count(), &out);
+        const std::pair<const char*, double> fields[] = {
+            {"sum", h.sum()},
+            {"min", h.stats().Min()},
+            {"max", h.stats().Max()},
+            {"mean", h.stats().Mean()},
+            {"p50", h.stats().Quantile(0.5)},
+            {"p95", h.stats().Quantile(0.95)},
+            {"p99", h.stats().Quantile(0.99)}};
+        for (const auto& [name, value] : fields) {
+          out += ",\"";
+          out += name;
+          out += "\":";
+          json::AppendNumber(value, &out);
+        }
+        out += ",\"bounds\":[";
         for (size_t i = 0; i < h.bounds().size(); ++i) {
-          if (i > 0) out << ",";
-          out << JsonNumber(h.bounds()[i]);
+          if (i > 0) out.push_back(',');
+          json::AppendNumber(h.bounds()[i], &out);
         }
-        out << "],\"bucket_counts\":[";
+        out += "],\"bucket_counts\":[";
         for (size_t i = 0; i < h.counts().size(); ++i) {
-          if (i > 0) out << ",";
-          out << h.counts()[i];
+          if (i > 0) out.push_back(',');
+          json::AppendInt(h.counts()[i], &out);
         }
-        out << "]";
+        out.push_back(']');
         break;
       }
     }
-    out << "}";
+    out.push_back('}');
   }
-  out << "]}";
-  return out.str();
+  out += "]}";
+  return out;
 }
 
 std::vector<std::vector<std::string>> MetricsRegistry::ToTableRows() const {

@@ -5,20 +5,24 @@
 namespace ckpt {
 
 namespace {
-bool WriteFile(const std::string& path, const std::string& content) {
+// Writes the serialized buffer as is; `trailer` ends the single-document
+// formats with a newline without copying the document to append it.
+bool WriteFile(const std::string& path, const std::string& content,
+               const char* trailer = "") {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
-  out << content;
+  out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  out << trailer;
   return static_cast<bool>(out);
 }
 }  // namespace
 
 bool Observability::WriteMetricsJson(const std::string& path) const {
-  return WriteFile(path, metrics_.ToJson() + "\n");
+  return WriteFile(path, metrics_.ToJson(), "\n");
 }
 
 bool Observability::WriteChromeTrace(const std::string& path) const {
-  return WriteFile(path, tracer_.ToChromeJson() + "\n");
+  return WriteFile(path, tracer_.ToChromeJson(), "\n");
 }
 
 bool Observability::WriteTraceJsonl(const std::string& path) const {

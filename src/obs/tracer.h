@@ -42,6 +42,10 @@ struct TraceArg {
 
 using TraceArgs = std::vector<TraceArg>;
 
+// Appends args as one JSON object ({"key":value,...} in order), the
+// spelling the trace and audit exports share.
+void AppendArgsJson(const TraceArgs& args, std::string* out);
+
 struct TraceRecord {
   std::string name;      // e.g. "ckpt.dump"
   std::string category;  // e.g. "ckpt"
@@ -98,10 +102,8 @@ class Tracer {
   // Moves *event into the ring; on overflow the oldest record's buffers are
   // swapped back into *event (see InstantSwap).
   void Push(TraceRecord* event);
-  // i-th retained record in insertion order (0 = oldest).
-  const TraceRecord& record(std::size_t i) const {
-    return ring_[(head_ + i) % ring_.size()];
-  }
+  // Ring slots in export order: by sim time, ties in insertion order.
+  std::vector<std::size_t> SortedSlots() const;
 
   std::size_t capacity_;
   // Flat ring: grows to capacity_, then wraps (head_ = oldest slot).

@@ -26,8 +26,8 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -83,13 +83,64 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+// Reads a whole file into *out with one allocation sized up front.
 bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
+  const std::streamoff size = in.tellg();
+  if (size < 0) return false;
+  out->resize(static_cast<std::size_t>(size));
+  in.seekg(0);
+  return static_cast<bool>(
+      in.read(out->data(), static_cast<std::streamsize>(out->size())));
+}
+
+// Calls on_line(line, lineno) for every non-empty line of text; stops at
+// the first false.
+template <typename F>
+bool ForEachLine(std::string_view text, F&& on_line) {
+  std::int64_t lineno = 0;
+  while (!text.empty()) {
+    const size_t end = text.find('\n');
+    const std::string_view line = text.substr(0, end);
+    text.remove_prefix(end == std::string_view::npos ? text.size() : end + 1);
+    ++lineno;
+    if (!line.empty() && !on_line(line, lineno)) return false;
+  }
   return true;
+}
+
+// Streams one JSON object through reader, handing each member to
+// on_member(key); the object must fill the whole text. On failure *error
+// says why ("offset N: reason", or "not a JSON object" for valid JSON of
+// another type).
+template <typename F>
+bool VisitDocument(std::string_view text, F&& on_member, std::string* error) {
+  json::Reader reader(text);
+  if (reader.Peek() == json::Value::Type::kObject) {
+    auto member = [&](std::string_view key) { on_member(reader, key); };
+    if (reader.VisitObject(member) && reader.Finish()) return true;
+  } else if (reader.Skip() && reader.Finish()) {
+    *error = "not a JSON object";
+    return false;
+  }
+  *error = reader.error();
+  return false;
+}
+
+// Reads a string member with json::Value::StringOr's fallback into *out.
+void CopyStringOr(json::Reader& reader, std::string_view fallback,
+                  std::string* out) {
+  std::string_view value;
+  if (reader.ReadStringOr(fallback, &value)) out->assign(value);
+}
+
+// Counts key in a tally map without allocating when the key is known.
+void Tally(std::map<std::string, std::int64_t, std::less<>>* counts,
+           std::string_view key) {
+  auto it = counts->find(key);
+  if (it == counts->end()) it = counts->emplace(std::string(key), 0).first;
+  ++it->second;
 }
 
 std::string BaseName(const std::string& path) {
@@ -164,10 +215,12 @@ struct AuditSummary {
   std::string path;
   std::int64_t records = 0;
   std::int64_t candidates = 0;
-  std::map<std::string, std::int64_t> by_kind;
+  std::map<std::string, std::int64_t, std::less<>> by_kind;
   double first_t = 0, last_t = 0;
 };
 
+// Streams the audit JSONL: each line is tallied as it is read, and only
+// t, kind and the candidates count are kept.
 bool ParseAuditFile(const std::string& path, AuditSummary* out) {
   std::string text;
   if (!ReadFile(path, &text)) {
@@ -175,41 +228,58 @@ bool ParseAuditFile(const std::string& path, AuditSummary* out) {
     return false;
   }
   out->path = path;
-  std::istringstream lines(text);
-  std::string line;
-  std::int64_t lineno = 0;
-  while (std::getline(lines, line)) {
-    ++lineno;
-    if (line.empty()) continue;
+  std::string kind;
+  return ForEachLine(text, [&](std::string_view line, std::int64_t lineno) {
+    double t = 0;
+    std::int64_t candidates = 0;
+    kind.assign("?");
     std::string error;
-    json::ValuePtr record = json::Parse(line, &error);
-    if (record == nullptr || !record->is_object()) {
+    const bool ok = VisitDocument(
+        line,
+        [&](json::Reader& reader, std::string_view key) {
+          if (key == "t") {
+            reader.ReadNumberOr(0, &t);
+          } else if (key == "kind") {
+            CopyStringOr(reader, "?", &kind);
+          } else if (key == "candidates") {
+            candidates = 0;
+            if (reader.Peek() == json::Value::Type::kArray) {
+              reader.VisitArray([&] {
+                ++candidates;
+                reader.Skip();
+              });
+            } else {
+              reader.Skip();
+            }
+          } else {
+            reader.Skip();
+          }
+        },
+        &error);
+    if (!ok) {
       std::fprintf(stderr, "ckpt-report: %s:%lld: bad record: %s\n",
                    path.c_str(), static_cast<long long>(lineno),
                    error.c_str());
       return false;
     }
-    const double t = record->NumberOr("t", 0);
     if (out->records == 0) out->first_t = t;
     out->last_t = t;
     ++out->records;
-    ++out->by_kind[record->StringOr("kind", "?")];
-    if (const json::Value* candidates = record->Find("candidates");
-        candidates != nullptr && candidates->is_array()) {
-      out->candidates += static_cast<std::int64_t>(candidates->items().size());
-    }
-  }
-  return true;
+    out->candidates += candidates;
+    Tally(&out->by_kind, kind);
+    return true;
+  });
 }
 
 struct TraceSummary {
   std::string path;
   std::int64_t events = 0;
-  std::map<std::string, std::int64_t> by_category;
+  std::map<std::string, std::int64_t, std::less<>> by_category;
 };
 
 // Accepts both the Chrome format ({"traceEvents":[...]}) and the JSONL
-// stream (one event object per line).
+// stream (one event object per line). Either way events are tallied as
+// they stream past; only ph and cat are read.
 bool ParseTraceFile(const std::string& path, TraceSummary* out) {
   std::string text;
   if (!ReadFile(path, &text)) {
@@ -217,37 +287,73 @@ bool ParseTraceFile(const std::string& path, TraceSummary* out) {
     return false;
   }
   out->path = path;
-  auto tally = [out](const json::Value& event) {
+  std::string phase, category;
+  auto event_member = [&](json::Reader& reader, std::string_view key) {
+    if (key == "ph") {
+      CopyStringOr(reader, "", &phase);
+    } else if (key == "cat") {
+      CopyStringOr(reader, "?", &category);
+    } else {
+      reader.Skip();
+    }
+  };
+  auto start_event = [&] {
+    phase.clear();
+    category.assign("?");
+  };
+  auto tally = [&] {
     // Skip thread-name metadata events; count real phases only.
-    const std::string phase = event.StringOr("ph", "");
     if (phase == "M") return;
     ++out->events;
-    ++out->by_category[event.StringOr("cat", "?")];
+    Tally(&out->by_category, category);
   };
-  if (EndsWith(path, ".jsonl")) {
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.empty()) continue;
-      json::ValuePtr event = json::Parse(line, nullptr);
-      if (event != nullptr && event->is_object()) tally(*event);
-    }
-    return true;
-  }
   std::string error;
-  json::ValuePtr doc = json::Parse(text, &error);
-  if (doc == nullptr || !doc->is_object()) {
+  if (EndsWith(path, ".jsonl")) {
+    return ForEachLine(text, [&](std::string_view line, std::int64_t lineno) {
+      start_event();
+      if (!VisitDocument(line, event_member, &error)) {
+        std::fprintf(stderr, "ckpt-report: %s:%lld: bad event: %s\n",
+                     path.c_str(), static_cast<long long>(lineno),
+                     error.c_str());
+        return false;
+      }
+      tally();
+      return true;
+    });
+  }
+  const bool ok = VisitDocument(
+      text,
+      [&](json::Reader& reader, std::string_view key) {
+        if (key != "traceEvents") {
+          reader.Skip();
+          return;
+        }
+        // A repeated traceEvents key replaces the earlier array.
+        out->events = 0;
+        out->by_category.clear();
+        if (reader.Peek() != json::Value::Type::kArray) {
+          reader.Skip();
+          return;
+        }
+        reader.VisitArray([&] {
+          if (reader.Peek() != json::Value::Type::kObject) {
+            reader.Skip();
+            return;
+          }
+          start_event();
+          if (reader.VisitObject([&](std::string_view key) {
+                event_member(reader, key);
+              })) {
+            tally();
+          }
+        });
+      },
+      &error);
+  if (!ok) {
     std::fprintf(stderr, "ckpt-report: %s: %s\n", path.c_str(),
-                 error.empty() ? "not a JSON object" : error.c_str());
-    return false;
+                 error.c_str());
   }
-  if (const json::Value* events = doc->Find("traceEvents");
-      events != nullptr && events->is_array()) {
-    for (const json::ValuePtr& event : events->items()) {
-      if (event->is_object()) tally(*event);
-    }
-  }
-  return true;
+  return ok;
 }
 
 // ---------------------------------------------------------------------------
