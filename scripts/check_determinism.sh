@@ -50,23 +50,7 @@ compare() {
 # Drop wall-clock-dependent gauges (self.* profile timers,
 # process.peak_rss_bytes) from a metrics JSON so the rest byte-diffs.
 normalize_metrics() {
-  python3 - "$1" <<'EOF'
-import json, sys
-path = sys.argv[1]
-with open(path) as f:
-    doc = json.load(f)
-def keep(m):
-    name = m.get("name", "")
-    return not name.startswith("self.") and name != "process.peak_rss_bytes"
-def scrub(container):
-    if isinstance(container, dict) and isinstance(container.get("metrics"), list):
-        container["metrics"] = [m for m in container["metrics"] if keep(m)]
-scrub(doc)
-for run in doc.get("runs", []):
-    scrub(run.get("metrics", {}))
-with open(path, "w") as f:
-    json.dump(doc, f, indent=1, sort_keys=True)
-EOF
+  python3 "$repo_root/scripts/normalize_metrics.py" "$1"
 }
 
 "$build_dir/bench/bench_fig3_trace_sim" --jobs 1 150 \

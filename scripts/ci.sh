@@ -7,13 +7,18 @@
 # The repository benchmark's smoke run (benchmark/run.py --smoke) must pass
 # every output check.
 #
-# A second lane rebuilds the threaded pieces under ThreadSanitizer and runs
+# An ASan+UBSan lane rebuilds the observability tests and two traced
+# benches: the tracer and audit log keep string_view keys and copy string
+# values out of the caller's buffers, so lifetimes are checked by running.
+#
+# A further lane rebuilds the threaded pieces under ThreadSanitizer and runs
 # the thread-pool tests plus the parallel-sweep determinism check
 # (scripts/check_determinism.sh) with TSan watching the workers.
 #
 # Usage: scripts/ci.sh [build-dir]
 # Env:   CKPT_SANITIZE=address|undefined|thread forwards to CMake.
 #        CKPT_CI_TSAN=0 skips the ThreadSanitizer lane.
+#        Both sanitizer lanes run only when CKPT_SANITIZE is unset.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -103,6 +108,29 @@ python3 "$repo_root/scripts/bench_perf_diff.py" --check \
 # with the output checks (completion, waste identity, traced digest equal to
 # plain, ledger reconciliation, ckpt-report). Builds into build-bench/.
 python3 "$repo_root/benchmark/run.py" --smoke
+
+# ASan+UBSan lane: the recording paths (tracer spans and instants, audit
+# records with candidate lists, their exports and owning copies) plus the
+# schedulers and DFS that feed them, and two traced bench runs.
+if [[ -z "${CKPT_SANITIZE:-}" ]]; then
+  asan_dir="$build_dir-asan"
+  asan_tests=(test_audit_log test_obs_tracer test_obs_export test_packed_ring
+    test_json test_waste_ledger test_cluster_scheduler test_yarn_integration
+    test_dfs)
+  cmake -B "$asan_dir" -S "$repo_root" -DCKPT_SANITIZE=address,undefined
+  cmake --build "$asan_dir" -j "$(nproc)" \
+    --target "${asan_tests[@]}" bench_fig3_trace_sim bench_fig8_yarn
+  export UBSAN_OPTIONS=halt_on_error=1
+  for t in "${asan_tests[@]}"; do
+    "$asan_dir/tests/$t"
+  done
+  CKPT_OBS=1 CKPT_OBS_DIR="$obs_dir" "$asan_dir/bench/bench_fig3_trace_sim" \
+    300 > /dev/null
+  CKPT_OBS=1 CKPT_OBS_DIR="$obs_dir" "$asan_dir/bench/bench_fig8_yarn" 600 \
+    > /dev/null
+  unset UBSAN_OPTIONS
+  echo "ci.sh: ASan+UBSan lane passed"
+fi
 
 # ThreadSanitizer lane: threads appear in two places — the sweep runner
 # (thread pool + per-cell merge) and the sharded single-run driver (shard

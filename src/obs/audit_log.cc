@@ -1,52 +1,70 @@
 #include "obs/audit_log.h"
 
-#include <utility>
+#include <algorithm>
 
 #include "common/json.h"
+#include "common/logging.h"
 
 namespace ckpt {
 
+namespace {
+// Leading strings of an audit record.
+enum Text : std::size_t { kKind = 0, kTrack = 1 };
+}  // namespace
+
 AuditLog::AuditLog(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  // Do not reserve capacity_ up front: most runs retire far fewer records
-  // than the ring bound, and short-lived sweep cells each own a log.
+    : ring_(std::max<std::size_t>(capacity, 1)) {}
+
+void AuditLog::Event(std::string_view kind, std::string_view track,
+                     SimTime now, ArgSpan args,
+                     std::span<const TraceArgs> candidates) {
+  PackedRing::Header header;
+  header.start = now;
+  header.seq = next_seq_++;
+  header.text = {static_cast<std::uint32_t>(kind.size()),
+                 static_cast<std::uint32_t>(track.size()), 0};
+  const std::string_view text[] = {kind, track};
+  ring_.Append(header, {.text = text, .args = args, .lists = candidates});
 }
 
-void AuditLog::AppendSwap(AuditRecord* record) {
-  record->seq = next_seq_++;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(*record));
-    return;
+AuditRecord AuditLog::record(std::size_t i) const {
+  CKPT_CHECK_LT(i, ring_.size());
+  const PackedRing::Header& header = ring_.header(i);
+  AuditRecord rec;
+  rec.kind = ring_.text(i, kKind);
+  rec.track = ring_.text(i, kTrack);
+  rec.t = header.start;
+  rec.seq = header.seq;
+  rec.arg_bytes = std::make_shared<const std::string>(ring_.args(i));
+  std::string_view args = *rec.arg_bytes;
+  rec.args = PackedRing::DecodeArgs(&args);
+  while (PackedRing::NextList(&args)) {
+    rec.candidates.push_back(PackedRing::DecodeArgs(&args));
   }
-  // Full: overwrite the oldest slot by swapping, handing its buffers back
-  // to the caller for reuse.
-  std::swap(ring_[head_], *record);
-  head_ = (head_ + 1) % ring_.size();
-  ++dropped_;
+  return rec;
 }
 
 std::string AuditLog::ToJsonl() const {
   std::string out;
   out.reserve(ring_.size() * 160);
   for (std::size_t i = 0; i < ring_.size(); ++i) {
-    const AuditRecord& rec = record(i);
+    const PackedRing::Header& header = ring_.header(i);
     out += "{\"seq\":";
-    json::AppendInt(rec.seq, &out);
+    json::AppendInt(header.seq, &out);
     out += ",\"t\":";
-    json::AppendInt(rec.t, &out);
+    json::AppendInt(header.start, &out);
     out += ",\"kind\":\"";
-    json::AppendEscaped(rec.kind, &out);
+    json::AppendEscaped(ring_.text(i, kKind), &out);
     out += "\",\"track\":\"";
-    json::AppendEscaped(rec.track, &out);
+    json::AppendEscaped(ring_.text(i, kTrack), &out);
     out += "\",\"args\":";
-    AppendArgsJson(rec.args, &out);
-    if (!rec.candidates.empty()) {
+    std::string_view args = ring_.args(i);
+    PackedRing::AppendArgsJson(&args, &out);
+    if (!args.empty()) {
       out += ",\"candidates\":[";
-      bool first = true;
-      for (const TraceArgs& cand : rec.candidates) {
+      for (bool first = true; PackedRing::NextList(&args); first = false) {
         if (!first) out.push_back(',');
-        first = false;
-        AppendArgsJson(cand, &out);
+        PackedRing::AppendArgsJson(&args, &out);
       }
       out.push_back(']');
     }

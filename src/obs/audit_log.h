@@ -15,12 +15,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "common/units.h"
-#include "obs/tracer.h"  // TraceArg / TraceArgs
+#include "obs/packed_ring.h"  // TraceArg / TraceArgs / ArgSpan
 
 namespace ckpt {
 
@@ -35,6 +37,9 @@ struct AuditRecord {
   std::int64_t seq = 0;
   TraceArgs args;
   std::vector<TraceArgs> candidates;
+  // Holds the bytes the string values view in copies record() returns;
+  // shared, so copies of the record stay valid.
+  std::shared_ptr<const std::string> arg_bytes;
 };
 
 class AuditLog {
@@ -45,36 +50,25 @@ class AuditLog {
   AuditLog& operator=(const AuditLog&) = delete;
 
   // Appends a record, stamping its sequence number. Oldest records fall
-  // out when the ring is full.
-  void Append(AuditRecord record) { AppendSwap(&record); }
+  // out when the ring is full. Every string is copied here, at the call,
+  // so `args` and `candidates` may view short-lived buffers.
+  void Event(std::string_view kind, std::string_view track, SimTime now,
+             ArgSpan args, std::span<const TraceArgs> candidates = {});
 
-  // Allocation-recycling append for hot decision paths: *record is swapped
-  // into the ring, and once the ring has wrapped, the evicted record's
-  // buffers (kind/track strings, args and candidates vectors with their
-  // element capacity) come back in *record. A caller that keeps a scratch
-  // AuditRecord and rebuilds it in place therefore stops allocating per
-  // decision in steady state.
-  void AppendSwap(AuditRecord* record);
-
-  // Convenience for records with no candidate list.
-  void Event(std::string kind, std::string track, SimTime now,
-             TraceArgs args) {
-    AuditRecord rec;
-    rec.kind = std::move(kind);
-    rec.track = std::move(track);
-    rec.t = now;
-    rec.args = std::move(args);
-    Append(std::move(rec));
+  // Event() from an owning record; the log stamps its own seq.
+  void Append(const AuditRecord& record) {
+    Event(record.kind, record.track, record.t, record.args,
+          record.candidates);
   }
+  // Append(*record); *record is left as it was.
+  void AppendSwap(AuditRecord* record) { Append(*record); }
 
   std::size_t size() const { return ring_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  std::int64_t dropped() const { return dropped_; }
+  std::size_t capacity() const { return ring_.capacity(); }
+  std::int64_t dropped() const { return ring_.dropped(); }
   std::int64_t total_appended() const { return next_seq_; }
-  // i-th retained record in insertion order (0 = oldest).
-  const AuditRecord& record(std::size_t i) const {
-    return ring_[(head_ + i) % ring_.size()];
-  }
+  // Copy of the i-th retained record in insertion order (0 = oldest).
+  AuditRecord record(std::size_t i) const;
 
   // One JSON object per line, in insertion order:
   //   {"seq":N,"t":T,"kind":"...","track":"...","args":{...},
@@ -84,14 +78,8 @@ class AuditLog {
   std::string ToJsonl() const;
 
  private:
-  std::size_t capacity_;
-  // Flat ring: grows to capacity_, then wraps (head_ = oldest slot).
-  // Vector, not deque: eviction swaps buffers out instead of destroying
-  // them, and iteration is index arithmetic over contiguous storage.
-  std::vector<AuditRecord> ring_;
-  std::size_t head_ = 0;
+  PackedRing ring_;
   std::int64_t next_seq_ = 0;
-  std::int64_t dropped_ = 0;
 };
 
 }  // namespace ckpt

@@ -6,13 +6,16 @@ namespace ckpt {
 
 namespace {
 // Writes the serialized buffer as is; `trailer` ends the single-document
-// formats with a newline without copying the document to append it.
+// formats with a newline without copying the document to append it. The
+// stream is closed before its state is read: a file smaller than the
+// stream buffer reaches the disk only in that final flush.
 bool WriteFile(const std::string& path, const std::string& content,
                const char* trailer = "") {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
   out.write(content.data(), static_cast<std::streamsize>(content.size()));
   out << trailer;
+  out.close();
   return static_cast<bool>(out);
 }
 }  // namespace

@@ -9,43 +9,18 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/units.h"
+#include "obs/packed_ring.h"  // TraceArg / TraceArgs / ArgSpan
 
 namespace ckpt {
 
-// One typed span/instant argument; either a number or a string.
-struct TraceArg {
-  std::string key;
-  bool is_string = false;
-  double num = 0;
-  std::string str;
-
-  static TraceArg Num(std::string key, double value) {
-    TraceArg arg;
-    arg.key = std::move(key);
-    arg.num = value;
-    return arg;
-  }
-  static TraceArg Str(std::string key, std::string value) {
-    TraceArg arg;
-    arg.key = std::move(key);
-    arg.is_string = true;
-    arg.str = std::move(value);
-    return arg;
-  }
-};
-
-using TraceArgs = std::vector<TraceArg>;
-
-// Appends args as one JSON object ({"key":value,...} in order), the
-// spelling the trace and audit exports share.
-void AppendArgsJson(const TraceArgs& args, std::string* out);
-
+// A completed event as SortedEvents returns it: an owning copy.
 struct TraceRecord {
   std::string name;      // e.g. "ckpt.dump"
   std::string category;  // e.g. "ckpt"
@@ -55,6 +30,9 @@ struct TraceRecord {
   SimDuration duration = 0;
   std::int64_t seq = 0;  // insertion order; breaks same-instant ties
   TraceArgs args;
+  // Holds the bytes `args` string values view in copies the tracer
+  // returns; shared, so copies of the record stay valid.
+  std::shared_ptr<const std::string> arg_bytes;
 };
 
 class Tracer {
@@ -68,25 +46,26 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   // Open a span at sim time `now`. The span is buffered out-of-ring until
-  // EndSpan moves it into the ring as one complete ('X') event.
-  SpanId BeginSpan(std::string name, std::string category, std::string track,
-                   SimTime now, TraceArgs args = {});
-  void EndSpan(SpanId id, SimTime now, TraceArgs extra_args = {});
+  // EndSpan moves it into the ring as one complete ('X') event. Every
+  // string is copied here, at the call.
+  SpanId BeginSpan(std::string_view name, std::string_view category,
+                   std::string_view track, SimTime now, ArgSpan args = {});
+  void EndSpan(SpanId id, SimTime now, ArgSpan extra_args = {});
 
-  void Instant(std::string name, std::string category, std::string track,
-               SimTime now, TraceArgs args = {});
+  void Instant(std::string_view name, std::string_view category,
+               std::string_view track, SimTime now, ArgSpan args = {});
 
-  // Allocation-recycling instant for per-event hot sites: the caller fills
-  // *record's name/category/track/args (rebuilding a member scratch record
-  // in place); phase, start and seq are stamped here. Once the ring has
-  // wrapped, the evicted record's buffers come back in *record, so
-  // steady-state emission allocates nothing.
-  void InstantSwap(TraceRecord* record, SimTime now);
+  // Instant(record->name, record->category, record->track, now,
+  // record->args); *record is left as it was.
+  void InstantSwap(TraceRecord* record, SimTime now) {
+    Instant(record->name, record->category, record->track, now,
+            record->args);
+  }
 
   std::size_t size() const { return ring_.size(); }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
   std::size_t open_spans() const { return open_.size(); }
-  std::int64_t dropped() const { return dropped_; }
+  std::int64_t dropped() const { return ring_.dropped(); }
 
   // Completed events sorted by sim time (ties in insertion order).
   std::vector<TraceRecord> SortedEvents() const;
@@ -99,22 +78,21 @@ class Tracer {
   std::string ToJsonl() const;
 
  private:
-  // Moves *event into the ring; on overflow the oldest record's buffers are
-  // swapped back into *event (see InstantSwap).
-  void Push(TraceRecord* event);
-  // Ring slots in export order: by sim time, ties in insertion order.
-  std::vector<std::size_t> SortedSlots() const;
+  // An open span: its header and its name, category, track and begin
+  // args, already encoded.
+  struct OpenSpan {
+    PackedRing::Header header;
+    std::string payload;
+  };
 
-  std::size_t capacity_;
-  // Flat ring: grows to capacity_, then wraps (head_ = oldest slot).
-  // Vector, not deque: eviction swaps buffers out instead of destroying
-  // them, and there is no per-block allocator churn at capacity.
-  std::vector<TraceRecord> ring_;
-  std::size_t head_ = 0;
-  std::unordered_map<SpanId, TraceRecord> open_;
+  // Appends to the ring, warning once when it starts dropping.
+  void Push(const PackedRing::Header& header,
+            const PackedRing::Payload& payload);
+
+  PackedRing ring_;
+  std::unordered_map<SpanId, OpenSpan> open_;
   SpanId next_span_ = 1;
   std::int64_t next_seq_ = 0;
-  std::int64_t dropped_ = 0;
 };
 
 }  // namespace ckpt

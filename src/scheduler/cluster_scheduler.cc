@@ -1191,37 +1191,15 @@ void ClusterScheduler::RecordVictimDecision(const RtTask* victim,
   const char* name = ActionName(action);
   const SimDuration queue =
       cluster_->node(victim->node).storage().QueueDelay();
-  // Rebuild the scratch record in place: assign() and the fixed arg shape
-  // reuse whatever buffers InstantSwap recycled from the ring, so the
-  // per-decision instant allocates nothing in steady state.
-  TraceRecord& rec = decision_trace_;
-  rec.name.assign("policy.decision");
-  rec.category.assign("policy");
-  rec.track = NodeTrackCached(victim->node);
-  if (rec.args.size() != 6) {
-    rec.args.clear();
-    rec.args.resize(6);
-  }
-  auto set_num = [](TraceArg& a, const char* key, double v) {
-    a.key.assign(key);
-    a.is_string = false;
-    a.num = v;
-    a.str.clear();
-  };
-  set_num(rec.args[0], "task",
-          static_cast<double>(victim->spec->id.value()));
-  set_num(rec.args[1], "unsaved_progress_s",
-          ToSeconds(UnsavedProgress(victim)));
-  set_num(rec.args[2], "dump_queue_s", ToSeconds(queue));
-  set_num(rec.args[3], "overhead_s",
-          ToSeconds(VictimCheckpointOverhead(victim)));
-  set_num(rec.args[4], "threshold", config_.adaptive_threshold);
-  TraceArg& act = rec.args[5];
-  act.key.assign("action");
-  act.is_string = true;
-  act.num = 0;
-  act.str.assign(name);
-  obs->tracer().InstantSwap(&rec, sim_->Now());
+  obs->tracer().Instant(
+      "policy.decision", "policy", NodeTrackCached(victim->node), sim_->Now(),
+      {TraceArg::Num("task", static_cast<double>(victim->spec->id.value())),
+       TraceArg::Num("unsaved_progress_s", ToSeconds(UnsavedProgress(victim))),
+       TraceArg::Num("dump_queue_s", ToSeconds(queue)),
+       TraceArg::Num("overhead_s",
+                     ToSeconds(VictimCheckpointOverhead(victim))),
+       TraceArg::Num("threshold", config_.adaptive_threshold),
+       TraceArg::Str("action", name)});
   // Counter handles are series-stable; resolving them on first use (not at
   // construction) keeps the emitted series set identical to the per-call
   // lookup this replaces.
@@ -1343,52 +1321,26 @@ bool ClusterScheduler::TryPreemptFor(RtTask* task) {
   }
   // Decision-level audit envelope; only filled when obs is attached.
   // Dominance-cache skips above leave no record (they repeat a failure
-  // already audited this pass); every real scan lands here. The record is
-  // the member scratch: AppendSwap below recycles the evicted ring slot's
-  // buffers into it, so steady-state scans rebuild in place.
+  // already audited this pass); every real scan lands here. The args and
+  // candidate lists are member scratch whose capacity is reused from scan
+  // to scan; the audit log copies them out.
   Observability* obs = config_.obs;
-  AuditRecord& audit = preempt_audit_;
-  // In-place slot writers: `assign` reuses the existing key/value buffer
-  // capacity that AppendSwap recycled back from the ring, so steady-state
-  // scans build the record without touching the allocator.
-  auto set_num = [](TraceArg& a, const char* key, double v) {
-    a.key.assign(key);
-    a.is_string = false;
-    a.num = v;
-    a.str.clear();
-  };
-  auto set_str = [](TraceArg& a, const char* key, const char* v) {
-    a.key.assign(key);
-    a.is_string = true;
-    a.num = 0;
-    a.str.assign(v);
-  };
-  // How many candidate slots this scan has filled; the surplus from a
-  // larger recycled record is trimmed just before AppendSwap.
+  TraceArgs& args = preempt_args_;
   size_t cand_used = 0;
   if (obs != nullptr) {
-    audit.kind.assign("preempt_scan");
-    audit.track.clear();
-    audit.t = sim_->Now();
-    // The envelope always carries exactly these ten args (eight scan
-    // inputs plus the chosen_node/outcome tail filled per branch below).
-    if (audit.args.size() != 10) {
-      audit.args.clear();
-      audit.args.resize(10);
-    }
-    set_num(audit.args[0], "task",
-            static_cast<double>(task->spec->id.value()));
-    set_num(audit.args[1], "job",
-            static_cast<double>(task->job->spec.id.value()));
-    set_num(audit.args[2], "priority", static_cast<double>(priority));
-    set_num(audit.args[3], "demand_cpus", demand.cpus);
-    set_num(audit.args[4], "demand_memory",
-            static_cast<double>(demand.memory));
-    set_num(audit.args[5], "image_bound", image_bound ? 1 : 0);
-    set_num(audit.args[6], "index_enabled",
-            config_.use_feasibility_index ? 1 : 0);
-    set_num(audit.args[7], "index_leaves_recomputed",
-            static_cast<double>(index_leaves_recomputed_));
+    // Eight scan inputs; the chosen_node/outcome tail is appended per
+    // branch below.
+    args = {TraceArg::Num("task", static_cast<double>(task->spec->id.value())),
+            TraceArg::Num("job",
+                          static_cast<double>(task->job->spec.id.value())),
+            TraceArg::Num("priority", static_cast<double>(priority)),
+            TraceArg::Num("demand_cpus", demand.cpus),
+            TraceArg::Num("demand_memory", static_cast<double>(demand.memory)),
+            TraceArg::Num("image_bound", image_bound ? 1 : 0),
+            TraceArg::Num("index_enabled",
+                          config_.use_feasibility_index ? 1 : 0),
+            TraceArg::Num("index_leaves_recomputed",
+                          static_cast<double>(index_leaves_recomputed_))};
   }
 
   if (chosen == nullptr) {
@@ -1400,11 +1352,9 @@ bool ClusterScheduler::TryPreemptFor(RtTask* task) {
       preempt_fail_priority_ = priority;
     }
     if (obs != nullptr) {
-      audit.track.assign("scheduler");
-      set_num(audit.args[8], "chosen_node", -1);
-      set_str(audit.args[9], "outcome", "no_node");
-      audit.candidates.clear();
-      obs->audit().AppendSwap(&audit);
+      args.push_back(TraceArg::Num("chosen_node", -1));
+      args.push_back(TraceArg::Str("outcome", "no_node"));
+      obs->audit().Event("preempt_scan", "scheduler", sim_->Now(), args);
     }
     return false;
   }
@@ -1439,23 +1389,20 @@ bool ClusterScheduler::TryPreemptFor(RtTask* task) {
   // must run before PreemptVictim mutates the victim's progress counters.
   auto audit_candidate = [&](const RtTask* victim, const char* action,
                              const char* reason) {
-    if (audit.candidates.size() <= cand_used) audit.candidates.emplace_back();
-    TraceArgs& cand = audit.candidates[cand_used++];
-    if (cand.size() != 9) {
-      cand.clear();
-      cand.resize(9);
+    if (preempt_candidates_.size() <= cand_used) {
+      preempt_candidates_.emplace_back();
     }
-    set_num(cand[0], "task", static_cast<double>(victim->spec->id.value()));
-    set_num(cand[1], "job", static_cast<double>(victim->job->spec.id.value()));
-    set_num(cand[2], "priority",
-            static_cast<double>(victim->spec->priority));
-    set_num(cand[3], "cpus", victim->spec->demand.cpus);
-    set_num(cand[4], "unsaved_progress_s", ToSeconds(UnsavedProgress(victim)));
-    set_num(cand[5], "overhead_s",
-            ToSeconds(VictimCheckpointOverhead(victim)));
-    set_num(cand[6], "has_image", victim->has_image ? 1 : 0);
-    set_str(cand[7], "action", action);
-    set_str(cand[8], "reason", reason);
+    preempt_candidates_[cand_used++] = {
+        TraceArg::Num("task", static_cast<double>(victim->spec->id.value())),
+        TraceArg::Num("job", static_cast<double>(victim->job->spec.id.value())),
+        TraceArg::Num("priority", static_cast<double>(victim->spec->priority)),
+        TraceArg::Num("cpus", victim->spec->demand.cpus),
+        TraceArg::Num("unsaved_progress_s",
+                      ToSeconds(UnsavedProgress(victim))),
+        TraceArg::Num("overhead_s",
+                      ToSeconds(VictimCheckpointOverhead(victim))),
+        TraceArg::Num("has_image", victim->has_image ? 1 : 0),
+        TraceArg::Str("action", action), TraceArg::Str("reason", reason)};
   };
 
   Resources freed = chosen->Available();
@@ -1494,12 +1441,12 @@ bool ClusterScheduler::TryPreemptFor(RtTask* task) {
     }
   }
   if (obs != nullptr) {
-    audit.track = NodeTrackCached(chosen->id());
-    set_num(audit.args[8], "chosen_node",
-            static_cast<double>(chosen->id().value()));
-    set_str(audit.args[9], "outcome", "preempted");
-    audit.candidates.resize(cand_used);
-    obs->audit().AppendSwap(&audit);
+    args.push_back(
+        TraceArg::Num("chosen_node", static_cast<double>(chosen->id().value())));
+    args.push_back(TraceArg::Str("outcome", "preempted"));
+    obs->audit().Event("preempt_scan", NodeTrackCached(chosen->id()),
+                       sim_->Now(), args,
+                       {preempt_candidates_.data(), cand_used});
   }
   // Kills freed resources: earlier failures no longer bound releasable.
   preempt_fail_valid_ = false;

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "checkpoint/dump_scheduler.h"
-#include "obs/audit_log.h"
+#include "obs/packed_ring.h"
 #include "cluster/cluster.h"
 #include "common/rng.h"
 #include "common/slab.h"
@@ -467,13 +467,11 @@ class ClusterScheduler {
   std::vector<RtTask*> preempt_local_scratch_;
   std::vector<RtTask*> victim_candidates_;
 
-  // Scratch audit record for TryPreemptFor, handed to AuditLog::AppendSwap,
-  // which returns the evicted ring slot's buffers — steady-state preempt
-  // scans rebuild it in place instead of allocating a record per decision.
-  AuditRecord preempt_audit_;
-  // Scratch trace record for RecordVictimDecision's policy.decision
-  // instant, cycled through Tracer::InstantSwap the same way.
-  mutable TraceRecord decision_trace_;
+  // Scratch args and candidate lists for TryPreemptFor's preempt_scan
+  // audit record; reassigned in place, so steady-state scans reuse their
+  // capacity instead of allocating per decision.
+  TraceArgs preempt_args_;
+  std::vector<TraceArgs> preempt_candidates_;
   // Per-node "node/N" spellings (see NodeTrackCached) and policy.decisions
   // counter handles resolved on first use per action; mutable because the
   // const decision-recording paths fill them.

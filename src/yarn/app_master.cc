@@ -268,43 +268,20 @@ void DistributedShellAm::RecordPolicyDecision(TaskRt* task, bool can_increment,
   const SimDuration restore =
       engine_->EstimateRestore(*task->proc, node, /*local=*/true);
   const SimDuration unsaved = UnsavedProgress(task);
-  // Build both records in the member scratch buffers: the ring swap hands
-  // evicted buffers back, so steady-state decisions rebuild in place with
-  // no per-decision allocation and no series-key re-resolution.
-  auto set_num = [](TraceArg& a, const char* key, double v) {
-    a.key.assign(key);
-    a.is_string = false;
-    a.num = v;
-    a.str.clear();
-  };
-  auto set_str = [](TraceArg& a, const char* key, const char* v) {
-    a.key.assign(key);
-    a.is_string = true;
-    a.num = 0;
-    a.str.assign(v);
-  };
   const std::string& track = NodeTrackCached(node);
-  TraceRecord& rec = decision_trace_;
-  rec.name.assign("policy.decision");
-  rec.category.assign("policy");
-  rec.track = track;
-  if (rec.args.size() != 10) {
-    rec.args.clear();
-    rec.args.resize(10);
-  }
-  set_num(rec.args[0], "task", static_cast<double>(task->spec->id.value()));
-  set_num(rec.args[1], "container",
-          static_cast<double>(task->container.id.value()));
-  set_num(rec.args[2], "unsaved_progress_s", ToSeconds(unsaved));
-  set_num(rec.args[3], "dump_queue_s", ToSeconds(queue));
-  set_num(rec.args[4], "dump_service_s", ToSeconds(dump_service));
-  set_num(rec.args[5], "restore_s", ToSeconds(restore));
-  set_num(rec.args[6], "overhead_s",
-          ToSeconds(queue + dump_service + restore));
-  set_num(rec.args[7], "threshold", config_.adaptive_threshold);
-  set_num(rec.args[8], "incremental_available", can_increment ? 1 : 0);
-  set_str(rec.args[9], "action", action);
-  obs->tracer().InstantSwap(&rec, sim_->Now());
+  obs->tracer().Instant(
+      "policy.decision", "policy", track, sim_->Now(),
+      {TraceArg::Num("task", static_cast<double>(task->spec->id.value())),
+       TraceArg::Num("container",
+                     static_cast<double>(task->container.id.value())),
+       TraceArg::Num("unsaved_progress_s", ToSeconds(unsaved)),
+       TraceArg::Num("dump_queue_s", ToSeconds(queue)),
+       TraceArg::Num("dump_service_s", ToSeconds(dump_service)),
+       TraceArg::Num("restore_s", ToSeconds(restore)),
+       TraceArg::Num("overhead_s", ToSeconds(queue + dump_service + restore)),
+       TraceArg::Num("threshold", config_.adaptive_threshold),
+       TraceArg::Num("incremental_available", can_increment ? 1 : 0),
+       TraceArg::Str("action", action)});
   // Per-action counter handle, resolved on first use only so the emitted
   // series set matches the per-call lookup exactly.
   Counter* counter = nullptr;
@@ -321,31 +298,22 @@ void DistributedShellAm::RecordPolicyDecision(TaskRt* task, bool can_increment,
     decision_counters_.emplace_back(action, counter);
   }
   counter->Inc();
-  AuditRecord& audit = decision_audit_;
-  audit.kind.assign("am_decision");
-  audit.track = track;
-  audit.t = sim_->Now();
-  audit.candidates.clear();
-  if (audit.args.size() != 13) {
-    audit.args.clear();
-    audit.args.resize(13);
-  }
-  set_num(audit.args[0], "task", static_cast<double>(task->spec->id.value()));
-  set_num(audit.args[1], "job", static_cast<double>(job_.id.value()));
-  set_num(audit.args[2], "container",
-          static_cast<double>(task->container.id.value()));
-  set_num(audit.args[3], "node", static_cast<double>(node.value()));
-  set_num(audit.args[4], "unsaved_progress_s", ToSeconds(unsaved));
-  set_num(audit.args[5], "dump_queue_s", ToSeconds(queue));
-  set_num(audit.args[6], "dump_service_s", ToSeconds(dump_service));
-  set_num(audit.args[7], "restore_s", ToSeconds(restore));
-  set_num(audit.args[8], "overhead_s",
-          ToSeconds(queue + dump_service + restore));
-  set_num(audit.args[9], "threshold", config_.adaptive_threshold);
-  set_num(audit.args[10], "incremental_available", can_increment ? 1 : 0);
-  set_str(audit.args[11], "policy", PolicyName(config_.policy));
-  set_str(audit.args[12], "action", action);
-  obs->audit().AppendSwap(&audit);
+  obs->audit().Event(
+      "am_decision", track, sim_->Now(),
+      {TraceArg::Num("task", static_cast<double>(task->spec->id.value())),
+       TraceArg::Num("job", static_cast<double>(job_.id.value())),
+       TraceArg::Num("container",
+                     static_cast<double>(task->container.id.value())),
+       TraceArg::Num("node", static_cast<double>(node.value())),
+       TraceArg::Num("unsaved_progress_s", ToSeconds(unsaved)),
+       TraceArg::Num("dump_queue_s", ToSeconds(queue)),
+       TraceArg::Num("dump_service_s", ToSeconds(dump_service)),
+       TraceArg::Num("restore_s", ToSeconds(restore)),
+       TraceArg::Num("overhead_s", ToSeconds(queue + dump_service + restore)),
+       TraceArg::Num("threshold", config_.adaptive_threshold),
+       TraceArg::Num("incremental_available", can_increment ? 1 : 0),
+       TraceArg::Str("policy", PolicyName(config_.policy)),
+       TraceArg::Str("action", action)});
 }
 
 const std::string& DistributedShellAm::NodeTrackCached(NodeId node) {

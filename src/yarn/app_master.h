@@ -20,7 +20,6 @@
 
 #include "checkpoint/checkpoint_engine.h"
 #include "common/rng.h"
-#include "obs/audit_log.h"
 #include "scheduler/policy.h"
 #include "sim/simulator.h"
 #include "trace/workload.h"
@@ -118,12 +117,8 @@ class DistributedShellAm final : public AppClient {
   AmStats stats_;
   SimTime finish_time_ = -1;
 
-  // Per-decision obs scratch: the trace/audit rings swap evicted buffers
-  // back into these records, so RecordPolicyDecision rebuilds them in
-  // place. decision_counters_ maps each action literal to its resolved
+  // decision_counters_ maps each action literal to its resolved
   // policy.decisions handle (first use only — the series set is unchanged).
-  TraceRecord decision_trace_;
-  AuditRecord decision_audit_;
   std::vector<std::pair<const char*, Counter*>> decision_counters_;
   std::vector<std::string> node_tracks_;
 };

@@ -355,46 +355,24 @@ void ResourceManager::DispatchPreempts(std::int64_t count) {
   // Audit envelope: which ranked victims the monitor examined this round
   // and why each was dispatched or passed over.
   Observability* obs = config_.obs;
-  // Member scratch + in-place slot writers: the audit/trace rings swap
-  // evicted buffers back, so steady-state dispatch rounds rebuild their
-  // records without allocating.
-  auto set_num = [](TraceArg& a, const char* key, double v) {
-    a.key.assign(key);
-    a.is_string = false;
-    a.num = v;
-    a.str.clear();
-  };
-  auto set_str = [](TraceArg& a, const char* key, const char* v) {
-    a.key.assign(key);
-    a.is_string = true;
-    a.num = 0;
-    a.str.assign(v);
-  };
-  AuditRecord& audit = dispatch_audit_;
+  // Candidate lists are member scratch whose capacity is reused from round
+  // to round; the audit log copies them out.
   size_t cand_used = 0;
   std::int64_t dispatched = 0;
-  if (obs != nullptr) {
-    audit.kind.assign("rm_preempt_dispatch");
-    audit.track.assign("rm");
-    audit.t = sim_->Now();
-  }
   auto audit_victim = [&](const Victim& v, const char* action,
                           const char* reason) {
     if (obs == nullptr) return;
     const Container* victim = v.container;
-    if (audit.candidates.size() <= cand_used) audit.candidates.emplace_back();
-    TraceArgs& cand = audit.candidates[cand_used++];
-    if (cand.size() != 7) {
-      cand.clear();
-      cand.resize(7);
+    if (dispatch_candidates_.size() <= cand_used) {
+      dispatch_candidates_.emplace_back();
     }
-    set_num(cand[0], "container", static_cast<double>(victim->id.value()));
-    set_num(cand[1], "app", static_cast<double>(victim->app.value()));
-    set_num(cand[2], "node", static_cast<double>(victim->node.value()));
-    set_num(cand[3], "priority", victim->priority);
-    set_num(cand[4], "cost_s", ToSeconds(v.cost));
-    set_str(cand[5], "action", action);
-    set_str(cand[6], "reason", reason);
+    dispatch_candidates_[cand_used++] = {
+        TraceArg::Num("container", static_cast<double>(victim->id.value())),
+        TraceArg::Num("app", static_cast<double>(victim->app.value())),
+        TraceArg::Num("node", static_cast<double>(victim->node.value())),
+        TraceArg::Num("priority", victim->priority),
+        TraceArg::Num("cost_s", ToSeconds(v.cost)),
+        TraceArg::Str("action", action), TraceArg::Str("reason", reason)};
   };
 
   for (const Victim& v : victims_) {
@@ -425,21 +403,14 @@ void ResourceManager::DispatchPreempts(std::int64_t count) {
     --count;
     if (obs != nullptr) {
       const SimDuration queue_delay = DumpQueueDelay(victim->node);
-      TraceRecord& rec = preempt_trace_;
-      rec.name.assign("rm.preempt_event");
-      rec.category.assign("rm");
-      rec.track = NodeTrackCached(victim->node);
-      if (rec.args.size() != 5) {
-        rec.args.clear();
-        rec.args.resize(5);
-      }
-      set_num(rec.args[0], "container",
-              static_cast<double>(victim->id.value()));
-      set_num(rec.args[1], "app", static_cast<double>(victim->app.value()));
-      set_num(rec.args[2], "priority", victim->priority);
-      set_num(rec.args[3], "victim_cost_s", ToSeconds(v.cost));
-      set_num(rec.args[4], "dump_queue_s", ToSeconds(queue_delay));
-      obs->tracer().InstantSwap(&rec, sim_->Now());
+      obs->tracer().Instant(
+          "rm.preempt_event", "rm", NodeTrackCached(victim->node),
+          sim_->Now(),
+          {TraceArg::Num("container", static_cast<double>(victim->id.value())),
+           TraceArg::Num("app", static_cast<double>(victim->app.value())),
+           TraceArg::Num("priority", victim->priority),
+           TraceArg::Num("victim_cost_s", ToSeconds(v.cost)),
+           TraceArg::Num("dump_queue_s", ToSeconds(queue_delay))});
       const size_t ni = static_cast<size_t>(victim->node.value());
       if (preempt_event_counters_.size() <= ni) {
         preempt_event_counters_.resize(ni + 1);
@@ -464,14 +435,11 @@ void ResourceManager::DispatchPreempts(std::int64_t count) {
                         [client, cid] { client->OnPreemptContainer(cid); });
   }
   if (obs != nullptr && cand_used > 0) {
-    audit.candidates.resize(cand_used);
-    if (audit.args.size() != 2) {
-      audit.args.clear();
-      audit.args.resize(2);
-    }
-    set_num(audit.args[0], "considered", static_cast<double>(cand_used));
-    set_num(audit.args[1], "dispatched", static_cast<double>(dispatched));
-    obs->audit().AppendSwap(&audit);
+    obs->audit().Event(
+        "rm_preempt_dispatch", "rm", sim_->Now(),
+        {TraceArg::Num("considered", static_cast<double>(cand_used)),
+         TraceArg::Num("dispatched", static_cast<double>(dispatched))},
+        {dispatch_candidates_.data(), cand_used});
   }
 }
 

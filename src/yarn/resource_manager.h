@@ -25,7 +25,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "obs/audit_log.h"
+#include "obs/packed_ring.h"
 #include "sim/simulator.h"
 #include "yarn/container.h"
 #include "yarn/node_manager.h"
@@ -164,10 +164,9 @@ class ResourceManager {
   bool schedule_scheduled_ = false;
   size_t place_cursor_ = 0;
 
-  // Per-dispatch obs scratch (rebuilt in place via ring buffer recycling)
-  // and lazily-resolved metric handles; indexed by dense node id.
-  AuditRecord dispatch_audit_;
-  TraceRecord preempt_trace_;
+  // Per-dispatch audit candidate lists (reassigned in place) and
+  // lazily-resolved metric handles; indexed by dense node id.
+  std::vector<TraceArgs> dispatch_candidates_;
   std::vector<Counter*> preempt_event_counters_;
   Histogram* dump_queue_delay_hist_ = nullptr;
   std::vector<std::string> node_tracks_;

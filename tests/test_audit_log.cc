@@ -36,16 +36,23 @@ TEST(AuditLog, RingWrapDropsOldestAndCounts) {
   EXPECT_EQ(log.record(2).seq, 7);
 }
 
-TEST(AuditLog, AppendSwapRecyclesEvictedBuffers) {
+TEST(AuditLog, AppendSwapLeavesCallersRecordIntact) {
   AuditLog log(/*capacity=*/2);
   AuditRecord scratch;
   for (int i = 0; i < 5; ++i) {
     scratch.kind = "preempt_scan";
     scratch.track = "node/" + std::to_string(i);
     scratch.t = i;
-    scratch.args.clear();
-    scratch.args.push_back(TraceArg::Num("task", i));
+    scratch.args = {TraceArg::Num("task", i)};
+    scratch.candidates = {{TraceArg::Str("action", "kill")}};
     log.AppendSwap(&scratch);
+    // The log copied the record out; the caller still holds what it built.
+    EXPECT_EQ(scratch.track, "node/" + std::to_string(i));
+    EXPECT_EQ(scratch.seq, 0);
+    ASSERT_EQ(scratch.args.size(), 1u);
+    EXPECT_EQ(scratch.args[0].num, i);
+    ASSERT_EQ(scratch.candidates.size(), 1u);
+    EXPECT_EQ(scratch.candidates[0][0].str, "kill");
   }
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.dropped(), 3);
@@ -53,9 +60,15 @@ TEST(AuditLog, AppendSwapRecyclesEvictedBuffers) {
   EXPECT_EQ(log.record(0).track, "node/3");
   EXPECT_EQ(log.record(1).seq, 4);
   EXPECT_EQ(log.record(1).track, "node/4");
-  // After the ring wrapped, the scratch record carries evicted buffers —
-  // the third append got back the record appended first.
-  EXPECT_EQ(scratch.track, "node/2");
+  EXPECT_EQ(log.record(1).candidates.at(0).at(0).str, "kill");
+}
+
+TEST(AuditLog, RecordIndexIsBoundsChecked) {
+  AuditLog log(/*capacity=*/2);
+  EXPECT_DEATH(log.record(0), "");
+  log.Event("preempt_scan", "scheduler", 1, {});
+  EXPECT_EQ(log.record(0).seq, 0);
+  EXPECT_DEATH(log.record(1), "");
 }
 
 TEST(AuditLog, JsonlShapeAndCandidates) {

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <string>
 
 #include "obs/audit_log.h"
 #include "obs/metrics_registry.h"
+#include "obs/observability.h"
 #include "obs/tracer.h"
 
 namespace ckpt {
@@ -167,6 +169,17 @@ TEST(ExportBytes, SharedNumberSpellingEdgeCases) {
             R"("value":1000000000000000},)"
             R"({"name":"inf","labels":{},"type":"gauge","value":0},)"
             R"({"name":"negzero","labels":{},"type":"gauge","value":0}]})");
+}
+
+// A file smaller than the stream buffer is written only when the stream
+// is flushed at close; a failure there must still be reported.
+TEST(ExportFile, FailedFinalFlushReportsFailure) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  Observability obs;
+  obs.metrics().GetCounter("c.count")->Inc();
+  EXPECT_FALSE(obs.WriteMetricsJson("/dev/full"));
 }
 
 }  // namespace

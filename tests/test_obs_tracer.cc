@@ -27,6 +27,32 @@ TEST(Tracer, SpanRecordsDurationAndArgs) {
   EXPECT_EQ(events[0].args[1].str, "ok");
 }
 
+TEST(Tracer, InstantSwapLeavesCallersRecordIntact) {
+  Tracer tracer(/*capacity=*/1);
+  TraceRecord scratch;
+  scratch.name = "policy.decision";
+  scratch.category = "policy";
+  testing::internal::CaptureStderr();  // swallow the one-time warning
+  for (int i = 0; i < 3; ++i) {
+    scratch.track = "node/" + std::to_string(i);
+    scratch.args = {TraceArg::Num("task", i), TraceArg::Str("action", "kill")};
+    tracer.InstantSwap(&scratch, 10 * i);
+    EXPECT_EQ(scratch.track, "node/" + std::to_string(i));
+    EXPECT_EQ(scratch.phase, 'X');
+    EXPECT_EQ(scratch.start, 0);
+    ASSERT_EQ(scratch.args.size(), 2u);
+    EXPECT_EQ(scratch.args[1].str, "kill");
+  }
+  testing::internal::GetCapturedStderr();
+  const auto events = tracer.SortedEvents();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].track, "node/2");
+  EXPECT_EQ(events[0].phase, 'i');
+  EXPECT_EQ(events[0].start, 20);
+  ASSERT_EQ(events[0].args.size(), 2u);
+  EXPECT_EQ(events[0].args[0].num, 2);
+}
+
 TEST(Tracer, NestedAndOverlappingSpans) {
   Tracer tracer;
   const auto outer = tracer.BeginSpan("rm.schedule_loop", "rm", "rm", 0);
