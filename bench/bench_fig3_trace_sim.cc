@@ -48,8 +48,7 @@ int main(int argc, char** argv) {
 
   // With CKPT_OBS=1 each cell records into a private Observability and the
   // metric snapshots are combined in cell order (identical for any --jobs),
-  // mirroring bench_fig8_yarn. scripts/bench_perf.sh reads the
-  // sim.events_processed gauges from this file.
+  // mirroring bench_fig8_yarn.
   const bool obs_enabled = ObsEnabled();
   struct CellOutput {
     SimulationResult result;

@@ -22,14 +22,12 @@
 // strictly reduce waste vs `naive` whether or not the crashes materialize.
 //
 // Accepts --jobs N (sweep-cell worker threads; output byte-identical for
-// any value) and --shards N (route every cell through the deterministic
-// sharded driver; output byte-identical for any shard count).
+// any value).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "bench_common.h"
-#include "sim/sharded_simulator.h"
 
 using namespace ckpt;
 using namespace ckpt::bench;
@@ -46,31 +44,10 @@ struct RateVariant {
   int crash_every_h;  // 0 = no failures
 };
 
-// Strip "--shards=N" / "--shards N" from argv and return N (0 = monolithic).
-int ExtractShardsFlag(int* argc, char** argv) {
-  int shards = 0;
-  int kept = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::atoi(arg.c_str() + 9);
-      continue;
-    }
-    if (arg == "--shards" && i + 1 < *argc) {
-      shards = std::atoi(argv[++i]);
-      continue;
-    }
-    argv[kept++] = argv[i];
-  }
-  *argc = kept;
-  return shards < 0 ? 0 : shards;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const int workers = ExtractJobsFlag(&argc, argv);
-  const int shards = ExtractShardsFlag(&argc, argv);
   const int jobs = argc > 1 ? std::atoi(argv[1]) : 300;
   const Workload workload = GoogleDayWorkload(jobs);
 
@@ -112,20 +89,12 @@ int main(int argc, char** argv) {
         const RateVariant& rate = rates[cell / kPolicies];
         const PolicyVariant& policy = policies[cell % kPolicies];
 
-        std::unique_ptr<ShardedSimulator> ssim;
-        Simulator own_sim;
-        if (shards > 0) {
-          ShardedSimulator::Options opt;
-          opt.workers = shards;
-          ssim = std::make_unique<ShardedSimulator>(opt);
-        }
-        Simulator& sim = ssim != nullptr ? *ssim->coordinator() : own_sim;
+        Simulator sim;
         Cluster cluster(&sim);
         cluster.AddNodes(nodes, Resources{cores_per_node, GiB(64)},
                          StorageMedium::Nvm());
 
         SchedulerConfig config;
-        config.sharded = ssim.get();
         // kWait isolates the dump-admission mechanism: no preemption churn,
         // so every cell's trajectory is identical until the first crash and
         // the only dump traffic is the periodic checkpoint stream.

@@ -6,48 +6,32 @@
 // The synthetic workload oversubscribes the cluster ~2x so placements
 // routinely fail and preemption scans dominate — the regime where the
 // O(log n) feasibility index pays off. `--index=off` runs the linear-scan
-// reference; scripts/check_determinism.sh byte-diffs the two and
-// scripts/bench_perf.sh records the throughput ratio in BENCH_PERF.json.
-//
-// `--shards=N` switches to the deterministic sharded driver
-// (sim/sharded_simulator.h) with N worker threads and streaming workload
-// generation (trace/workload_stream.h), the configuration that carries a
-// single run to 100k nodes: stdout is byte-identical for every N >= 1, and
-// peak RSS no longer materializes all task specs up front. N=0 (default)
-// is the legacy monolithic path, byte-for-byte unchanged.
+// reference; scripts/check_determinism.sh byte-diffs the two.
+#include <charconv>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 
 #include "bench_common.h"
-#include "sim/sharded_simulator.h"
-#include "trace/workload_stream.h"
 
 using namespace ckpt;
 using namespace ckpt::bench;
 
 namespace {
 
-// Sequential generator for the dense arrival burst sized to the cluster:
-// `tasks_per_node * nodes` tasks, ~2x the cluster's capacity over the
-// arrival horizon, with the paper's three priority bands represented so
-// every policy both kills and checkpoints. Shared by the materialized
-// (ScaleWorkload) and streaming (SnapshotStream) paths so the two cannot
-// drift apart.
-struct ScaleJobGen {
-  int total_tasks;
-  Rng rng;
+// Dense arrival burst sized to the cluster: `tasks_per_node * nodes` tasks,
+// ~2x the cluster's capacity over the arrival horizon, with the paper's
+// three priority bands represented so every policy both kills and
+// checkpoints.
+Workload ScaleWorkload(int nodes, int tasks_per_node, std::uint64_t seed) {
+  constexpr int kTasksPerJob = 10;
+  const std::int64_t total_tasks = std::int64_t{nodes} * tasks_per_node;
+  const std::int64_t total_jobs =
+      (total_tasks + kTasksPerJob - 1) / kTasksPerJob;
+  Rng rng(seed);
   std::int64_t next_task = 0;
-  std::int64_t j = 0;
-
-  static constexpr int kTasksPerJob = 10;
-
-  std::int64_t TotalJobs() const {
-    return (total_tasks + kTasksPerJob - 1) / kTasksPerJob;
-  }
-  bool Done() const { return j >= TotalJobs(); }
-
-  JobSpec Next() {
+  Workload workload;
+  workload.jobs.reserve(static_cast<size_t>(total_jobs));
+  for (std::int64_t j = 0; j < total_jobs; ++j) {
     JobSpec job;
     job.id = JobId(j);
     job.submit_time = Seconds(rng.Uniform(0.0, 900.0));
@@ -76,20 +60,8 @@ struct ScaleJobGen {
       task.memory_write_rate = rng.Uniform(0.005, 0.02);
       job.tasks.push_back(task);
     }
-    ++j;
-    return job;
+    workload.jobs.push_back(std::move(job));
   }
-};
-
-ScaleJobGen MakeScaleGen(int nodes, int tasks_per_node, std::uint64_t seed) {
-  return ScaleJobGen{nodes * tasks_per_node, Rng(seed)};
-}
-
-Workload ScaleWorkload(int nodes, int tasks_per_node, std::uint64_t seed) {
-  ScaleJobGen gen = MakeScaleGen(nodes, tasks_per_node, seed);
-  Workload workload;
-  workload.jobs.reserve(static_cast<size_t>(gen.TotalJobs()));
-  while (!gen.Done()) workload.jobs.push_back(gen.Next());
   workload.SortBySubmitTime();
   return workload;
 }
@@ -98,46 +70,11 @@ struct CellResult {
   SimulationResult result;
   std::int64_t events = 0;
   double seconds = 0;
-  std::int64_t barriers = 0;         // sharded cells only; 0 for legacy
-  double events_per_window = 0.0;    // shard events / barriers
-  std::string metrics_entry;
 };
 
 CellResult RunCell(int nodes, PreemptionPolicy policy, bool use_index,
-                   int shards, bool batch, Observability* obs) {
+                   Observability* obs) {
   CellResult cell;
-  if (shards > 0) {
-    // Sharded driver + streaming submission. Results are identical for
-    // every `shards` value (it only sets the worker count); they are a
-    // distinct, equally deterministic serialization from the legacy path.
-    ShardedSimulator::Options opt;
-    opt.workers = shards;
-    opt.batch_windows = batch;
-    ShardedSimulator ssim(opt);
-    Simulator& sim = *ssim.coordinator();
-    Cluster cluster(&sim);
-    cluster.AddNodes(nodes, Resources{16.0, GiB(64)}, StorageMedium::Ssd());
-    SchedulerConfig config;
-    config.policy = policy;
-    config.medium = StorageMedium::Ssd();
-    config.use_feasibility_index = use_index;
-    config.obs = obs;
-    config.sharded = &ssim;
-    ClusterScheduler scheduler(&sim, &cluster, config);
-    auto stream = std::make_unique<SnapshotStream<ScaleJobGen>>(
-        MakeScaleGen(nodes, /*tasks_per_node=*/8, /*seed=*/2011));
-    scheduler.SubmitStream(stream.get());
-
-    const auto t0 = std::chrono::steady_clock::now();
-    cell.result = scheduler.Run();
-    const auto t1 = std::chrono::steady_clock::now();
-    cell.seconds = std::chrono::duration<double>(t1 - t0).count();
-    cell.events = ssim.EventsProcessed();
-    cell.barriers = ssim.Barriers();
-    cell.events_per_window = ssim.EventsPerWindow();
-    RecordProcessGauges(obs);
-    return cell;
-  }
   const Workload workload = ScaleWorkload(nodes, /*tasks_per_node=*/8,
                                           /*seed=*/2011);
   Simulator sim;
@@ -160,14 +97,29 @@ CellResult RunCell(int nodes, PreemptionPolicy policy, bool use_index,
   return cell;
 }
 
+// "N,M,..." of whole positive node counts; false on anything else
+// (empty list, empty entry, sign, trailing text, overflow).
+bool ParseSizes(const std::string& csv, std::vector<int>* sizes) {
+  sizes->clear();
+  const char* p = csv.data();
+  const char* const end = p + csv.size();
+  while (true) {
+    int nodes = 0;
+    const auto [next, ec] = std::from_chars(p, end, nodes);
+    if (ec != std::errc() || nodes <= 0) return false;
+    sizes->push_back(nodes);
+    if (next == end) return true;
+    if (*next != ',') return false;
+    p = next + 1;
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   // Scheduling decisions vs sweep workers are orthogonal here: cells run
   // serially so the stderr wall-clock numbers are honest.
   bool use_index = true;
-  bool batch = true;  // safe-window batching in the sharded driver
-  int shards = 0;  // 0 = legacy monolithic driver
   std::vector<int> sizes{1000, 4000, 10000};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -175,40 +127,16 @@ int main(int argc, char** argv) {
       use_index = false;
     } else if (arg == "--index=on") {
       use_index = true;
-    } else if (arg == "--batch=off") {
-      batch = false;
-    } else if (arg == "--batch=on") {
-      batch = true;
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::atoi(arg.c_str() + 9);
-      if (shards < 0) shards = 0;
-    } else if (arg.rfind("--sizes=", 0) == 0) {
-      sizes.clear();
-      const char* p = arg.c_str() + 8;
-      while (*p != '\0') {
-        sizes.push_back(std::atoi(p));
-        const char* comma = std::strchr(p, ',');
-        if (comma == nullptr) break;
-        p = comma + 1;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--index=on|off] [--shards=N] [--batch=on|off] "
-                   "[--sizes=N,M,...]\n",
+    } else if (arg.rfind("--sizes=", 0) != 0 ||
+               !ParseSizes(arg.substr(8), &sizes)) {
+      std::fprintf(stderr, "usage: %s [--index=on|off] [--sizes=N,M,...]\n",
                    argv[0]);
       return 2;
     }
   }
 
-  if (shards > 0) {
-    std::printf(
-        "Scale sweep | 16-core/64-GiB nodes, 8 tasks/node, index=%s, "
-        "sharded streaming driver\n",
-        use_index ? "on" : "off");
-  } else {
-    std::printf("Scale sweep | 16-core/64-GiB nodes, 8 tasks/node, index=%s\n",
-                use_index ? "on" : "off");
-  }
+  std::printf("Scale sweep | 16-core/64-GiB nodes, 8 tasks/node, index=%s\n",
+              use_index ? "on" : "off");
   PrintHeader("Deterministic results per cell");
   std::vector<std::vector<std::string>> table{
       {"nodes", "policy", "tasks done", "preemptions", "kills", "checkpoints",
@@ -229,8 +157,8 @@ int main(int argc, char** argv) {
   for (int nodes : sizes) {
     for (const PolicyRow& row : policies) {
       Observability obs;
-      CellResult cell = RunCell(nodes, row.policy, use_index, shards, batch,
-                                obs_enabled ? &obs : nullptr);
+      CellResult cell =
+          RunCell(nodes, row.policy, use_index, obs_enabled ? &obs : nullptr);
       table.push_back(
           {std::to_string(nodes), row.name,
            std::to_string(cell.result.tasks_completed),
@@ -242,11 +170,10 @@ int main(int argc, char** argv) {
       // Timing is machine-dependent: keep it off stdout.
       std::fprintf(
           stderr,
-          "bench_scale: nodes=%d policy=%s index=%s shards=%d seconds=%.3f "
+          "bench_scale: nodes=%d policy=%s index=%s seconds=%.3f "
           "events=%lld events_per_sec=%.0f decisions=%lld "
-          "decisions_per_sec=%.0f peak_rss_bytes=%lld "
-          "barriers=%lld events_per_window=%.1f\n",
-          nodes, row.name, use_index ? "on" : "off", shards, cell.seconds,
+          "decisions_per_sec=%.0f peak_rss_bytes=%lld\n",
+          nodes, row.name, use_index ? "on" : "off", cell.seconds,
           static_cast<long long>(cell.events),
           cell.seconds > 0 ? static_cast<double>(cell.events) / cell.seconds
                            : 0.0,
@@ -254,8 +181,7 @@ int main(int argc, char** argv) {
           cell.seconds > 0
               ? static_cast<double>(cell.result.sched_decisions) / cell.seconds
               : 0.0,
-          PeakRssBytes(), static_cast<long long>(cell.barriers),
-          cell.events_per_window);
+          PeakRssBytes());
       if (obs_enabled) {
         if (!first_cell) metrics_json += ",";
         first_cell = false;

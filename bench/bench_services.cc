@@ -21,8 +21,7 @@
 //               frozen cores) — troughs kill, peaks checkpoint
 //
 // Accepts --jobs N (sweep-cell worker threads; output byte-identical for
-// any value) and --shards N (route every cell through the deterministic
-// sharded driver; output byte-identical at any shard count).
+// any value).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -30,7 +29,6 @@
 
 #include "bench_common.h"
 #include "service/service_workload.h"
-#include "sim/sharded_simulator.h"
 
 using namespace ckpt;
 using namespace ckpt::bench;
@@ -46,26 +44,6 @@ struct PolicyVariant {
   const char* name;
   PreemptionPolicy policy;
 };
-
-// Strip "--shards=N" / "--shards N" from argv and return N (0 = monolithic).
-int ExtractShardsFlag(int* argc, char** argv) {
-  int shards = 0;
-  int kept = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::atoi(arg.c_str() + 9);
-      continue;
-    }
-    if (arg == "--shards" && i + 1 < *argc) {
-      shards = std::atoi(argv[++i]);
-      continue;
-    }
-    argv[kept++] = argv[i];
-  }
-  *argc = kept;
-  return shards < 0 ? 0 : shards;
-}
 
 ServiceFleetConfig FleetFor(int services) {
   ServiceFleetConfig config;
@@ -85,7 +63,6 @@ double ServiceCores(const std::vector<ServiceSpec>& fleet) {
 
 int main(int argc, char** argv) {
   const int workers = ExtractJobsFlag(&argc, argv);
-  const int shards = ExtractShardsFlag(&argc, argv);
   const int jobs = argc > 1 ? std::atoi(argv[1]) : 300;
   const Workload workload = GoogleDayWorkload(jobs);
 
@@ -135,21 +112,13 @@ int main(int argc, char** argv) {
                                                (0.9 * cores_per_node) +
                                            0.999);
 
-        std::unique_ptr<ShardedSimulator> ssim;
-        Simulator own_sim;
-        if (shards > 0) {
-          ShardedSimulator::Options opt;
-          opt.workers = shards;
-          ssim = std::make_unique<ShardedSimulator>(opt);
-        }
-        Simulator& sim = ssim != nullptr ? *ssim->coordinator() : own_sim;
+        Simulator sim;
         Cluster cluster(&sim);
         cluster.AddNodes(nodes, Resources{cores_per_node, GiB(64)},
                          StorageMedium::Ssd());
 
         Observability obs;
         SchedulerConfig config;
-        config.sharded = ssim.get();
         config.policy = policy.policy;
         config.medium = StorageMedium::Ssd();
         config.resubmit_delay = Seconds(15);

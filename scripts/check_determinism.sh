@@ -1,22 +1,23 @@
 #!/usr/bin/env bash
 # Parallel execution must be byte-identical to its single-threaded reference
-# execution. Two families of lanes:
+# execution, and recording must never change a result. Three families of
+# lanes:
 #
 # Sweep lanes (cells run on private Simulators and merge in cell order):
 #   * bench_fig3_trace_sim  --jobs 1  vs  --jobs 8   (small workload)
 #   * bench_ext_failure     --jobs 1  vs  --jobs 8   (fault-injection sweep:
 #     scripted node crashes + transient I/O faults with a fixed fault seed)
 #   * ckpt-sim sweep        --parallel 1 vs --parallel 8
+#   * bench_interference and bench_services  --jobs 1 vs --jobs 8
 #
-# Sharded lanes (ONE run drained on worker threads; the shard count only
-# sets the worker count, never an ordering key):
-#   * ckpt-sim --shards=1 vs --shards=4 for all three preemption policies,
-#     comparing stdout plus the exported metrics + audit artifacts
-#   * bench_scale --shards=1 vs --shards=4 (streaming sharded driver)
+# Index lane: bench_scale with the feasibility index on vs off.
 #
-# YARN observability lane (the RM/AM/NM front-end): bench_fig8_yarn and
-# bench_fig10_yarn_adaptive with CKPT_OBS=1 vs without. Recording decisions
-# must never change one.
+# Observability lanes (CKPT_OBS=1 vs without, stdout only):
+#   * ClusterScheduler: ckpt-sim --jobs=60 under kill, checkpoint and
+#     adaptive, plus adaptive with --interference --dump-policy=aware
+#     --periodic-mtbf-min=240 (the DumpScheduler path)
+#   * YARN (the RM/AM/NM front-end): bench_fig8_yarn and
+#     bench_fig10_yarn_adaptive
 #
 # CKPT_SWEEP_NO_CLAMP keeps --jobs/--parallel at their literal values on
 # small machines — these lanes exist precisely to exercise multi-threaded
@@ -45,12 +46,6 @@ compare() {
     diff "$ref" "$par" | head -20
     fail=1
   fi
-}
-
-# Drop wall-clock-dependent gauges (self.* profile timers,
-# process.peak_rss_bytes) from a metrics JSON so the rest byte-diffs.
-normalize_metrics() {
-  python3 "$repo_root/scripts/normalize_metrics.py" "$1"
 }
 
 "$build_dir/bench/bench_fig3_trace_sim" --jobs 1 150 \
@@ -89,32 +84,9 @@ sweep_args=(--jobs=40 --sweep-policies=kill,checkpoint,adaptive
 compare "ckpt-sim sweep" \
   "$work_dir/sweep.serial.txt" "$work_dir/sweep.parallel.txt"
 
-# Sharded single-run lane: one simulation drained on 1 vs 4 worker threads
-# must agree on stdout AND on every exported artifact — metrics gauges
-# (minus wall-clock ones), the decision audit log, and the waste ledger
-# entries embedded in the metrics export.
-for policy in kill checkpoint adaptive; do
-  for shards in 1 4; do
-    dir="$work_dir/sharded.$policy.$shards"
-    mkdir -p "$dir"
-    CKPT_OBS=1 CKPT_OBS_DIR="$dir" \
-      "$build_dir/tools/ckpt-sim" --policy="$policy" --jobs=60 \
-      --shards="$shards" > "$dir/stdout.txt"
-    normalize_metrics "$dir/ckpt_sim.$policy.metrics.json"
-  done
-  ref="$work_dir/sharded.$policy.1"
-  par="$work_dir/sharded.$policy.4"
-  compare "ckpt-sim --policy=$policy sharded stdout (1 vs 4 workers)" \
-    "$ref/stdout.txt" "$par/stdout.txt"
-  compare "ckpt-sim --policy=$policy sharded metrics" \
-    "$ref/ckpt_sim.$policy.metrics.json" "$par/ckpt_sim.$policy.metrics.json"
-  compare "ckpt-sim --policy=$policy sharded audit log" \
-    "$ref/ckpt_sim.$policy.audit.jsonl" "$par/ckpt_sim.$policy.audit.jsonl"
-done
-
-# Interference lanes: the shared-bandwidth pools, the cooperative dump
+# Interference lane: the shared-bandwidth pools, the cooperative dump
 # scheduler, and periodic Young/Daly checkpoints must stay deterministic
-# both across sweep worker counts and across shard counts.
+# across sweep worker counts.
 "$build_dir/bench/bench_interference" --jobs 1 120 \
   > "$work_dir/interference.serial.txt"
 "$build_dir/bench/bench_interference" --jobs 8 120 \
@@ -122,25 +94,10 @@ done
 compare "bench_interference sweep (1 vs 8 workers)" \
   "$work_dir/interference.serial.txt" "$work_dir/interference.parallel.txt"
 
-"$build_dir/bench/bench_interference" 120 --shards=1 \
-  > "$work_dir/interference.shards1.txt"
-"$build_dir/bench/bench_interference" 120 --shards=4 \
-  > "$work_dir/interference.shards4.txt"
-compare "bench_interference sharded (1 vs 4 workers)" \
-  "$work_dir/interference.shards1.txt" "$work_dir/interference.shards4.txt"
-
-for shards in 1 4; do
-  "$build_dir/tools/ckpt-sim" --policy=adaptive --jobs=60 \
-    --interference --dump-policy=aware --periodic-mtbf-min=240 \
-    --shards="$shards" > "$work_dir/interference.sim.$shards.txt"
-done
-compare "ckpt-sim --interference sharded stdout (1 vs 4 workers)" \
-  "$work_dir/interference.sim.1.txt" "$work_dir/interference.sim.4.txt"
-
-# Service lanes: the diurnal service fleets, the SLO tick accounting, and
+# Service lane: the diurnal service fleets, the SLO tick accounting, and
 # the service-aware adaptive decisions must stay deterministic across sweep
-# worker counts and across shard counts (the jitter is hash-keyed, so rate
-# lookups never depend on evaluation order).
+# worker counts (the jitter is hash-keyed, so rate lookups never depend on
+# evaluation order).
 "$build_dir/bench/bench_services" --jobs 1 120 \
   > "$work_dir/services.serial.txt"
 "$build_dir/bench/bench_services" --jobs 8 120 \
@@ -148,74 +105,25 @@ compare "ckpt-sim --interference sharded stdout (1 vs 4 workers)" \
 compare "bench_services sweep (1 vs 8 workers)" \
   "$work_dir/services.serial.txt" "$work_dir/services.parallel.txt"
 
-"$build_dir/bench/bench_services" 120 --shards=1 \
-  > "$work_dir/services.shards1.txt"
-"$build_dir/bench/bench_services" 120 --shards=4 \
-  > "$work_dir/services.shards4.txt"
-compare "bench_services sharded (1 vs 4 workers)" \
-  "$work_dir/services.shards1.txt" "$work_dir/services.shards4.txt"
-
-# Sharded streaming scale lane: bench_scale's deterministic stdout table
-# through the streaming sharded driver, 1 vs 4 workers.
-"$build_dir/bench/bench_scale" --sizes=64,128 --shards=1 2>/dev/null \
-  > "$work_dir/scale.shards1.txt"
-"$build_dir/bench/bench_scale" --sizes=64,128 --shards=4 2>/dev/null \
-  > "$work_dir/scale.shards4.txt"
-compare "bench_scale sharded streaming (1 vs 4 workers)" \
-  "$work_dir/scale.shards1.txt" "$work_dir/scale.shards4.txt"
-
-# Batched safe-window lanes. Amortized window batching changes only HOW a
-# window's events are drained and merged, never which events run in which
-# window — so every artifact, including the sim.barriers /
-# sim.events_per_window telemetry, must be byte-identical with batching on
-# vs off, and (with batching pinned on) across worker counts.
-for batch in on off; do
-  dir="$work_dir/batch.$batch"
-  mkdir -p "$dir"
-  CKPT_OBS=1 CKPT_OBS_DIR="$dir" \
-    "$build_dir/tools/ckpt-sim" --policy=adaptive --jobs=60 \
-    --shards=4 --batch="$batch" > "$dir/stdout.txt"
-  normalize_metrics "$dir/ckpt_sim.adaptive.metrics.json"
-done
-compare "ckpt-sim batched windows (on vs off) stdout" \
-  "$work_dir/batch.on/stdout.txt" "$work_dir/batch.off/stdout.txt"
-compare "ckpt-sim batched windows (on vs off) metrics" \
-  "$work_dir/batch.on/ckpt_sim.adaptive.metrics.json" \
-  "$work_dir/batch.off/ckpt_sim.adaptive.metrics.json"
-compare "ckpt-sim batched windows (on vs off) audit log" \
-  "$work_dir/batch.on/ckpt_sim.adaptive.audit.jsonl" \
-  "$work_dir/batch.off/ckpt_sim.adaptive.audit.jsonl"
-
-for shards in 1 4; do
-  dir="$work_dir/batchshards.$shards"
-  mkdir -p "$dir"
-  CKPT_OBS=1 CKPT_OBS_DIR="$dir" \
-    "$build_dir/tools/ckpt-sim" --policy=adaptive --jobs=60 \
-    --batch=on --shards="$shards" > "$dir/stdout.txt"
-  normalize_metrics "$dir/ckpt_sim.adaptive.metrics.json"
-done
-compare "ckpt-sim batching-on sharded stdout (1 vs 4 workers)" \
-  "$work_dir/batchshards.1/stdout.txt" "$work_dir/batchshards.4/stdout.txt"
-compare "ckpt-sim batching-on sharded metrics (1 vs 4 workers)" \
-  "$work_dir/batchshards.1/ckpt_sim.adaptive.metrics.json" \
-  "$work_dir/batchshards.4/ckpt_sim.adaptive.metrics.json"
-compare "ckpt-sim batching-on sharded audit log (1 vs 4 workers)" \
-  "$work_dir/batchshards.1/ckpt_sim.adaptive.audit.jsonl" \
-  "$work_dir/batchshards.4/ckpt_sim.adaptive.audit.jsonl"
-
-# YARN lane: the ResourceManager's preemption monitor, the AMs and the node
-# managers print the same tables with observability on and off.
-mkdir -p "$work_dir/yarn_obs"
-yarn_obs_lane() {
-  local name="$1"
+# Observability lanes: recording decisions, traces and the audit log must
+# not change a single stdout byte. ckpt-sim covers ClusterScheduler,
+# including the DumpScheduler path (interference + aware admission +
+# periodic dumps); the YARN benches cover the ResourceManager's preemption
+# monitor, the AMs and the node managers.
+obs_lane() {
+  local dir="$work_dir/obs.$1"
   shift
-  "$build_dir/bench/$name" "$@" > "$work_dir/$name.plain.txt"
-  CKPT_OBS=1 CKPT_OBS_DIR="$work_dir/yarn_obs" \
-    "$build_dir/bench/$name" "$@" > "$work_dir/$name.obs.txt"
-  compare "$name (CKPT_OBS=1 vs off)" \
-    "$work_dir/$name.plain.txt" "$work_dir/$name.obs.txt"
+  mkdir -p "$dir"
+  "$build_dir/$1" "${@:2}" > "$dir/plain.txt"
+  CKPT_OBS=1 CKPT_OBS_DIR="$dir" "$build_dir/$1" "${@:2}" > "$dir/obs.txt"
+  compare "$* (CKPT_OBS=1 vs off)" "$dir/plain.txt" "$dir/obs.txt"
 }
-yarn_obs_lane bench_fig8_yarn 600
-yarn_obs_lane bench_fig10_yarn_adaptive
+obs_lane sim_kill tools/ckpt-sim --jobs=60 --policy=kill
+obs_lane sim_checkpoint tools/ckpt-sim --jobs=60 --policy=checkpoint
+obs_lane sim_adaptive tools/ckpt-sim --jobs=60 --policy=adaptive
+obs_lane sim_interference tools/ckpt-sim --jobs=60 --policy=adaptive \
+  --interference --dump-policy=aware --periodic-mtbf-min=240
+obs_lane fig8 bench/bench_fig8_yarn 600
+obs_lane fig10 bench/bench_fig10_yarn_adaptive
 
 exit "$fail"

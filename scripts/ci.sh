@@ -97,13 +97,6 @@ CKPT_OBS=1 CKPT_OBS_DIR="$obs_dir" "$build_dir/tools/ckpt-sim" \
   "$obs_dir/ckpt_sim.adaptive.metrics.json" > "$obs_dir/diff_report.txt"
 grep -q "kill_lost_work" "$obs_dir/diff_report.txt"
 
-# Perf gate in check mode: validates both files and the entry matching;
-# regressions are reported but not enforced because the CI machine is not
-# the baseline host. Run scripts/bench_perf.sh + bench_perf_diff.py
-# without --check on a like-for-like machine for the hard gate.
-python3 "$repo_root/scripts/bench_perf_diff.py" --check \
-  "$repo_root/BENCH_PERF.json" "$repo_root/BENCH_PERF.baseline.json"
-
 # Repository benchmark smoke: every workload at ~1/20 size, plain and traced,
 # with the output checks (completion, waste identity, traced digest equal to
 # plain, ledger reconciliation, ckpt-report). Builds into build-bench/.
@@ -132,25 +125,19 @@ if [[ -z "${CKPT_SANITIZE:-}" ]]; then
   echo "ci.sh: ASan+UBSan lane passed"
 fi
 
-# ThreadSanitizer lane: threads appear in two places — the sweep runner
-# (thread pool + per-cell merge) and the sharded single-run driver (shard
-# mailboxes drained on pool workers between barriers). Build just those
-# targets under TSan and run the threaded tests and the serial-vs-parallel
-# determinism diff.
+# ThreadSanitizer lane: threads appear in one place — the sweep runner
+# (thread pool + per-cell merge; every cell owns a private Simulator).
+# Build just the swept targets under TSan and run the threaded tests and
+# the serial-vs-parallel determinism diff.
 if [[ "${CKPT_CI_TSAN:-1}" != "0" && -z "${CKPT_SANITIZE:-}" ]]; then
   tsan_dir="$build_dir-tsan"
   cmake -B "$tsan_dir" -S "$repo_root" -DCKPT_SANITIZE=thread
   cmake --build "$tsan_dir" -j "$(nproc)" \
     --target test_thread_pool test_fault test_feasibility_index \
-    test_sharded_simulator test_workload_stream test_interference \
-    test_service \
+    test_workload_stream test_interference test_service \
     bench_fig3_trace_sim bench_ext_failure bench_scale bench_interference \
     bench_services bench_fig8_yarn bench_fig10_yarn_adaptive ckpt_sim_cli
   "$tsan_dir/tests/test_thread_pool"
-  # The sharded single-run driver drains shard mailboxes on pool workers;
-  # TSan watches the barrier hand-offs, outbox merges, and the parallel
-  # feasibility-flush scratch writes.
-  "$tsan_dir/tests/test_sharded_simulator"
   "$tsan_dir/tests/test_workload_stream"
   # Fault injection draws RNG inside sweep cells; TSan watches the fault
   # tests and the parallel fault sweep for cross-cell sharing.
@@ -158,14 +145,13 @@ if [[ "${CKPT_CI_TSAN:-1}" != "0" && -z "${CKPT_SANITIZE:-}" ]]; then
   # The feasibility index is per-scheduler state; TSan verifies sweep cells
   # never share one (each cell's scheduler owns its index and slab arena).
   "$tsan_dir/tests/test_feasibility_index"
-  # Bandwidth pools and the dump scheduler live on the coordinator but are
-  # reached from sweep cells and shard callbacks; TSan watches the e2e
-  # interference runs (including the sharded worker-count invariance test)
-  # for cross-thread access to pool or admission state.
+  # Bandwidth pools and the dump scheduler are per-cell state; TSan watches
+  # the e2e interference runs and the interference sweep for cross-thread
+  # access to pool or admission state.
   "$tsan_dir/tests/test_interference"
-  # Service ticks and replica hooks run on the coordinator while sweep
-  # cells run on pool workers; TSan watches the service lanes in
-  # check_determinism.sh below for cross-cell manager sharing.
+  # Service ticks and replica hooks run inside each sweep cell's event
+  # loop; TSan watches the service lanes in check_determinism.sh below for
+  # cross-cell manager sharing.
   "$tsan_dir/tests/test_service"
   "$repo_root/scripts/check_determinism.sh" "$tsan_dir"
   echo "ci.sh: TSan lane passed"

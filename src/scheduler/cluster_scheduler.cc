@@ -7,7 +7,6 @@
 #include "obs/observability.h"
 #include "service/service.h"
 #include "service/service_manager.h"
-#include "sim/sharded_simulator.h"
 #include "storage/bandwidth_domain.h"
 #include "trace/workload_stream.h"
 
@@ -146,14 +145,6 @@ ClusterScheduler::ClusterScheduler(Simulator* sim, Cluster* cluster,
     }
     for (const NodeCrashEvent& crash : config_.fault.node_crashes) {
       InjectNodeFailure(crash.node, crash.at, crash.down_for);
-    }
-  }
-  if (config_.sharded != nullptr) {
-    CKPT_CHECK(sim == config_.sharded->coordinator())
-        << "config.sharded set but sim is not its coordinator";
-    for (Node* node : cluster_->nodes()) {
-      node->storage().set_shard_channel(
-          config_.sharded->ChannelFor(node->id().value()));
     }
   }
   if (config_.interference.enabled) {
@@ -369,11 +360,7 @@ SimDuration ClusterScheduler::VictimSloPenalty(const RtTask* victim) const {
 SimulationResult ClusterScheduler::Run() {
   {
     ScopedWallTimer run_timer(prof_run_);
-    if (config_.sharded != nullptr) {
-      config_.sharded->Run();
-    } else {
-      sim_->Run();
-    }
+    sim_->Run();
   }
   result_.total_busy_core_hours = ToHours(cluster_->TotalBusyCoreTime());
   result_.energy_kwh = cluster_->TotalEnergyKwh();
@@ -401,21 +388,7 @@ SimulationResult ClusterScheduler::Run() {
   if (config_.obs != nullptr) {
     MetricsRegistry& m = config_.obs->metrics();
     m.GetGauge("sim.events_processed")
-        ->Set(static_cast<double>(config_.sharded != nullptr
-                                      ? config_.sharded->EventsProcessed()
-                                      : sim_->EventsProcessed()));
-    if (config_.sharded != nullptr) {
-      // Safe-window density gauges: functions of the logical protocol, so
-      // identical at every worker count and with batching on or off.
-      m.GetGauge("sim.barriers")
-          ->Set(static_cast<double>(config_.sharded->Barriers()));
-      m.GetGauge("sim.messages_merged")
-          ->Set(static_cast<double>(config_.sharded->MessagesMerged()));
-      m.GetGauge("sim.windows_coalesced")
-          ->Set(static_cast<double>(config_.sharded->WindowsCoalesced()));
-      m.GetGauge("sim.events_per_window")
-          ->Set(config_.sharded->EventsPerWindow());
-    }
+        ->Set(static_cast<double>(sim_->EventsProcessed()));
     m.GetGauge("sched.busy_core_hours")->Set(result_.total_busy_core_hours);
     m.GetGauge("sched.wasted_core_hours")->Set(result_.wasted_core_hours);
     m.GetGauge("sched.lost_work_core_hours")
@@ -590,28 +563,6 @@ void ClusterScheduler::FlushFeasibilityIndex() {
   if (prof_index_flush_ != nullptr) ++prof_index_flush_->calls;
   index_leaves_recomputed_ +=
       static_cast<std::int64_t>(index_stale_list_.size());
-  // Big flushes (cluster-wide invalidations at scale) fan the pure
-  // per-leaf recomputation out over the sharded driver's workers; the
-  // aggregates are applied serially in stale-list order either way, so the
-  // index ends up byte-identical at every worker count.
-  constexpr size_t kParallelFlushThreshold = 2048;
-  if (config_.sharded != nullptr &&
-      index_stale_list_.size() >= kParallelFlushThreshold) {
-    flush_scratch_.resize(index_stale_list_.size());
-    config_.sharded->ParallelFor(
-        static_cast<std::int64_t>(index_stale_list_.size()),
-        [this](std::int64_t k) {
-          flush_scratch_[static_cast<size_t>(k)] =
-              ComputeNodeAgg(index_stale_list_[static_cast<size_t>(k)]);
-        });
-    for (size_t k = 0; k < index_stale_list_.size(); ++k) {
-      const size_t i = index_stale_list_[k];
-      index_leaf_stale_[i] = 0;
-      feas_index_.Update(i, flush_scratch_[k]);
-    }
-    index_stale_list_.clear();
-    return;
-  }
   for (const size_t i : index_stale_list_) {
     index_leaf_stale_[i] = 0;
     feas_index_.Update(i, ComputeNodeAgg(i));

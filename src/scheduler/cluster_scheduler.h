@@ -39,7 +39,6 @@ class Histogram;
 class Observability;
 class ServiceManager;
 struct ServiceSpec;
-class ShardedSimulator;
 class StorageDevice;
 class WorkloadStream;
 enum class WasteCause;
@@ -150,13 +149,6 @@ struct SchedulerConfig {
 
   // Optional metrics/trace sink; not owned, null disables all recording.
   Observability* obs = nullptr;
-
-  // Optional sharded-simulation driver (not owned). When set, `sim` passed
-  // to the constructor must be its coordinator(); node storage completions
-  // are routed through per-shard mailboxes so Run() can drain device events
-  // on worker threads between barriers (see sim/sharded_simulator.h).
-  // Null keeps the monolithic event loop, byte-for-byte unchanged.
-  ShardedSimulator* sharded = nullptr;
 };
 
 struct SimulationResult {
@@ -250,8 +242,8 @@ class ClusterScheduler {
   // finished jobs release their task specs. Peak memory stays O(live tasks)
   // instead of O(all tasks). Event ordering may differ from Submit() when a
   // later job's arrival ties with an event scheduled before it was pulled,
-  // so a run is comparable only to other SubmitStream runs (which are
-  // deterministic at every shard count).
+  // so a run is comparable only to other SubmitStream runs of the same
+  // stream (which are deterministic).
   void SubmitStream(WorkloadStream* stream);
 
   // Register long-running service jobs (one replicated RtJob per spec).
@@ -477,10 +469,6 @@ class ClusterScheduler {
   // const decision-recording paths fill them.
   mutable std::vector<std::string> node_tracks_;
   mutable std::array<Counter*, 3> decision_counters_{};
-
-  // Scratch for the sharded parallel feasibility flush (aggregates computed
-  // on workers, applied serially in stale-list order).
-  std::vector<FeasibilityAgg> flush_scratch_;
 
   // Feasibility-index work counter (leaves recomputed by flushes); cheap
   // enough to keep always-on, exported and audited only under obs.

@@ -12,7 +12,7 @@
 //      (seed, tick_index) through a splitmix64 hash, NOT drawn from a
 //      sequential RNG, so rate lookups are random-access: evaluating tick k
 //      gives the same value whether ticks 0..k-1 were evaluated first
-//      (streaming) or not (materialized), at any worker/shard count.
+//      (streaming) or not (materialized), at any sweep worker count.
 //
 //   2. M/M/c latency — per-service response-time quantiles from the offered
 //      load and the effective warm replica count, via the Sakasegawa

@@ -5,8 +5,8 @@
 // enter and leave the running state, and Tick on a fixed cadence per
 // service. The manager never touches the simulator or the scheduler — it is
 // a pure state machine over (spec, replica states, now), so it unit-tests
-// without any scheduling machinery and stays deterministic at every worker
-// and shard count (ticks and hooks all run on the coordinator).
+// without any scheduling machinery and stays deterministic at every sweep
+// worker count (each cell's ticks and hooks run on its own event loop).
 #pragma once
 
 #include <cstdint>

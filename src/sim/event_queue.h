@@ -38,9 +38,9 @@ namespace ckpt {
 // inline buffer: 64-byte-granularity classes up to kMaxSize, free blocks
 // linked through their first 8 bytes, backed by ::operator new. Acquire and
 // Release are lock-free (each thread owns its lists); a block acquired on
-// the coordinator and released on a drain worker simply migrates to the
-// worker's list and is reused there. Every thread's lists are walked and
-// freed at thread exit, so nothing leaks when pool workers join.
+// one thread and released on another simply migrates to the releasing
+// thread's list and is reused there. Every thread's lists are walked and
+// freed at thread exit, so nothing leaks when sweep workers join.
 class SimCallbackPool {
  public:
   static constexpr std::size_t kGranularity = 64;

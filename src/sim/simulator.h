@@ -62,9 +62,6 @@ class Simulator {
 
   bool Empty() const { return queue_.empty(); }
   std::int64_t PendingEvents() const { return queue_.size(); }
-  // Earliest pending event time, kMaxTime when idle. Used by the sharded
-  // driver to size safe windows (sharded_simulator.h).
-  SimTime NextWhen() { return queue_.empty() ? kMaxTime : queue_.NextWhen(); }
   std::int64_t EventsProcessed() const { return events_processed_; }
 
   static constexpr SimTime kMaxTime = INT64_MAX / 4;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "fault/fault.h"
-#include "sim/sharded_simulator.h"
 #include "storage/bandwidth_domain.h"
 
 namespace ckpt {
@@ -37,16 +36,8 @@ SimTime StorageDevice::Enqueue(SimDuration service, Bytes bytes, bool is_write,
 void StorageDevice::ScheduleCompletion(StorageOpId id) {
   const PendingOp& op = ops_.at(id);
   const int generation = op.generation;
-  auto fire = [this, id, generation] { OnOpComplete(id, generation); };
-  if (channel_ != nullptr) {
-    // Sharded path: device bookkeeping fires as a shard-local event (this
-    // device belongs to exactly one logical shard); the caller's `done`
-    // runs on the coordinator at the same instant, delivered through the
-    // shard outbox in deterministic (when, shard, post) order.
-    channel_->ScheduleLocal(op.completion, std::move(fire));
-  } else {
-    sim_->ScheduleAt(op.completion, std::move(fire));
-  }
+  sim_->ScheduleAt(op.completion,
+                   [this, id, generation] { OnOpComplete(id, generation); });
 }
 
 void StorageDevice::OnOpComplete(StorageOpId id, int generation) {
@@ -60,19 +51,11 @@ void StorageDevice::OnOpComplete(StorageOpId id, int generation) {
   ++ops_completed_;
   if (!op.ok) ++ops_failed_;
   if (op.canceled || !op.done) return;
-  auto deliver = [this, ok = op.ok, bytes = op.bytes,
-                  done = std::move(op.done)]() mutable {
-    if (domain_ != nullptr && ok) {
-      domain_->StartFlow(bytes,
-                         [ok, done = std::move(done)] { done(ok); });
-    } else {
-      done(ok);
-    }
-  };
-  if (channel_ != nullptr) {
-    channel_->PostGlobal(op.completion, std::move(deliver));
+  if (domain_ != nullptr && op.ok) {
+    domain_->StartFlow(op.bytes,
+                       [done = std::move(op.done)] { done(true); });
   } else {
-    deliver();
+    op.done(op.ok);
   }
 }
 

@@ -33,7 +33,6 @@ namespace ckpt {
 
 class BandwidthDomain;
 class FaultInjector;
-class ShardChannel;
 
 using StorageOpId = std::uint64_t;
 
@@ -57,22 +56,11 @@ class StorageDevice {
     node_ = node;
   }
 
-  // Route completion events through a sharded-simulation mailbox (null
-  // keeps them on the owning Simulator — the monolithic path, untouched).
-  // With a channel, the completion's device bookkeeping runs as a
-  // shard-local event and the `done` callback is deferred to the
-  // coordinator at the same instant; see sim/sharded_simulator.h for the
-  // ordering contract this relies on (per-device FIFO completion times are
-  // monotone, so shard events never precede one already fired).
-  void set_shard_channel(ShardChannel* channel) { channel_ = channel; }
-
   // Attach a shared bandwidth pool (null detaches). Successful ops then
   // drain their bytes through the pool after the device stage, fair-shared
   // with every concurrent flow from other devices, before `done(ok)` fires
   // — the DFS-ingest interference model. Failed ops skip the pool (nothing
-  // reached the shared medium). The pool's events live on the coordinator
-  // Simulator, so in sharded runs the drain starts from the deferred
-  // coordinator callback, keeping the merge order worker-count-invariant.
+  // reached the shared medium).
   void set_bandwidth_domain(BandwidthDomain* domain) { domain_ = domain; }
   BandwidthDomain* bandwidth_domain() const { return domain_; }
 
@@ -130,8 +118,7 @@ class StorageDevice {
     SimTime completion = 0;
     // Bumped when a cancellation shifts this op earlier; the completion
     // event captures the generation it was scheduled under and goes stale
-    // on mismatch (shard queues cannot cancel events, so stale timers must
-    // no-op on both the monolithic and sharded paths).
+    // on mismatch, so the superseded timer fires as a no-op.
     int generation = 0;
     bool canceled = false;  // started-then-canceled: suppress `done` only
     std::function<void(bool)> done;
@@ -146,7 +133,6 @@ class StorageDevice {
   StorageMedium medium_;
   std::string label_;
   FaultInjector* fault_ = nullptr;
-  ShardChannel* channel_ = nullptr;
   BandwidthDomain* domain_ = nullptr;
   NodeId node_;
 

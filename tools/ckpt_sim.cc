@@ -13,6 +13,8 @@
 //   $ ckpt_sim --sweep-policies=kill,checkpoint --sweep-media=hdd,ssd,nvm
 //              --sweep-seeds=1,2 --parallel=4
 //   $ ckpt_sim --help
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -24,7 +26,6 @@
 #include "common/thread_pool.h"
 #include "obs/observability.h"
 #include "scheduler/cluster_scheduler.h"
-#include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
 #include "trace/google_trace.h"
 
@@ -79,14 +80,6 @@ struct Flags {
   std::string sweep_media;
   std::string sweep_seeds;
   int parallel = 1;
-
-  // Single-run mode: drive the run through the deterministic sharded
-  // simulator with this many worker threads (0 = monolithic event loop).
-  // Output is byte-identical for every value >= 1.
-  int shards = 0;
-  // Amortized safe-window batching in the sharded driver (on by default;
-  // off runs the reference round machinery — byte-identical either way).
-  bool batch = true;
 };
 
 void Usage(const char* argv0) {
@@ -117,13 +110,7 @@ void Usage(const char* argv0) {
       "  --sweep-seeds=N,M,..      flag); reports print in cell order\n"
       "  --parallel=N      worker threads for sweep cells (default 1),\n"
       "                    clamped to the core count unless\n"
-      "                    CKPT_SWEEP_NO_CLAMP is set\n"
-      "  --shards=N        single-run mode: drain device events on N worker\n"
-      "                    threads via the deterministic sharded driver\n"
-      "                    (0 = monolithic; any N >= 1 is byte-identical)\n"
-      "  --batch=on|off    amortized safe-window batching in the sharded\n"
-      "                    driver (default on; off is the reference round\n"
-      "                    machinery — output is byte-identical either way)\n",
+      "                    CKPT_SWEEP_NO_CLAMP is set\n",
       argv0);
 }
 
@@ -134,6 +121,19 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
     return true;
   }
   return false;
+}
+
+// Whole-string number parse: no sign for unsigned types, no trailing text,
+// no overflow.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+bool ParsePositiveInt(const std::string& text, int* out) {
+  return ParseNumber(text, out) && *out > 0;
 }
 
 bool Parse(int argc, char** argv, Flags* flags) {
@@ -150,26 +150,30 @@ bool Parse(int argc, char** argv, Flags* flags) {
       continue;
     }
     if (ParseFlag(arg, "--jobs", &value)) {
-      flags->jobs = std::atoi(value.c_str());
+      if (!ParsePositiveInt(value, &flags->jobs)) {
+        std::fprintf(stderr, "bad --jobs value: %s\n", value.c_str());
+        return false;
+      }
     } else if (ParseFlag(arg, "--util", &value)) {
-      flags->util = std::atof(value.c_str());
+      if (!ParseNumber(value, &flags->util) || !std::isfinite(flags->util) ||
+          flags->util <= 0) {
+        std::fprintf(stderr, "bad --util value: %s\n", value.c_str());
+        return false;
+      }
     } else if (ParseFlag(arg, "--threshold", &value)) {
       flags->threshold = std::atof(value.c_str());
     } else if (ParseFlag(arg, "--resubmit", &value)) {
       flags->resubmit_sec = std::atof(value.c_str());
     } else if (ParseFlag(arg, "--seed", &value)) {
-      flags->seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "--parallel", &value)) {
-      flags->parallel = std::atoi(value.c_str());
-    } else if (ParseFlag(arg, "--shards", &value)) {
-      flags->shards = std::atoi(value.c_str());
-      if (flags->shards < 0) flags->shards = 0;
-    } else if (ParseFlag(arg, "--batch", &value)) {
-      if (value != "on" && value != "off") {
-        std::fprintf(stderr, "bad --batch value: %s\n", value.c_str());
+      if (!ParseNumber(value, &flags->seed)) {
+        std::fprintf(stderr, "bad --seed value: %s\n", value.c_str());
         return false;
       }
-      flags->batch = value == "on";
+    } else if (ParseFlag(arg, "--parallel", &value)) {
+      if (!ParsePositiveInt(value, &flags->parallel)) {
+        std::fprintf(stderr, "bad --parallel value: %s\n", value.c_str());
+        return false;
+      }
     } else if (ParseFlag(arg, "--fail-node", &value)) {
       flags->fail_node = std::atoi(value.c_str());
     } else if (ParseFlag(arg, "--fail-at", &value)) {
@@ -286,19 +290,7 @@ std::string RunCell(const Flags& flags, SchedulerConfig config,
       1, static_cast<int>(core_seconds / ToSeconds(kDay) /
                           (flags.util * cores_per_node) + 0.999));
 
-  // With --shards=N the run goes through the deterministic sharded driver
-  // (worker count N changes wall-clock only, never output); the workload
-  // stays materialized — cluster sizing above already walked every task.
-  std::unique_ptr<ShardedSimulator> ssim;
-  if (flags.shards > 0) {
-    ShardedSimulator::Options opt;
-    opt.workers = flags.shards;
-    opt.batch_windows = flags.batch;
-    ssim = std::make_unique<ShardedSimulator>(opt);
-    config.sharded = ssim.get();
-  }
-  Simulator own_sim;
-  Simulator& sim = ssim != nullptr ? *ssim->coordinator() : own_sim;
+  Simulator sim;
   Cluster cluster(&sim);
   cluster.AddNodes(nodes, Resources{cores_per_node, GiB(64)}, config.medium);
   ClusterScheduler scheduler(&sim, &cluster, config);
@@ -427,10 +419,11 @@ int main(int argc, char** argv) {
         cell.flags = flags;
         cell.flags.policy = policy;
         cell.flags.medium = medium;
-        cell.flags.seed = std::strtoull(seed.c_str(), nullptr, 10);
-        if (!BuildConfig(cell.flags, &cell.config)) {
-          std::fprintf(stderr, "bad sweep value: policy=%s medium=%s\n",
-                       policy.c_str(), medium.c_str());
+        if (!ParseNumber(seed, &cell.flags.seed) ||
+            !BuildConfig(cell.flags, &cell.config)) {
+          std::fprintf(stderr,
+                       "bad sweep value: policy=%s medium=%s seed=%s\n",
+                       policy.c_str(), medium.c_str(), seed.c_str());
           Usage(argv[0]);
           return 2;
         }
