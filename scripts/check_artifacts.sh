@@ -7,9 +7,11 @@
 #     wall-clock gauges (self.*, process.peak_rss_bytes);
 #   * each build's ckpt-report over the command's artifacts, minus the
 #     self-profile section (tool wall clock).
-# Use it to show that a change to the recording or export code is
-# invisible in what a run explains, e.g. with REF_BUILD built from the
-# parent commit.
+# Use it to show that a change to the recording or export code, or to the
+# scheduler's checkpoint lifecycle, is invisible in what a run explains,
+# e.g. with REF_BUILD built from the parent commit. The ckpt-sim commands
+# reach preemption and periodic dumps with and without interference, a
+# node crash during periodic dumps, and full dumps over existing images.
 #
 # Usage: scripts/check_artifacts.sh REF_BUILD BUILD
 set -euo pipefail
@@ -32,6 +34,9 @@ commands=(
   "services|bench/bench_services 120"
   "sim_adaptive|tools/ckpt-sim --policy=adaptive --jobs=200"
   "sim_interference|tools/ckpt-sim --interference --dump-policy=aware --jobs=200 --periodic-mtbf-min=240"
+  "sim_crash_periodic|tools/ckpt-sim --policy=adaptive --periodic-mtbf-min=240 --jobs=200 --fail-node=0 --fail-at=60"
+  "sim_crash_interference|tools/ckpt-sim --policy=adaptive --periodic-mtbf-min=240 --jobs=200 --fail-node=0 --fail-at=60 --interference --dump-policy=aware"
+  "sim_full_dumps|tools/ckpt-sim --policy=checkpoint --no-incremental --jobs=200"
 )
 
 # Runs every command against build $1 into $2/<name>/, then renders the

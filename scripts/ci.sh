@@ -10,6 +10,9 @@
 # An ASan+UBSan lane rebuilds the observability tests and two traced
 # benches: the tracer and audit log keep string_view keys and copy string
 # values out of the caller's buffers, so lifetimes are checked by running.
+# The lane also runs the fault, failure-injection and interference suites,
+# whose crash and I/O-failure unwinds erase node-bucket entries and release
+# image reservations by hand.
 #
 # A further lane rebuilds the threaded pieces under ThreadSanitizer and runs
 # the thread-pool tests plus the parallel-sweep determinism check
@@ -104,12 +107,13 @@ python3 "$repo_root/benchmark/run.py" --smoke
 
 # ASan+UBSan lane: the recording paths (tracer spans and instants, audit
 # records with candidate lists, their exports and owning copies) plus the
-# schedulers and DFS that feed them, and two traced bench runs.
+# schedulers and DFS that feed them, the checkpoint lifecycle's crash and
+# I/O-failure unwinds, and two traced bench runs.
 if [[ -z "${CKPT_SANITIZE:-}" ]]; then
   asan_dir="$build_dir-asan"
   asan_tests=(test_audit_log test_obs_tracer test_obs_export test_packed_ring
     test_json test_waste_ledger test_cluster_scheduler test_yarn_integration
-    test_dfs)
+    test_dfs test_fault test_failure_injection test_interference)
   cmake -B "$asan_dir" -S "$repo_root" -DCKPT_SANITIZE=address,undefined
   cmake --build "$asan_dir" -j "$(nproc)" \
     --target "${asan_tests[@]}" bench_fig3_trace_sim bench_fig8_yarn

@@ -27,13 +27,16 @@ class FaultInjector;
 class Histogram;
 class Observability;
 
+// Kernel-object metadata CRIU dumps besides memory (proc tree, fds,
+// netlinks, register sets); small and roughly constant per process. Every
+// image carries it, whichever scheduler front-end took the dump.
+inline constexpr Bytes kCheckpointMetadataBytes = 512 * kKiB;
+
 // The checkpointable view of one running task's process tree.
 struct ProcessState {
   TaskId task;
   MemoryImage memory;
-  // Kernel-object metadata CRIU dumps besides memory (proc tree, fds,
-  // netlinks, register sets); small and roughly constant per process.
-  Bytes metadata_bytes = 512 * kKiB;
+  Bytes metadata_bytes = kCheckpointMetadataBytes;
 
   // Image bookkeeping, maintained by the engine.
   bool has_image = false;

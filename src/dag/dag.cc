@@ -190,7 +190,6 @@ void DagAm::LaunchTask(TaskRt* task, const Container& container) {
         TaskId(job_.id.value() * 1000000 + task->stage->spec->id * 10000 +
                task->index),
         task->stage->spec->demand.memory, config_.image_page_size);
-    task->proc->metadata_bytes = config_.checkpoint_metadata;
   }
 
   if (task->proc->has_image) {

@@ -313,7 +313,6 @@ void BatchFramework::RunTask(TaskRt* task, NodeId node,
     task->proc = std::make_unique<ProcessState>(
         TaskId(task->index), config_.task_demand.memory,
         config_.image_page_size);
-    task->proc->metadata_bytes = config_.checkpoint_metadata;
   }
 
   auto begin_run = [this, task] {

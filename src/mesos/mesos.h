@@ -160,7 +160,6 @@ struct BatchFrameworkConfig {
   PreemptionPolicy policy = PreemptionPolicy::kAdaptive;
   double adaptive_threshold = 1.0;
   Bytes image_page_size = kMiB;
-  Bytes checkpoint_metadata = 512 * kKiB;
   bool incremental = true;
   // After this many consecutive failed dumps of one task, revocation falls
   // back to killing it (Algorithm 1 degenerates to the kill baseline).

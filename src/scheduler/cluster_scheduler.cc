@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "checkpoint/checkpoint_engine.h"
 #include "common/logging.h"
 #include "obs/observability.h"
 #include "service/service.h"
@@ -11,6 +12,25 @@
 #include "trace/workload_stream.h"
 
 namespace ckpt {
+
+namespace {
+// Fixed model parameters.
+// Pending tasks examined per scheduling pass (the backfill scan bound).
+constexpr int kMaxBackfillScan = 64;
+// Lazy restore pages this fraction of the image in before the task resumes.
+constexpr double kLazyEagerFraction = 0.05;
+// Floor under the Young/Daly period, so cheap increments cannot thrash.
+constexpr SimDuration kPeriodicMinInterval = Minutes(2);
+// SLO accounting cadence per service, and the weight converting a
+// replica's estimated SLO-violation seconds into the time units the
+// cost-aware victim order compares against checkpoint overhead.
+constexpr SimDuration kServiceTick = Seconds(30);
+constexpr double kServiceSloWeight = 1.0;
+// Interference model's rack layer: cross-rack transfers drain per-rack
+// uplink domains.
+constexpr int kRackSize = 16;
+constexpr Bandwidth kRackUplinkBw = GBps(2.5);
+}  // namespace
 
 // --- Runtime state ----------------------------------------------------------
 
@@ -117,12 +137,9 @@ ClusterScheduler::ClusterScheduler(Simulator* sim, Cluster* cluster,
     // rack uplink domains); the DFS-ingest pool is separate, attached to
     // the node devices below, so device writes and network transfers never
     // double-charge one shared stage.
-    config_.network.charge_receiver = config_.interference.charge_receiver;
-    if (config_.interference.rack_size > 0 &&
-        config_.interference.rack_uplink_bw > 0) {
-      config_.network.rack_size = config_.interference.rack_size;
-      config_.network.rack_uplink_bw = config_.interference.rack_uplink_bw;
-    }
+    config_.network.charge_receiver = true;
+    config_.network.rack_size = kRackSize;
+    config_.network.rack_uplink_bw = kRackUplinkBw;
   }
   network_ = std::make_unique<NetworkModel>(sim_, config_.network);
   task_arena_ = std::make_unique<SlabArena<RtTask>>();
@@ -233,8 +250,7 @@ void ClusterScheduler::OnStreamArrival() {
 void ClusterScheduler::SubmitServices(const std::vector<ServiceSpec>& services) {
   CKPT_CHECK(services_ == nullptr) << "SubmitServices called twice";
   CKPT_CHECK(!services.empty());
-  CKPT_CHECK_GT(config_.service_tick, 0);
-  services_ = std::make_unique<ServiceManager>(services, config_.service_tick);
+  services_ = std::make_unique<ServiceManager>(services, kServiceTick);
   for (int s = 0; s < static_cast<int>(services.size()); ++s) {
     const ServiceSpec& spec = services[static_cast<size_t>(s)];
     CKPT_CHECK(spec.priority >= kMinPriority && spec.priority <= kMaxPriority)
@@ -269,7 +285,7 @@ void ClusterScheduler::SubmitServices(const std::vector<ServiceSpec>& services) 
     jobs_.push_back(std::move(job));
     sim_->ScheduleAt(spec.start, [this, jp] { OnJobArrival(jp); });
     // SLO accounting cadence: tick k covers (start+k*tick, start+(k+1)*tick].
-    const SimTime first = spec.start + config_.service_tick;
+    const SimTime first = spec.start + kServiceTick;
     if (first <= spec.end) {
       sim_->ScheduleAt(first, [this, s] { OnServiceTick(s, 0); });
     }
@@ -314,7 +330,7 @@ void ClusterScheduler::OnServiceTick(int service_idx,
     }
     hist->Observe(ToSeconds(sample.q.p99) * 1e3);
   }
-  const SimTime next = spec.start + (tick_index + 2) * config_.service_tick;
+  const SimTime next = spec.start + (tick_index + 2) * kServiceTick;
   if (next <= spec.end) {
     sim_->ScheduleAt(next, [this, service_idx, tick_index] {
       OnServiceTick(service_idx, tick_index + 1);
@@ -354,7 +370,7 @@ SimDuration ClusterScheduler::VictimSloPenalty(const RtTask* victim) const {
   const double cheaper =
       std::min(cost.kill_violation_s,
                cost.ckpt_violation_s + ToSeconds(cost.ckpt_overhead));
-  return Seconds(config_.service_slo_weight * cheaper);
+  return Seconds(kServiceSloWeight * cheaper);
 }
 
 SimulationResult ClusterScheduler::Run() {
@@ -507,7 +523,7 @@ void ClusterScheduler::RunSchedulePass() {
   preempt_fail_valid_ = false;
   int scanned = 0;
   auto it = pending_.begin();
-  while (it != pending_.end() && scanned < config_.max_backfill_scan) {
+  while (it != pending_.end() && scanned < kMaxBackfillScan) {
     RtTask* task = *it;
     ++scanned;
     if (TryPlace(task)) {
@@ -754,17 +770,7 @@ void ClusterScheduler::StartTask(RtTask* task, Node* node) {
   // first start joins warm; any later StartTask means the process state was
   // lost (kill, crash, abandoned image) and the restart is cold.
   ServiceReplicaUp(task, /*cold=*/task->attempt > 1);
-
-  // A service replica completes at its absolute retirement instant; a batch
-  // task after its remaining work.
-  SimDuration remaining = IsService(task)
-                              ? task->service_end - sim_->Now()
-                              : task->spec->duration - task->work_done;
-  if (remaining < 1) remaining = 1;
-  const int attempt = task->attempt;
-  sim_->ScheduleAfter(remaining,
-                      [this, task, attempt] { OnTaskComplete(task, attempt); });
-  MaybeSchedulePeriodicDump(task);
+  ScheduleRun(task);
 }
 
 void ClusterScheduler::BeginRestore(RtTask* task, Node* node, bool remote) {
@@ -792,9 +798,8 @@ void ClusterScheduler::BeginRestore(RtTask* task, Node* node, bool remote) {
   if (config_.lazy_restore) {
     // Copy-on-touch resumption: reload metadata plus the eagerly-paged
     // fraction; remaining pages fault in from NVRAM while the task runs.
-    bytes = config_.checkpoint_metadata +
-            static_cast<Bytes>(config_.lazy_eager_fraction *
-                               static_cast<double>(bytes));
+    bytes = kCheckpointMetadataBytes +
+            static_cast<Bytes>(kLazyEagerFraction * static_cast<double>(bytes));
   }
   if (InterferenceOn()) {
     // Actual-duration accounting: the restore drains shared domains whose
@@ -805,11 +810,7 @@ void ClusterScheduler::BeginRestore(RtTask* task, Node* node, bool remote) {
   } else {
     SimDuration service = src.EstimateRead(bytes);
     if (remote) service += network_->EstimateTransfer(bytes);
-    result_.total_restore_time += service;
-    result_.overhead_core_hours += ToHours(service) * task->spec->demand.cpus;
-    result_.wasted_core_hours += ToHours(service) * task->spec->demand.cpus;
-    ChargeWaste(WasteCause::kRestoreTransfer,
-                ToHours(service) * task->spec->demand.cpus, task);
+    ChargeFreeze(task, service);
   }
   auto finish = [this, task, attempt](bool ok) {
     if (task->attempt != attempt ||
@@ -847,21 +848,9 @@ void ClusterScheduler::OnRestoreFailed(RtTask* task) {
   result_.restore_failures++;
   task->restore_failures++;
   task->attempt++;
-  if (InterferenceOn() && task->frozen_at >= 0) {
-    // The failed attempt still froze the container for its real duration.
-    const SimDuration held = sim_->Now() - task->frozen_at;
-    result_.total_restore_time += held;
-    result_.overhead_core_hours += ToHours(held) * task->spec->demand.cpus;
-    result_.wasted_core_hours += ToHours(held) * task->spec->demand.cpus;
-    ChargeWaste(WasteCause::kRestoreTransfer,
-                ToHours(held) * task->spec->demand.cpus, task);
-    task->frozen_at = -1;
-  }
-  cluster_->node(task->node).ReleaseSuspended(task->spec->demand);
-  TouchNode(task->node);
+  EndFreeze(task);  // the failed attempt still froze the container
+  DetachFromNode(task);
   BumpOverheadEpoch();
-  auto& bucket = RunningOn(task->node);
-  bucket.erase(std::find(bucket.begin(), bucket.end(), task));
   if (task->restore_failures >= config_.max_checkpoint_failures) {
     // The image keeps failing to load (Algorithm 1's fallback mirror on the
     // restore side): give up on it and restart from scratch, so a permanent
@@ -884,39 +873,11 @@ void ClusterScheduler::OnRestoreFailed(RtTask* task) {
 
 void ClusterScheduler::OnRestoreDone(RtTask* task, int attempt) {
   CKPT_CHECK_EQ(task->attempt, attempt);
-  if (InterferenceOn() && task->frozen_at >= 0) {
-    // Single reconciling charge covering the real queue + service + shared
-    // domain drain time the container spent frozen.
-    const SimDuration held = sim_->Now() - task->frozen_at;
-    result_.total_restore_time += held;
-    result_.overhead_core_hours += ToHours(held) * task->spec->demand.cpus;
-    result_.wasted_core_hours += ToHours(held) * task->spec->demand.cpus;
-    ChargeWaste(WasteCause::kRestoreTransfer,
-                ToHours(held) * task->spec->demand.cpus, task);
-    task->frozen_at = -1;
-  }
-  cluster_->node(task->node).Resume(task->spec->demand);
-  // Available() is unchanged, but the task re-enters kRunning and so grows
-  // the node's releasable set: its feasibility-index leaf must refresh.
-  TouchNode(task->node);
-  task->state = RtTask::State::kRunning;
+  EndFreeze(task);
   task->restore_failures = 0;
   task->work_done = task->saved_work;
-  task->run_start = sim_->Now();
-  task->attempt++;
-  // Checkpoint-resumed service replicas come back warm — the asymmetry the
-  // SLO-aware kill-vs-checkpoint decision trades on.
-  ServiceReplicaUp(task, /*cold=*/false);
-
-  SimDuration remaining = IsService(task)
-                              ? task->service_end - sim_->Now()
-                              : task->spec->duration - task->work_done;
-  if (remaining < 1) remaining = 1;
-  const int next_attempt = task->attempt;
-  sim_->ScheduleAfter(remaining, [this, task, next_attempt] {
-    OnTaskComplete(task, next_attempt);
-  });
-  MaybeSchedulePeriodicDump(task);
+  ResumeFrozen(task);
+  ScheduleRun(task);
 }
 
 void ClusterScheduler::StopRunning(RtTask* task) {
@@ -931,7 +892,13 @@ void ClusterScheduler::StopRunning(RtTask* task) {
 }
 
 void ClusterScheduler::DetachFromNode(RtTask* task) {
-  cluster_->node(task->node).Release(task->spec->demand);
+  Node& node = cluster_->node(task->node);
+  if (task->state == RtTask::State::kDumping ||
+      task->state == RtTask::State::kRestoring) {
+    node.ReleaseSuspended(task->spec->demand);  // its CPUs are frozen
+  } else {
+    node.Release(task->spec->demand);
+  }
   TouchNode(task->node);
   auto& bucket = RunningOn(task->node);
   bucket.erase(std::find(bucket.begin(), bucket.end(), task));
@@ -1021,7 +988,7 @@ Bytes ClusterScheduler::DumpBytes(const RtTask* victim,
         config_.shadow_sync_bw * ToSeconds(exposure));
     payload = std::max<Bytes>(payload - shadowed, 0);
   }
-  return payload + config_.checkpoint_metadata;
+  return payload + kCheckpointMetadataBytes;
 }
 
 SimDuration ClusterScheduler::UnsavedProgress(const RtTask* task) const {
@@ -1405,26 +1372,17 @@ bool ClusterScheduler::TryPreemptFor(RtTask* task) {
 }
 
 void ClusterScheduler::KillVictim(RtTask* victim) {
-  // Unsaved progress is lost and will be re-executed; the task restarts
-  // from its last image if one exists (Algorithm 2), else from scratch.
-  // A service replica loses no batch work — its kill cost is SLO-violation
-  // seconds plus the cold restart, accounted by the ServiceManager — so
-  // charging zero here keeps the ledger's reconciliation invariant intact.
-  const SimDuration lost =
-      IsService(victim) ? 0 : victim->work_done - victim->saved_work;
-  result_.lost_work_core_hours += ToHours(lost) * victim->spec->demand.cpus;
-  result_.wasted_core_hours += ToHours(lost) * victim->spec->demand.cpus;
-  ChargeWaste(WasteCause::kKillLostWork,
-              ToHours(lost) * victim->spec->demand.cpus, victim);
-  result_.kills++;
   // A killed service replica's process state is gone; any earlier image is
   // stale, so release it — the next start is cold. Checkpoint preemption
   // keeping its image (and resuming warm) is exactly the benefit the
-  // service branch of Algorithm 1 weighs.
+  // service branch of Algorithm 1 weighs. Released first: the rollback
+  // below restarts the replica from the (now zero) saved work.
   if (IsService(victim)) ReleaseImage(victim);
+  // Unsaved progress is lost and will be re-executed; the task restarts
+  // from its last image if one exists (Algorithm 2), else from scratch.
+  ForfeitUnsavedWork(victim, WasteCause::kKillLostWork);
+  result_.kills++;
   if (!victim->has_image) result_.restarts_from_scratch++;
-  victim->work_done = victim->saved_work;
-  victim->unsynced_run = 0;
   DetachFromNode(victim);
   ApplyResubmitBackoff(victim);
   AddPending(victim);
@@ -1460,14 +1418,7 @@ void ClusterScheduler::PreemptVictim(RtTask* victim, PreemptAction action) {
   const bool incremental =
       action == PreemptAction::kCheckpointIncremental && CanIncrement(victim);
   const Bytes dump_bytes = DumpBytes(victim, incremental);
-
-  Node& node = cluster_->node(victim->node);
-  // Capacity is accounted on the node that serves later restores: the base
-  // image's node for increments, the dumping node for full images.
-  StorageDevice& image_device =
-      incremental ? cluster_->node(victim->image_node).storage()
-                  : node.storage();
-  if (config_.enforce_checkpoint_capacity && !image_device.Reserve(dump_bytes)) {
+  if (!ReserveDump(victim, incremental, dump_bytes)) {
     // No room for the image: fall back to killing the victim.
     result_.capacity_fallback_kills++;
     if (config_.obs != nullptr) {
@@ -1488,61 +1439,7 @@ void ClusterScheduler::PreemptVictim(RtTask* victim, PreemptAction action) {
     KillVictim(victim);
     return;
   }
-
-  // A full dump replaces (and releases) any previous image.
-  if (!incremental && victim->has_image) {
-    ReleaseImage(victim);
-  }
-
-  // Freeze: the process tree stops here and the dump enters the node's
-  // sequential checkpoint queue. While frozen the container keeps its
-  // allocation but burns no CPU, so only the dump's *service* time (actual
-  // I/O work) counts as preemption overhead; queue wait shows up purely in
-  // response times.
-  victim->state = RtTask::State::kDumping;
-  node.Suspend(victim->spec->demand);
-  // Available() is unchanged, but the victim left kRunning: tighten the
-  // node's releasable aggregate in the feasibility index.
-  TouchNode(victim->node);
-  victim->pending_dump_bytes = dump_bytes;
-  victim->pending_dump_node =
-      incremental ? victim->image_node : victim->node;
-  IndexPendingDump(victim);
-  result_.checkpoints++;
-  if (incremental) result_.incremental_checkpoints++;
-  result_.total_checkpoint_bytes_written += dump_bytes;
-
-  if (InterferenceOn()) {
-    // Actual-duration accounting: the dump's real cost (queue wait + device
-    // service + shared-domain drain + any admission deferral) is charged
-    // once at completion from this freeze timestamp.
-    victim->frozen_at = sim_->Now();
-  } else {
-    StorageDevice& device = node.storage();
-    const SimDuration service = device.EstimateWrite(dump_bytes);
-    result_.total_dump_time += service;
-    result_.overhead_core_hours += ToHours(service) * victim->spec->demand.cpus;
-    result_.wasted_core_hours += ToHours(service) * victim->spec->demand.cpus;
-    if (config_.obs != nullptr) {
-      ChargeWaste(WasteCause::kDumpOverhead,
-                  ToHours(service) * victim->spec->demand.cpus, victim);
-      // Queue wait freezes the victim's cores without counting as overhead
-      // in the paper's accounting; attribute it separately.
-      ChargeWaste(WasteCause::kQueueing,
-                  ToHours(device.QueueDelay()) * victim->spec->demand.cpus,
-                  victim);
-    }
-  }
-
-  const int attempt = victim->attempt;
-  LaunchDump(victim, attempt, dump_bytes,
-             [this, victim, attempt, incremental, dump_bytes](bool ok) {
-               if (!ok) {
-                 OnDumpFailed(victim, attempt);
-                 return;
-               }
-               OnDumpComplete(victim, attempt, incremental, dump_bytes, 0);
-             });
+  FreezeForDump(victim, incremental, dump_bytes);
 }
 
 void ClusterScheduler::LaunchDump(RtTask* victim, int attempt,
@@ -1568,10 +1465,9 @@ void ClusterScheduler::LaunchDump(RtTask* victim, int attempt,
   auto submit = [this, victim, dump_bytes,
                  finish = std::move(finish)]() mutable {
     StorageDevice& device = cluster_->node(victim->node).storage();
-    if (config_.checkpoint_to_dfs && config_.dfs_replication > 1 &&
-        cluster_->size() > 1) {
-      // Local write, then pipeline one replica to a random peer (the DFS
-      // overhead visible in Fig. 2b).
+    if (config_.checkpoint_to_dfs && cluster_->size() > 1) {
+      // Local write, then pipeline the second replica to a random peer (the
+      // DFS overhead visible in Fig. 2b).
       NodeId peer;
       do {
         peer = NodeId(rng_.UniformInt(0, cluster_->size() - 1));
@@ -1631,221 +1527,13 @@ void ClusterScheduler::LaunchDump(RtTask* victim, int attempt,
   victim->dump_ticket = *ticket;
 }
 
-void ClusterScheduler::OnDumpComplete(RtTask* victim, int attempt,
-                                      bool incremental, Bytes dump_bytes,
-                                      SimTime /*dump_started*/) {
-  if (victim->attempt != attempt ||
-      victim->state != RtTask::State::kDumping) {
-    return;
-  }
-  if (InterferenceOn() && victim->frozen_at >= 0) {
-    // Single reconciling charge covering everything the freeze actually
-    // cost: admission deferral, device queue + service, and the shared
-    // ingest/network drain under contention.
-    const SimDuration held = sim_->Now() - victim->frozen_at;
-    result_.total_dump_time += held;
-    result_.overhead_core_hours += ToHours(held) * victim->spec->demand.cpus;
-    result_.wasted_core_hours += ToHours(held) * victim->spec->demand.cpus;
-    ChargeWaste(WasteCause::kDumpOverhead,
-                ToHours(held) * victim->spec->demand.cpus, victim);
-    victim->frozen_at = -1;
-  }
-  UnindexPendingDump(victim);
-  victim->saved_work = victim->work_done;
-  victim->unsynced_run = 0;
-  victim->has_image = true;
-  victim->dump_failures = 0;
-  victim->pending_dump_bytes = 0;
-  if (!incremental) victim->image_node = victim->node;
-  victim->stored_bytes += dump_bytes;
-  IndexImage(victim);
-  current_checkpoint_bytes_ += dump_bytes;
-  result_.peak_checkpoint_bytes =
-      std::max(result_.peak_checkpoint_bytes, current_checkpoint_bytes_);
-
-  victim->attempt++;
-  BumpOverheadEpoch();
-  cluster_->node(victim->node).ReleaseSuspended(victim->spec->demand);
-  TouchNode(victim->node);
-  auto& bucket = RunningOn(victim->node);
-  bucket.erase(std::find(bucket.begin(), bucket.end(), victim));
-  ApplyResubmitBackoff(victim);
-  AddPending(victim);
-
-  auto it = dump_beneficiary_.find(victim);
-  if (it != dump_beneficiary_.end()) {
-    it->second->releases_in_flight--;
-    CKPT_CHECK_GE(it->second->releases_in_flight, 0);
-    dump_beneficiary_.erase(it);
-  }
-  TrySchedule();
-}
-
-void ClusterScheduler::OnDumpFailed(RtTask* victim, int attempt) {
-  if (victim->attempt != attempt ||
-      victim->state != RtTask::State::kDumping) {
+void ClusterScheduler::OnDumpComplete(RtTask* task, int attempt,
+                                      bool incremental, Bytes dump_bytes) {
+  if (task->attempt != attempt || task->state != RtTask::State::kDumping) {
     return;  // a node failure already unwound this dump
   }
-  // The write faulted: unwind the reservation and fall back to kill
-  // semantics. A failed incremental dump keeps the base image (and its
-  // saved_work); a failed full dump had already retired the old image at
-  // freeze time, so the task restarts from scratch.
-  result_.dump_failures++;
-  victim->dump_failures++;
-  victim->attempt++;
-  if (InterferenceOn() && victim->frozen_at >= 0) {
-    // The failed attempt still froze the victim for its real duration.
-    const SimDuration held = sim_->Now() - victim->frozen_at;
-    result_.total_dump_time += held;
-    result_.overhead_core_hours += ToHours(held) * victim->spec->demand.cpus;
-    result_.wasted_core_hours += ToHours(held) * victim->spec->demand.cpus;
-    ChargeWaste(WasteCause::kDumpOverhead,
-                ToHours(held) * victim->spec->demand.cpus, victim);
-    victim->frozen_at = -1;
-  }
-  UnindexPendingDump(victim);
-  if (config_.enforce_checkpoint_capacity && victim->pending_dump_bytes > 0) {
-    cluster_->node(victim->pending_dump_node)
-        .storage()
-        .Release(victim->pending_dump_bytes);
-  }
-  victim->pending_dump_bytes = 0;
-  const SimDuration lost =
-      IsService(victim) ? 0 : victim->work_done - victim->saved_work;
-  result_.lost_work_core_hours += ToHours(lost) * victim->spec->demand.cpus;
-  result_.wasted_core_hours += ToHours(lost) * victim->spec->demand.cpus;
-  ChargeWaste(WasteCause::kFaultLostWork,
-              ToHours(lost) * victim->spec->demand.cpus, victim);
-  victim->work_done = victim->saved_work;
-  victim->unsynced_run = 0;
-  BumpOverheadEpoch();
-  cluster_->node(victim->node).ReleaseSuspended(victim->spec->demand);
-  TouchNode(victim->node);
-  auto& bucket = RunningOn(victim->node);
-  bucket.erase(std::find(bucket.begin(), bucket.end(), victim));
-  ApplyResubmitBackoff(victim);
-  AddPending(victim);
-  auto it = dump_beneficiary_.find(victim);
-  if (it != dump_beneficiary_.end()) {
-    it->second->releases_in_flight--;
-    CKPT_CHECK_GE(it->second->releases_in_flight, 0);
-    dump_beneficiary_.erase(it);
-  }
-  TrySchedule();
-}
-
-void ClusterScheduler::ReleaseDumpTicket(RtTask* task) {
-  if (task->dump_ticket >= 0 && dump_scheduler_ != nullptr) {
-    dump_scheduler_->Complete(task->dump_ticket);
-  }
-  task->dump_ticket = -1;
-  task->periodic_dump = false;
-  task->frozen_at = -1;
-}
-
-// --- Periodic Young/Daly checkpointing ---------------------------------------
-
-void ClusterScheduler::MaybeSchedulePeriodicDump(RtTask* task) {
-  if (config_.periodic_ckpt_mtbf <= 0) return;
-  // Young/Daly period sqrt(2 * C * MTBF), C the current estimated dump
-  // service time; clamped below so cheap incremental dumps cannot thrash.
-  const Bytes bytes = DumpBytes(task, CanIncrement(task));
-  const SimDuration cost =
-      cluster_->node(task->node).storage().EstimateWrite(bytes);
-  const SimDuration interval =
-      std::max(YoungDalyInterval(cost, config_.periodic_ckpt_mtbf),
-               config_.periodic_ckpt_min_interval);
-  const SimDuration remaining = IsService(task)
-                                    ? task->service_end - sim_->Now()
-                                    : task->spec->duration - task->work_done;
-  if (remaining <= interval) return;  // completion beats the next dump
-  const int attempt = task->attempt;
-  sim_->ScheduleAfter(interval, [this, task, attempt] {
-    if (task->attempt != attempt || task->state != RtTask::State::kRunning) {
-      return;  // preempted / finished / crashed since the timer was armed
-    }
-    StartPeriodicDump(task);
-  });
-}
-
-void ClusterScheduler::StartPeriodicDump(RtTask* task) {
-  const bool incremental = CanIncrement(task);
-  const Bytes dump_bytes = DumpBytes(task, incremental);
-  Node& node = cluster_->node(task->node);
-  StorageDevice& image_device =
-      incremental ? cluster_->node(task->image_node).storage()
-                  : node.storage();
-  if (config_.enforce_checkpoint_capacity &&
-      !image_device.Reserve(dump_bytes)) {
-    // No room for the image: skip this cycle, try again one period later.
-    MaybeSchedulePeriodicDump(task);
-    return;
-  }
-  // A full dump replaces (and releases) any previous image; the window
-  // until the new dump commits restarts from scratch on a crash.
-  if (!incremental && task->has_image) ReleaseImage(task);
-
-  StopRunning(task);
-  task->attempt++;  // invalidate the scheduled completion
-  task->state = RtTask::State::kDumping;
-  task->periodic_dump = true;
-  node.Suspend(task->spec->demand);
-  TouchNode(task->node);
-  task->pending_dump_bytes = dump_bytes;
-  task->pending_dump_node = incremental ? task->image_node : task->node;
-  IndexPendingDump(task);
-  result_.periodic_checkpoints++;
-  result_.total_checkpoint_bytes_written += dump_bytes;
-
-  const double cpus = task->spec->demand.cpus;
-  if (InterferenceOn()) {
-    task->frozen_at = sim_->Now();
-  } else {
-    StorageDevice& device = node.storage();
-    const SimDuration service = device.EstimateWrite(dump_bytes);
-    result_.total_dump_time += service;
-    result_.overhead_core_hours += ToHours(service) * cpus;
-    result_.wasted_core_hours += ToHours(service) * cpus;
-    if (config_.obs != nullptr) {
-      ChargeWaste(WasteCause::kPeriodicDumpOverhead, ToHours(service) * cpus,
-                  task);
-      ChargeWaste(WasteCause::kQueueing,
-                  ToHours(device.QueueDelay()) * cpus, task);
-    }
-  }
-
-  const SimTime frozen_at = sim_->Now();
-  const int attempt = task->attempt;
-  LaunchDump(task, attempt, dump_bytes,
-             [this, task, attempt, incremental, dump_bytes,
-              frozen_at](bool ok) {
-               if (!ok) {
-                 OnPeriodicDumpFailed(task, attempt, frozen_at);
-                 return;
-               }
-               OnPeriodicDumpComplete(task, attempt, incremental, dump_bytes,
-                                      frozen_at);
-             });
-}
-
-void ClusterScheduler::OnPeriodicDumpComplete(RtTask* task, int attempt,
-                                              bool incremental,
-                                              Bytes dump_bytes,
-                                              SimTime /*frozen_at*/) {
-  if (task->attempt != attempt || task->state != RtTask::State::kDumping ||
-      !task->periodic_dump) {
-    return;  // a node failure already unwound this dump
-  }
-  const double cpus = task->spec->demand.cpus;
-  if (InterferenceOn() && task->frozen_at >= 0) {
-    const SimDuration held = sim_->Now() - task->frozen_at;
-    result_.total_dump_time += held;
-    result_.overhead_core_hours += ToHours(held) * cpus;
-    result_.wasted_core_hours += ToHours(held) * cpus;
-    ChargeWaste(WasteCause::kPeriodicDumpOverhead, ToHours(held) * cpus,
-                task);
-    task->frozen_at = -1;
-  }
+  EndFreeze(task);
+  // The reservation becomes the image.
   UnindexPendingDump(task);
   task->saved_work = task->work_done;
   task->unsynced_run = 0;
@@ -1858,63 +1546,62 @@ void ClusterScheduler::OnPeriodicDumpComplete(RtTask* task, int attempt,
   current_checkpoint_bytes_ += dump_bytes;
   result_.peak_checkpoint_bytes =
       std::max(result_.peak_checkpoint_bytes, current_checkpoint_bytes_);
-  ResumeAfterPeriodicDump(task);
+  EndDump(task);
 }
 
-void ClusterScheduler::OnPeriodicDumpFailed(RtTask* task, int attempt,
-                                            SimTime /*frozen_at*/) {
-  if (task->attempt != attempt || task->state != RtTask::State::kDumping ||
-      !task->periodic_dump) {
+void ClusterScheduler::OnDumpFailed(RtTask* task, int attempt) {
+  if (task->attempt != attempt || task->state != RtTask::State::kDumping) {
     return;  // a node failure already unwound this dump
   }
+  // The write faulted. A failed incremental dump keeps the base image (and
+  // its saved_work); a failed full dump had already retired the old image
+  // at freeze time, so a victim restarts from scratch and a periodic
+  // dumper's crash-restart exposure grows until its next successful dump.
   result_.dump_failures++;
-  result_.periodic_checkpoint_failures++;
+  if (task->periodic_dump) result_.periodic_checkpoint_failures++;
   task->dump_failures++;
-  const double cpus = task->spec->demand.cpus;
-  if (InterferenceOn() && task->frozen_at >= 0) {
-    // The failed attempt still froze the task for its real duration.
-    const SimDuration held = sim_->Now() - task->frozen_at;
-    result_.total_dump_time += held;
-    result_.overhead_core_hours += ToHours(held) * cpus;
-    result_.wasted_core_hours += ToHours(held) * cpus;
-    ChargeWaste(WasteCause::kPeriodicDumpOverhead, ToHours(held) * cpus,
-                task);
-    task->frozen_at = -1;
+  EndFreeze(task);  // the failed attempt still froze the task
+  ReleaseDumpReservation(task);
+  // A victim falls back to kill semantics; a periodic dumper loses no live
+  // work, it resumes in place from its running state.
+  if (!task->periodic_dump) {
+    ForfeitUnsavedWork(task, WasteCause::kFaultLostWork);
   }
-  UnindexPendingDump(task);
-  if (config_.enforce_checkpoint_capacity && task->pending_dump_bytes > 0) {
-    cluster_->node(task->pending_dump_node)
-        .storage()
-        .Release(task->pending_dump_bytes);
-  }
-  task->pending_dump_bytes = 0;
-  // No live work is lost: the task resumes in place from its running state.
-  // A failed *full* dump did retire the previous image at freeze time, so
-  // the crash-restart exposure grows until the next successful dump.
-  ResumeAfterPeriodicDump(task);
+  EndDump(task);
 }
 
-void ClusterScheduler::ResumeAfterPeriodicDump(RtTask* task) {
-  task->attempt++;
-  task->periodic_dump = false;
-  task->frozen_at = -1;
-  cluster_->node(task->node).Resume(task->spec->demand);
-  // Available() is unchanged but the task re-enters kRunning, growing the
-  // node's releasable set: refresh its feasibility-index leaf.
-  TouchNode(task->node);
-  task->state = RtTask::State::kRunning;
-  task->run_start = sim_->Now();
-  // The dump captured live process state; the replica resumes warm.
-  ServiceReplicaUp(task, /*cold=*/false);
-  BumpOverheadEpoch();
-  SimDuration remaining = IsService(task)
-                              ? task->service_end - sim_->Now()
-                              : task->spec->duration - task->work_done;
-  if (remaining < 1) remaining = 1;
+// --- Periodic Young/Daly checkpointing ---------------------------------------
+
+void ClusterScheduler::MaybeSchedulePeriodicDump(RtTask* task) {
+  if (config_.periodic_ckpt_mtbf <= 0) return;
+  // Young/Daly period sqrt(2 * C * MTBF), C the current estimated dump
+  // service time; floored so cheap incremental dumps cannot thrash.
+  const Bytes bytes = DumpBytes(task, CanIncrement(task));
+  const SimDuration interval = YoungDalyInterval(
+      cluster_->node(task->node).storage().EstimateWrite(bytes),
+      config_.periodic_ckpt_mtbf, kPeriodicMinInterval);
+  if (RemainingRun(task) <= interval) return;  // completion beats the dump
   const int attempt = task->attempt;
-  sim_->ScheduleAfter(remaining,
-                      [this, task, attempt] { OnTaskComplete(task, attempt); });
-  MaybeSchedulePeriodicDump(task);
+  sim_->ScheduleAfter(interval, [this, task, attempt] {
+    if (task->attempt != attempt || task->state != RtTask::State::kRunning) {
+      return;  // preempted / finished / crashed since the timer was armed
+    }
+    StartPeriodicDump(task);
+  });
+}
+
+void ClusterScheduler::StartPeriodicDump(RtTask* task) {
+  const bool incremental = CanIncrement(task);
+  const Bytes dump_bytes = DumpBytes(task, incremental);
+  if (!ReserveDump(task, incremental, dump_bytes)) {
+    // No room for the image: skip this cycle, try again one period later.
+    MaybeSchedulePeriodicDump(task);
+    return;
+  }
+  StopRunning(task);
+  task->attempt++;  // invalidate the scheduled completion
+  task->periodic_dump = true;
+  FreezeForDump(task, incremental, dump_bytes);
 }
 
 // --- Failure injection --------------------------------------------------------
@@ -1941,67 +1628,25 @@ void ClusterScheduler::OnNodeFailure(NodeId node_id, SimDuration down_for) {
   for (RtTask* task : victims) {
     result_.tasks_interrupted_by_failure++;
     switch (task->state) {
-      case RtTask::State::kRunning: {
+      case RtTask::State::kRunning:
         StopRunning(task);
         task->attempt++;
-        const SimDuration lost =
-            IsService(task) ? 0 : task->work_done - task->saved_work;
-        result_.lost_work_core_hours +=
-            ToHours(lost) * task->spec->demand.cpus;
-        result_.wasted_core_hours += ToHours(lost) * task->spec->demand.cpus;
-        ChargeWaste(WasteCause::kFaultLostWork,
-                    ToHours(lost) * task->spec->demand.cpus, task);
-        task->work_done = task->saved_work;
-        task->unsynced_run = 0;
+        ForfeitUnsavedWork(task, WasteCause::kFaultLostWork);
         DetachFromNode(task);
         AddPending(task);
         break;
-      }
-      case RtTask::State::kRestoring: {
+      case RtTask::State::kRestoring:
         // Abort the restore; the image is untouched. The node's cores died
         // with it, so the interference freeze span is not charged as
         // overhead.
         task->attempt++;
         task->frozen_at = -1;
-        node.ReleaseSuspended(task->spec->demand);
-        auto& bucket = RunningOn(node_id);
-        bucket.erase(std::find(bucket.begin(), bucket.end(), task));
+        DetachFromNode(task);
         AddPending(task);
         break;
-      }
-      case RtTask::State::kDumping: {
-        // The in-flight dump dies with the node: unwind its reservation and
-        // fall back to kill semantics (progress since the last image dies).
-        task->attempt++;
-        ReleaseDumpTicket(task);
-        UnindexPendingDump(task);
-        if (config_.enforce_checkpoint_capacity &&
-            task->pending_dump_bytes > 0) {
-          cluster_->node(task->pending_dump_node)
-              .storage()
-              .Release(task->pending_dump_bytes);
-        }
-        task->pending_dump_bytes = 0;
-        const SimDuration lost =
-            IsService(task) ? 0 : task->work_done - task->saved_work;
-        result_.lost_work_core_hours +=
-            ToHours(lost) * task->spec->demand.cpus;
-        result_.wasted_core_hours += ToHours(lost) * task->spec->demand.cpus;
-        ChargeWaste(WasteCause::kFaultLostWork,
-                    ToHours(lost) * task->spec->demand.cpus, task);
-        task->work_done = task->saved_work;
-        task->unsynced_run = 0;
-        node.ReleaseSuspended(task->spec->demand);
-        auto& bucket = RunningOn(node_id);
-        bucket.erase(std::find(bucket.begin(), bucket.end(), task));
-        AddPending(task);
-        auto it = dump_beneficiary_.find(task);
-        if (it != dump_beneficiary_.end()) {
-          it->second->releases_in_flight--;
-          dump_beneficiary_.erase(it);
-        }
+      case RtTask::State::kDumping:
+        AbandonDump(task);
         break;
-      }
       default:
         break;
     }
@@ -2017,35 +1662,7 @@ void ClusterScheduler::OnNodeFailure(NodeId node_id, SimDuration down_for) {
                                           dumps_to_node_[node_id].end());
   for (RtTask* task : doomed_dumps) {
     CKPT_CHECK(task->state == RtTask::State::kDumping);
-    task->attempt++;
-    ReleaseDumpTicket(task);
-    UnindexPendingDump(task);
-    if (config_.enforce_checkpoint_capacity && task->pending_dump_bytes > 0) {
-      cluster_->node(node_id).storage().Release(task->pending_dump_bytes);
-    }
-    task->pending_dump_bytes = 0;
-    const SimDuration lost =
-        IsService(task) ? 0 : task->work_done - task->saved_work;
-    result_.lost_work_core_hours += ToHours(lost) * task->spec->demand.cpus;
-    result_.wasted_core_hours += ToHours(lost) * task->spec->demand.cpus;
-    ChargeWaste(WasteCause::kFaultLostWork,
-                ToHours(lost) * task->spec->demand.cpus, task);
-    task->work_done = task->saved_work;
-    task->unsynced_run = 0;
-    cluster_->node(task->node).ReleaseSuspended(task->spec->demand);
-    // The seed forgot to refresh the fit summary here: the release grows an
-    // *online* node's Available(), so a stale summary could wrongly report
-    // "nothing fits anywhere". Touch the node for both the summary and the
-    // feasibility index.
-    TouchNode(task->node);
-    auto& bucket = RunningOn(task->node);
-    bucket.erase(std::find(bucket.begin(), bucket.end(), task));
-    AddPending(task);
-    auto it = dump_beneficiary_.find(task);
-    if (it != dump_beneficiary_.end()) {
-      it->second->releases_in_flight--;
-      dump_beneficiary_.erase(it);
-    }
+    AbandonDump(task);
   }
 
   // Checkpoint images whose accounting device was on the failed node.
@@ -2071,11 +1688,8 @@ void ClusterScheduler::EvacuateImage(RtTask* task, NodeId failed) {
     // accounting to an online host.
     for (Node* candidate : cluster_->nodes()) {
       if (!candidate->online() || candidate->id() == failed) continue;
-      if (!config_.enforce_checkpoint_capacity ||
-          candidate->storage().Reserve(task->stored_bytes)) {
-        if (config_.enforce_checkpoint_capacity) {
-          cluster_->node(failed).storage().Release(task->stored_bytes);
-        }
+      if (candidate->storage().Reserve(task->stored_bytes)) {
+        cluster_->node(failed).storage().Release(task->stored_bytes);
         UnindexImage(task);
         task->image_node = candidate->id();
         IndexImage(task);
@@ -2097,14 +1711,189 @@ void ClusterScheduler::EvacuateImage(RtTask* task, NodeId failed) {
 void ClusterScheduler::ReleaseImage(RtTask* task) {
   if (!task->has_image) return;
   UnindexImage(task);
-  if (config_.enforce_checkpoint_capacity) {
-    cluster_->node(task->image_node).storage().Release(task->stored_bytes);
-  }
+  cluster_->node(task->image_node).storage().Release(task->stored_bytes);
   current_checkpoint_bytes_ -= task->stored_bytes;
   task->has_image = false;
   task->stored_bytes = 0;
   task->saved_work = 0;
   BumpOverheadEpoch();  // CanIncrement and restore sizes changed
+}
+
+// --- Checkpoint lifecycle steps ----------------------------------------------
+
+SimDuration ClusterScheduler::RemainingRun(const RtTask* task) const {
+  // A service replica completes at its absolute retirement instant; a batch
+  // task after its remaining work.
+  return IsService(task) ? task->service_end - sim_->Now()
+                         : task->spec->duration - task->work_done;
+}
+
+void ClusterScheduler::ScheduleRun(RtTask* task) {
+  const int attempt = task->attempt;
+  sim_->ScheduleAfter(std::max<SimDuration>(RemainingRun(task), 1),
+                      [this, task, attempt] { OnTaskComplete(task, attempt); });
+  MaybeSchedulePeriodicDump(task);
+}
+
+bool ClusterScheduler::ReserveDump(RtTask* task, bool incremental,
+                                   Bytes dump_bytes) {
+  // Capacity is accounted on the node that serves later restores: the base
+  // image's node for increments, the dumping node for full images.
+  const NodeId target = incremental ? task->image_node : task->node;
+  if (!cluster_->node(target).storage().Reserve(dump_bytes)) return false;
+  task->pending_dump_bytes = dump_bytes;
+  task->pending_dump_node = target;
+  IndexPendingDump(task);
+  return true;
+}
+
+void ClusterScheduler::FreezeForDump(RtTask* task, bool incremental,
+                                     Bytes dump_bytes) {
+  // A full dump replaces (and releases) any previous image; until the new
+  // one commits, a crash restarts the task from scratch.
+  if (!incremental && task->has_image) ReleaseImage(task);
+
+  // Freeze: the process tree stops here and the dump enters the node's
+  // sequential checkpoint queue. While frozen the container keeps its
+  // allocation but burns no CPU, so only the dump's *service* time (actual
+  // I/O work) counts as overhead; queue wait shows up purely in response
+  // times.
+  task->state = RtTask::State::kDumping;
+  Node& node = cluster_->node(task->node);
+  node.Suspend(task->spec->demand);
+  // Available() is unchanged, but the task left kRunning: tighten the
+  // node's releasable aggregate in the feasibility index.
+  TouchNode(task->node);
+  if (task->periodic_dump) {
+    result_.periodic_checkpoints++;
+  } else {
+    result_.checkpoints++;
+    if (incremental) result_.incremental_checkpoints++;
+  }
+  result_.total_checkpoint_bytes_written += dump_bytes;
+
+  if (InterferenceOn()) {
+    // Actual-duration accounting: the dump's real cost (queue wait + device
+    // service + shared-domain drain + any admission deferral) is charged
+    // once at completion from this freeze timestamp.
+    task->frozen_at = sim_->Now();
+  } else {
+    const StorageDevice& device = node.storage();
+    ChargeFreeze(task, device.EstimateWrite(dump_bytes));
+    // Queue wait freezes the task's cores without counting as overhead in
+    // the paper's accounting; attribute it separately.
+    ChargeWaste(WasteCause::kQueueing,
+                ToHours(device.QueueDelay()) * task->spec->demand.cpus, task);
+  }
+
+  const int attempt = task->attempt;
+  LaunchDump(task, attempt, dump_bytes,
+             [this, task, attempt, incremental, dump_bytes](bool ok) {
+               if (ok) {
+                 OnDumpComplete(task, attempt, incremental, dump_bytes);
+               } else {
+                 OnDumpFailed(task, attempt);
+               }
+             });
+}
+
+void ClusterScheduler::EndDump(RtTask* task) {
+  if (task->periodic_dump) {
+    task->periodic_dump = false;
+    ResumeFrozen(task);
+    BumpOverheadEpoch();
+    ScheduleRun(task);
+    return;
+  }
+  task->attempt++;
+  BumpOverheadEpoch();
+  DetachFromNode(task);
+  ApplyResubmitBackoff(task);
+  AddPending(task);
+  ReleaseBeneficiary(task);
+  TrySchedule();
+}
+
+void ClusterScheduler::AbandonDump(RtTask* task) {
+  // The dump dies unfinished: withdraw its admission ticket, and fall back
+  // to kill semantics (progress since the last image dies). An abandoned
+  // freeze is not charged as overhead.
+  task->attempt++;
+  if (task->dump_ticket >= 0 && dump_scheduler_ != nullptr) {
+    dump_scheduler_->Complete(task->dump_ticket);
+  }
+  task->dump_ticket = -1;
+  task->periodic_dump = false;
+  task->frozen_at = -1;
+  ReleaseDumpReservation(task);
+  ForfeitUnsavedWork(task, WasteCause::kFaultLostWork);
+  DetachFromNode(task);
+  AddPending(task);
+  ReleaseBeneficiary(task);
+}
+
+void ClusterScheduler::ReleaseDumpReservation(RtTask* task) {
+  UnindexPendingDump(task);
+  cluster_->node(task->pending_dump_node)
+      .storage()
+      .Release(task->pending_dump_bytes);
+  task->pending_dump_bytes = 0;
+}
+
+void ClusterScheduler::ChargeFreeze(RtTask* task, SimDuration span) {
+  const bool restore = task->state == RtTask::State::kRestoring;
+  (restore ? result_.total_restore_time : result_.total_dump_time) += span;
+  const double core_hours = ToHours(span) * task->spec->demand.cpus;
+  result_.overhead_core_hours += core_hours;
+  result_.wasted_core_hours += core_hours;
+  ChargeWaste(restore               ? WasteCause::kRestoreTransfer
+              : task->periodic_dump ? WasteCause::kPeriodicDumpOverhead
+                                    : WasteCause::kDumpOverhead,
+              core_hours, task);
+}
+
+void ClusterScheduler::EndFreeze(RtTask* task) {
+  if (!InterferenceOn() || task->frozen_at < 0) return;
+  // One reconciling charge for everything the freeze actually cost:
+  // admission deferral, device queue + service, and the shared ingest and
+  // network drain under contention.
+  ChargeFreeze(task, sim_->Now() - task->frozen_at);
+  task->frozen_at = -1;
+}
+
+void ClusterScheduler::ResumeFrozen(RtTask* task) {
+  cluster_->node(task->node).Resume(task->spec->demand);
+  // Available() is unchanged, but the task re-enters kRunning and so grows
+  // the node's releasable set: its feasibility-index leaf must refresh.
+  TouchNode(task->node);
+  task->state = RtTask::State::kRunning;
+  task->run_start = sim_->Now();
+  task->attempt++;
+  // Checkpoint-resumed service replicas come back warm — the asymmetry the
+  // SLO-aware kill-vs-checkpoint decision trades on.
+  ServiceReplicaUp(task, /*cold=*/false);
+}
+
+void ClusterScheduler::ForfeitUnsavedWork(RtTask* task, WasteCause cause) {
+  // A service replica loses no batch work — its cost is SLO-violation
+  // seconds plus the cold restart, accounted by the ServiceManager — so
+  // charging zero keeps the ledger's reconciliation invariant intact.
+  const SimDuration lost =
+      IsService(task) ? 0 : task->work_done - task->saved_work;
+  const double core_hours = ToHours(lost) * task->spec->demand.cpus;
+  result_.lost_work_core_hours += core_hours;
+  result_.wasted_core_hours += core_hours;
+  ChargeWaste(cause, core_hours, task);
+  task->work_done = task->saved_work;
+  task->unsynced_run = 0;
+}
+
+void ClusterScheduler::ReleaseBeneficiary(RtTask* task) {
+  auto it = dump_beneficiary_.find(task);
+  if (it == dump_beneficiary_.end()) return;
+  it->second->releases_in_flight--;
+  CKPT_CHECK_GE(it->second->releases_in_flight, 0);
+  dump_beneficiary_.erase(it);
 }
 
 void ClusterScheduler::IndexImage(RtTask* task) {

@@ -44,23 +44,19 @@ class WorkloadStream;
 enum class WasteCause;
 struct ServicePreemptCost;
 
-// Shared-bandwidth interference model (ROADMAP item 3, Herault et al.'s
-// interfering checkpoints). Off by default; when enabled, checkpoint
-// dumps/restores drain a cluster-wide DFS-ingest BandwidthDomain after
-// their device stage (N concurrent dumps each see ~1/N), network
-// transfers contend at the receiver and cross rack-uplink domains, and
-// dump/restore overhead is charged from actual elapsed freeze time
-// instead of the submit-time estimate.
+// Shared-bandwidth interference model (Herault et al.'s interfering
+// checkpoints). Off by default; when enabled, checkpoint dumps/restores
+// drain a cluster-wide DFS-ingest BandwidthDomain after their device stage
+// (N concurrent dumps each see ~1/N), network transfers occupy the
+// receiver's ingress too and cross-rack ones drain per-rack uplink domains
+// (racks of 16 nodes, 2.5 GB/s uplinks), and dump/restore overhead is
+// charged from actual elapsed freeze time instead of the submit-time
+// estimate.
 struct InterferenceConfig {
   bool enabled = false;
   // Cluster-wide DFS ingest/backbone pool that every checkpoint write to a
   // DFS-backed device drains (fair-shared).
   Bandwidth shared_bw = GBps(1);
-  // Per-rack uplink domains for cross-rack transfers (restores,
-  // replication); rack_size <= 0 disables the rack layer.
-  int rack_size = 16;
-  Bandwidth rack_uplink_bw = GBps(2.5);
-  bool charge_receiver = true;
 };
 
 struct SchedulerConfig {
@@ -71,17 +67,14 @@ struct SchedulerConfig {
   // Checkpoint handling.
   bool incremental_checkpoints = true;
   // Checkpoints go to a DFS: restorable from any node (paper's HDFS
-  // extension). When false, images are local-only (stock CRIU) and a task
-  // can resume only on the node that dumped it.
+  // extension), with a second replica on a random peer. When false, images
+  // are local-only (stock CRIU) and a task can resume only on the node that
+  // dumped it. Either way an image must fit its device: a victim whose
+  // image does not fit falls back to kill.
   bool checkpoint_to_dfs = true;
-  int dfs_replication = 2;
   double adaptive_threshold = 1.0;
   VictimOrder victim_order = VictimOrder::kCostAware;
   RestorePolicy restore_policy = RestorePolicy::kAdaptive;
-  Bytes checkpoint_metadata = 512 * kKiB;
-  // Enforce device capacity for images; a victim whose image does not fit
-  // falls back to kill.
-  bool enforce_checkpoint_capacity = true;
 
   // --- NVRAM-as-virtual-memory extensions (paper S3.2.3 / future work) ---
   // Shadow buffering: while a task runs, a background mirror streams its
@@ -89,11 +82,10 @@ struct SchedulerConfig {
   // residue that the mirror has not caught up with.
   bool shadow_buffering = false;
   Bandwidth shadow_sync_bw = GBps(2);
-  // Lazy (copy-on-touch) restore: resume after reloading metadata plus a
-  // small eagerly-paged fraction; the rest faults back from NVRAM on demand
+  // Lazy (copy-on-touch) restore: resume after reloading metadata plus 5%
+  // of the image, eagerly paged; the rest faults back from NVRAM on demand
   // via OS paging.
   bool lazy_restore = false;
-  double lazy_eager_fraction = 0.05;
 
   // Backoff before a preempted task may be scheduled again (the Google
   // trace shows tens of seconds between eviction and resubmission). Zero
@@ -105,9 +97,6 @@ struct SchedulerConfig {
   // latency_class >= this threshold are never selected as victims
   // (kNumLatencyClasses disables the guard, reproducing the trace).
   int protect_latency_class_at_least = kNumLatencyClasses;
-
-  // Backfill scan bound: pending tasks examined per scheduling pass.
-  int max_backfill_scan = 64;
 
   // O(log n) node-feasibility index over placement/preemption scans. The
   // index descends to exactly the node the linear scan would choose, so
@@ -130,22 +119,13 @@ struct SchedulerConfig {
   // scheduler). Only consulted when interference.enabled.
   DumpSchedulerConfig dump_scheduler;
   // Periodic Young/Daly checkpointing: with a positive MTBF, running tasks
-  // dump in place every sqrt(2 * dump_cost * MTBF) (clamped below by
-  // periodic_ckpt_min_interval) so a node crash loses at most ~one
-  // interval of work instead of everything since the last preemption.
-  // Zero disables; independent of interference.enabled.
+  // dump in place every sqrt(2 * dump_cost * MTBF) (2 min at the shortest)
+  // so a node crash loses at most ~one interval of work instead of
+  // everything since the last preemption. Zero disables; independent of
+  // interference.enabled.
   SimDuration periodic_ckpt_mtbf = 0;
-  SimDuration periodic_ckpt_min_interval = Minutes(2);
 
   std::uint64_t seed = 7;
-
-  // Service workload knobs (only consulted when SubmitServices was called).
-  // Weight converting estimated SLO-violation seconds into the time units
-  // the cost-aware victim order and Algorithm 1's service branch compare
-  // against checkpoint overhead.
-  double service_slo_weight = 1.0;
-  // SLO accounting cadence per service.
-  SimDuration service_tick = Seconds(30);
 
   // Optional metrics/trace sink; not owned, null disables all recording.
   Observability* obs = nullptr;
@@ -249,10 +229,12 @@ class ClusterScheduler {
   // Register long-running service jobs (one replicated RtJob per spec).
   // Replicas never "complete" within the horizon — each runs until its
   // spec's end time — and carry a diurnal traffic curve whose tail latency
-  // is tracked per config.service_tick. Capacity lost to preemption or
-  // checkpoint freezes inflates p99 and accrues SLO-violation seconds
-  // (WasteCause::kSloViolation). Composable with Submit()/SubmitStream();
-  // call at most once, before Run().
+  // is sampled every 30 s. Capacity lost to preemption or checkpoint
+  // freezes inflates p99 and accrues SLO-violation seconds
+  // (WasteCause::kSloViolation); the cost-aware victim order weighs a
+  // replica by those seconds one for one against checkpoint overhead.
+  // Composable with Submit()/SubmitStream(); call at most once, before
+  // Run().
   void SubmitServices(const std::vector<ServiceSpec>& services);
 
   // Null unless SubmitServices was called; per-service SLO totals.
@@ -307,9 +289,9 @@ class ClusterScheduler {
   void PreemptVictim(RtTask* victim, PreemptAction action);
   void KillVictim(RtTask* victim);
   void ApplyResubmitBackoff(RtTask* task);
-  void OnDumpComplete(RtTask* victim, int attempt, bool incremental,
-                      Bytes dump_bytes, SimTime dump_started);
-  void OnDumpFailed(RtTask* victim, int attempt);
+  void OnDumpComplete(RtTask* task, int attempt, bool incremental,
+                      Bytes dump_bytes);
+  void OnDumpFailed(RtTask* task, int attempt);
   // Interference-aware accounting switch: actual elapsed freeze durations
   // instead of submit-time estimates.
   bool InterferenceOn() const { return config_.interference.enabled; }
@@ -322,15 +304,38 @@ class ClusterScheduler {
   // Periodic Young/Daly checkpointing of running tasks.
   void MaybeSchedulePeriodicDump(RtTask* task);
   void StartPeriodicDump(RtTask* task);
-  void OnPeriodicDumpComplete(RtTask* task, int attempt, bool incremental,
-                              Bytes dump_bytes, SimTime frozen_at);
-  void OnPeriodicDumpFailed(RtTask* task, int attempt, SimTime frozen_at);
-  void ResumeAfterPeriodicDump(RtTask* task);
-  // Unwind bookkeeping for an abandoned dump: withdraw/release any dump-
-  // scheduler ticket and clear the interference freeze fields.
-  void ReleaseDumpTicket(RtTask* task);
+  // Checkpoint lifecycle steps. Each is written once and called from every
+  // path that makes its transition: preemption, periodic dumps, restores,
+  // their I/O completions and failures, and node crashes.
+  SimDuration RemainingRun(const RtTask* task) const;
+  // Arm a (re)started run's completion and its next periodic dump.
+  void ScheduleRun(RtTask* task);
+  // Reserve a new image's room on the device that will serve its restores
+  // and record the dump as pending; false, reserving nothing, when the
+  // image does not fit.
+  bool ReserveDump(RtTask* task, bool incremental, Bytes dump_bytes);
+  // Freeze a stopped task whose dump is reserved, charge the freeze and
+  // launch the dump I/O.
+  void FreezeForDump(RtTask* task, bool incremental, Bytes dump_bytes);
+  // After a dump commits or fails: thaw a periodic dumper in place, or hand
+  // a victim's container back and requeue it.
+  void EndDump(RtTask* task);
+  // Unwind a dump whose writer or target node crashed.
+  void AbandonDump(RtTask* task);
+  void ReleaseDumpReservation(RtTask* task);
+  // Charge `span` of frozen cores as overhead of the task's phase.
+  void ChargeFreeze(RtTask* task, SimDuration span);
+  // Under interference, charge the real span since the freeze began.
+  void EndFreeze(RtTask* task);
+  // Thaw a frozen container back into kRunning, its process intact.
+  void ResumeFrozen(RtTask* task);
+  // Charge the progress made since the last image as lost, and roll back.
+  void ForfeitUnsavedWork(RtTask* task, WasteCause cause);
+  // The pending task a finished dump made room for may preempt again.
+  void ReleaseBeneficiary(RtTask* task);
   void OnRestoreFailed(RtTask* task);
   void StopRunning(RtTask* task);  // fold progress, detach from node
+  // Give the task's container, running or frozen, back to its node.
   void DetachFromNode(RtTask* task);
   void ReleaseImage(RtTask* task);
   PreemptAction DecideVictimAction(RtTask* victim) const;

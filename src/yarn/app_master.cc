@@ -96,7 +96,6 @@ void DistributedShellAm::LaunchTask(TaskRt* task, const Container& container) {
   if (task->proc == nullptr) {
     task->proc = std::make_unique<ProcessState>(
         task->spec->id, task->spec->demand.memory, config_.image_page_size);
-    task->proc->metadata_bytes = config_.checkpoint_metadata;
   }
 
   if (task->proc->has_image) {

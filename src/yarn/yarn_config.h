@@ -50,7 +50,6 @@ struct YarnConfig {
   PreemptionPolicy policy = PreemptionPolicy::kKill;
   bool incremental_checkpoints = true;
   double adaptive_threshold = 1.0;
-  RestorePolicy restore_policy = RestorePolicy::kAdaptive;
   VictimOrder victim_order = VictimOrder::kCostAware;
 
   // Sequential checkpoint/restore limit (paper S5.2.2): at most this many
@@ -77,7 +76,6 @@ struct YarnConfig {
   // Plumbing.
   SimDuration rpc_latency = Millis(1);
   Bytes image_page_size = kMiB;  // coarse pages keep big runs cheap
-  Bytes checkpoint_metadata = 512 * kKiB;
 
   std::uint64_t seed = 77;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "obs/observability.h"
 #include "trace/google_trace.h"
@@ -438,6 +439,85 @@ TEST(ClusterScheduler, StreamedRunAgreesWithSubmitOnTotals) {
   EXPECT_EQ(streamed.jobs_completed, submitted.jobs_completed);
   EXPECT_EQ(streamed.node_failures, submitted.node_failures);
 }
+
+// --- Checkpoint lifecycle under faults ---------------------------------------
+
+// One cell of a fault matrix on two SSD nodes: periodic Young/Daly dumps,
+// 5% transient storage write and read faults, and a 30-minute crash of
+// each node, so every dump and restore completion, I/O failure, and crash
+// unwind of the checkpoint lifecycle runs, for preemption and periodic
+// dumps alike.
+struct LifecycleCell {
+  const char* name;
+  PreemptionPolicy policy;
+  bool interference;
+  bool incremental;
+};
+
+void PrintTo(const LifecycleCell& cell, std::ostream* os) { *os << cell.name; }
+
+class CheckpointLifecycle : public ::testing::TestWithParam<LifecycleCell> {};
+
+TEST_P(CheckpointLifecycle, ConservesTasksStorageAndWaste) {
+  const LifecycleCell& cell = GetParam();
+  GoogleTraceConfig trace_config;
+  trace_config.sample_jobs = 80;
+  trace_config.seed = 11;
+  const Workload workload =
+      GoogleTraceGenerator(trace_config).GenerateWorkloadSample();
+
+  Simulator sim;
+  Cluster cluster(&sim);
+  cluster.AddNodes(2, Resources{16.0, GiB(64)}, StorageMedium::Ssd());
+  Observability obs;
+  SchedulerConfig config;
+  config.policy = cell.policy;
+  config.medium = StorageMedium::Ssd();
+  config.incremental_checkpoints = cell.incremental;
+  config.interference.enabled = cell.interference;
+  config.periodic_ckpt_mtbf = Hours(4);
+  config.fault.storage_write_fail_prob = 0.05;
+  config.fault.storage_read_fail_prob = 0.05;
+  config.fault.node_crashes = {{NodeId(0), Hours(1), Minutes(30)},
+                               {NodeId(1), Hours(3), Minutes(30)}};
+  config.obs = &obs;
+  ClusterScheduler scheduler(&sim, &cluster, config);
+  scheduler.Submit(workload);
+  const SimulationResult result = scheduler.Run();
+
+  EXPECT_EQ(result.tasks_completed, workload.TotalTasks());
+  // Completed tasks release their images, and every failed or abandoned
+  // dump gives its reservation back: nothing stays reserved.
+  for (Node* node : cluster.nodes()) {
+    EXPECT_EQ(node->storage().used(), 0) << "node " << node->id().value();
+  }
+  // Every waste charge reached the ledger under a reconciling cause.
+  ASSERT_GT(result.wasted_core_hours, 0);
+  EXPECT_NEAR(obs.waste().ReconcilableCoreHours(), result.wasted_core_hours,
+              1e-9 * result.wasted_core_hours);
+  // The matrix reaches the failure paths it exists for.
+  EXPECT_GT(result.periodic_checkpoint_failures, 0);
+  EXPECT_GT(result.dump_failures, 0);
+  EXPECT_GT(result.restore_failures, 0);
+  EXPECT_GT(result.node_failures, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultMatrix, CheckpointLifecycle,
+    ::testing::Values(
+        LifecycleCell{"Checkpoint", PreemptionPolicy::kCheckpoint, false,
+                      true},
+        LifecycleCell{"Adaptive", PreemptionPolicy::kAdaptive, false, true},
+        LifecycleCell{"CheckpointInterference", PreemptionPolicy::kCheckpoint,
+                      true, true},
+        LifecycleCell{"AdaptiveInterference", PreemptionPolicy::kAdaptive,
+                      true, true},
+        // Full dumps only: each dump replaces the image it finds.
+        LifecycleCell{"CheckpointFullDumps", PreemptionPolicy::kCheckpoint,
+                      false, false}),
+    [](const ::testing::TestParamInfo<LifecycleCell>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace ckpt

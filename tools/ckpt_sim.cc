@@ -13,8 +13,6 @@
 //   $ ckpt_sim --sweep-policies=kill,checkpoint --sweep-media=hdd,ssd,nvm
 //              --sweep-seeds=1,2 --parallel=4
 //   $ ckpt_sim --help
-#include <charconv>
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "cluster/cluster.h"
 #include "common/thread_pool.h"
 #include "obs/observability.h"
@@ -114,28 +113,6 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-// Whole-string number parse: no sign for unsigned types, no trailing text,
-// no overflow.
-template <typename T>
-bool ParseNumber(const std::string& text, T* out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
-bool ParsePositiveInt(const std::string& text, int* out) {
-  return ParseNumber(text, out) && *out > 0;
-}
-
 bool Parse(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -144,46 +121,35 @@ bool Parse(int argc, char** argv, Flags* flags) {
         ParseFlag(arg, "--medium", &flags->medium) ||
         ParseFlag(arg, "--restore", &flags->restore) ||
         ParseFlag(arg, "--victims", &flags->victims) ||
+        ParseFlag(arg, "--dump-policy", &flags->dump_policy) ||
         ParseFlag(arg, "--sweep-policies", &flags->sweep_policies) ||
         ParseFlag(arg, "--sweep-media", &flags->sweep_media) ||
         ParseFlag(arg, "--sweep-seeds", &flags->sweep_seeds)) {
       continue;
     }
+    bool ok = true;
     if (ParseFlag(arg, "--jobs", &value)) {
-      if (!ParsePositiveInt(value, &flags->jobs)) {
-        std::fprintf(stderr, "bad --jobs value: %s\n", value.c_str());
-        return false;
-      }
+      ok = ParsePositiveInt(value, &flags->jobs);
     } else if (ParseFlag(arg, "--util", &value)) {
-      if (!ParseNumber(value, &flags->util) || !std::isfinite(flags->util) ||
-          flags->util <= 0) {
-        std::fprintf(stderr, "bad --util value: %s\n", value.c_str());
-        return false;
-      }
+      ok = ParseFinite(value, &flags->util) && flags->util > 0;
     } else if (ParseFlag(arg, "--threshold", &value)) {
-      flags->threshold = std::atof(value.c_str());
+      ok = ParseFinite(value, &flags->threshold) && flags->threshold > 0;
     } else if (ParseFlag(arg, "--resubmit", &value)) {
-      flags->resubmit_sec = std::atof(value.c_str());
+      ok = ParseFinite(value, &flags->resubmit_sec) &&
+           flags->resubmit_sec >= 0;
     } else if (ParseFlag(arg, "--seed", &value)) {
-      if (!ParseNumber(value, &flags->seed)) {
-        std::fprintf(stderr, "bad --seed value: %s\n", value.c_str());
-        return false;
-      }
+      ok = ParseNumber(value, &flags->seed);
     } else if (ParseFlag(arg, "--parallel", &value)) {
-      if (!ParsePositiveInt(value, &flags->parallel)) {
-        std::fprintf(stderr, "bad --parallel value: %s\n", value.c_str());
-        return false;
-      }
+      ok = ParsePositiveInt(value, &flags->parallel);
     } else if (ParseFlag(arg, "--fail-node", &value)) {
-      flags->fail_node = std::atoi(value.c_str());
+      ok = ParseNumber(value, &flags->fail_node);
     } else if (ParseFlag(arg, "--fail-at", &value)) {
-      flags->fail_at_min = std::atof(value.c_str());
+      ok = ParseFinite(value, &flags->fail_at_min);
     } else if (ParseFlag(arg, "--fail-down", &value)) {
-      flags->fail_down_min = std::atof(value.c_str());
-    } else if (ParseFlag(arg, "--dump-policy", &flags->dump_policy)) {
-      continue;
+      ok = ParseFinite(value, &flags->fail_down_min);
     } else if (ParseFlag(arg, "--periodic-mtbf-min", &value)) {
-      flags->periodic_mtbf_min = std::atof(value.c_str());
+      ok = ParseFinite(value, &flags->periodic_mtbf_min) &&
+           flags->periodic_mtbf_min >= 0;
     } else if (std::strcmp(arg, "--interference") == 0) {
       flags->interference = true;
     } else if (std::strcmp(arg, "--no-incremental") == 0) {
@@ -198,6 +164,10 @@ bool Parse(int argc, char** argv, Flags* flags) {
       return false;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg);
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad flag value: %s\n", arg);
       return false;
     }
   }

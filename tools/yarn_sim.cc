@@ -4,10 +4,10 @@
 //   $ yarn-sim --policy=checkpoint --medium=hdd --scheduling=capacity
 //              --guarantee=0.4
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "cli_flags.h"
 #include "trace/facebook_workload.h"
 #include "yarn/yarn_cluster.h"
 
@@ -52,15 +52,6 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,29 +64,39 @@ int main(int argc, char** argv) {
         ParseFlag(arg, "--scheduling", &flags.scheduling)) {
       continue;
     }
+    bool ok = true;
     if (ParseFlag(arg, "--jobs", &value)) {
-      flags.jobs = std::atoi(value.c_str());
+      // The Facebook workload generator needs at least 4 jobs.
+      ok = ParseNumber(value, &flags.jobs) && flags.jobs >= 4;
     } else if (ParseFlag(arg, "--tasks", &value)) {
-      flags.tasks = std::atoi(value.c_str());
+      ok = ParsePositiveInt(value, &flags.tasks);
     } else if (ParseFlag(arg, "--nodes", &value)) {
-      flags.nodes = std::atoi(value.c_str());
+      ok = ParsePositiveInt(value, &flags.nodes);
     } else if (ParseFlag(arg, "--containers", &value)) {
-      flags.containers = std::atoi(value.c_str());
+      ok = ParsePositiveInt(value, &flags.containers);
     } else if (ParseFlag(arg, "--guarantee", &value)) {
-      flags.guarantee = std::atof(value.c_str());
+      ok = ParseFinite(value, &flags.guarantee) && flags.guarantee >= 0 &&
+           flags.guarantee <= 1;
     } else if (ParseFlag(arg, "--threshold", &value)) {
-      flags.threshold = std::atof(value.c_str());
+      ok = ParseFinite(value, &flags.threshold) && flags.threshold > 0;
     } else if (ParseFlag(arg, "--net-aggregate-gbps", &value)) {
-      flags.net_aggregate_gbps = std::atof(value.c_str());
+      ok = ParseFinite(value, &flags.net_aggregate_gbps) &&
+           flags.net_aggregate_gbps >= 0;
     } else if (ParseFlag(arg, "--rack-uplink-gbps", &value)) {
-      flags.rack_uplink_gbps = std::atof(value.c_str());
+      ok = ParseFinite(value, &flags.rack_uplink_gbps) &&
+           flags.rack_uplink_gbps >= 0;
     } else if (ParseFlag(arg, "--rack-size", &value)) {
-      flags.rack_size = std::atoi(value.c_str());
+      ok = ParseNumber(value, &flags.rack_size) && flags.rack_size >= 0;
     } else if (std::strcmp(arg, "--net-charge-receiver") == 0) {
       flags.charge_receiver = true;
     } else if (std::strcmp(arg, "--no-incremental") == 0) {
       flags.incremental = false;
     } else {
+      Usage(argv[0]);
+      return 2;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad flag value: %s\n", arg);
       Usage(argv[0]);
       return 2;
     }
