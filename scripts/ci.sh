@@ -12,7 +12,9 @@
 # values out of the caller's buffers, so lifetimes are checked by running.
 # The lane also runs the fault, failure-injection and interference suites,
 # whose crash and I/O-failure unwinds erase node-bucket entries and release
-# image reservations by hand.
+# image reservations by hand, and the YARN AM, DAG and MapReduce suites:
+# the ApplicationMaster's lifecycle keeps raw task pointers in engine and
+# network callbacks and erases its waiting and container-map entries.
 #
 # A further lane rebuilds the threaded pieces under ThreadSanitizer and runs
 # the thread-pool tests plus the parallel-sweep determinism check
@@ -107,13 +109,15 @@ python3 "$repo_root/benchmark/run.py" --smoke
 
 # ASan+UBSan lane: the recording paths (tracer spans and instants, audit
 # records with candidate lists, their exports and owning copies) plus the
-# schedulers and DFS that feed them, the checkpoint lifecycle's crash and
-# I/O-failure unwinds, and two traced bench runs.
+# schedulers and DFS that feed them, the checkpoint lifecycles' crash and
+# I/O-failure unwinds (scheduler and ApplicationMaster), and two traced
+# bench runs.
 if [[ -z "${CKPT_SANITIZE:-}" ]]; then
   asan_dir="$build_dir-asan"
   asan_tests=(test_audit_log test_obs_tracer test_obs_export test_packed_ring
     test_json test_waste_ledger test_cluster_scheduler test_yarn_integration
-    test_dfs test_fault test_failure_injection test_interference)
+    test_dfs test_fault test_failure_injection test_interference
+    test_yarn_am test_dag test_dag_shapes test_mapreduce)
   cmake -B "$asan_dir" -S "$repo_root" -DCKPT_SANITIZE=address,undefined
   cmake --build "$asan_dir" -j "$(nproc)" \
     --target "${asan_tests[@]}" bench_fig3_trace_sim bench_fig8_yarn

@@ -5,29 +5,24 @@
 // A job is a DAG of stages; each stage runs `num_tasks` parallel tasks and
 // becomes ready when every upstream stage has finished. A downstream task
 // first *fetches* its input slice from each upstream task's output node
-// (Spark's shuffle / Dryad's channels), then computes. The ApplicationMaster
-// carries the paper's Preemption Manager: Algorithm 1 decides kill vs
-// (incremental) checkpoint per victim, with the input-refetch cost folded
-// into the at-stake side for tasks that already hold their inputs —
-// checkpointing preserves both progress and fetched inputs, killing forfeits
-// both.
+// (Spark's shuffle / Dryad's channels), then computes. RunDagWorkload lowers
+// each job to a staged job of the YARN ApplicationMaster
+// (yarn/app_master.h), which carries the paper's Preemption Manager:
+// Algorithm 1 decides kill vs (incremental) checkpoint per victim, with the
+// input-refetch cost folded into the at-stake side for tasks that already
+// hold their inputs — checkpointing preserves both progress and fetched
+// inputs, killing forfeits both.
 //
 // MapReduce (src/mapreduce) is the two-stage special case of this engine.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "checkpoint/checkpoint_engine.h"
-#include "common/rng.h"
-#include "dfs/network.h"
-#include "scheduler/policy.h"
-#include "sim/simulator.h"
-#include "yarn/resource_manager.h"
+#include "cluster/resources.h"
+#include "common/ids.h"
+#include "common/units.h"
 #include "yarn/yarn_config.h"
 
 namespace ckpt {
@@ -69,66 +64,8 @@ struct DagStats {
   SimDuration restore_time = 0;
 };
 
-class DagAm final : public AppClient {
- public:
-  DagAm(Simulator* sim, ResourceManager* rm, CheckpointEngine* engine,
-        NetworkModel* network, DagJobSpec job, const YarnConfig& config,
-        std::function<void(const DagAm&)> on_done);
-  ~DagAm() override;
-
-  DagAm(const DagAm&) = delete;
-  DagAm& operator=(const DagAm&) = delete;
-
-  void Start();
-
-  // AppClient ---------------------------------------------------------------
-  void OnContainerAllocated(const Container& container) override;
-  void OnPreemptContainer(ContainerId id) override;
-
-  bool Done() const { return stages_left_ == 0; }
-  SimTime finish_time() const { return finish_time_; }
-  const DagJobSpec& job() const { return job_; }
-  const DagStats& stats() const { return stats_; }
-
- private:
-  struct TaskRt;
-  struct StageRt;
-
-  void LaunchTask(TaskRt* task, const Container& container);
-  void StartFetch(TaskRt* task);
-  void OnFetchComplete(TaskRt* task, int attempt);
-  void RunTask(TaskRt* task);
-  void OnTaskComplete(TaskRt* task, int attempt);
-  void HandlePreempt(TaskRt* task);
-  void KillTask(TaskRt* task);
-  void CheckpointTask(TaskRt* task, bool incremental);
-  void RequeueTask(TaskRt* task);
-  void MaybeActivateStages();
-  SimDuration UnsavedProgress(const TaskRt* task) const;
-  void TouchDirtyPages(TaskRt* task);
-  SimDuration InputRefetchCost(const TaskRt* task) const;
-
-  Simulator* sim_;
-  ResourceManager* rm_;
-  CheckpointEngine* engine_;
-  NetworkModel* network_;
-  DagJobSpec job_;
-  YarnConfig config_;
-  std::function<void(const DagAm&)> on_done_;
-  Rng rng_;
-
-  AppId app_;
-  std::vector<std::unique_ptr<StageRt>> stages_;
-  std::unordered_map<int, StageRt*> stage_by_id_;
-  std::deque<TaskRt*> waiting_;
-  std::unordered_map<ContainerId, TaskRt*> by_container_;
-
-  int stages_left_ = 0;
-  DagStats stats_;
-  SimTime finish_time_ = -1;
-};
-
-// Run a set of DAG jobs on a fresh YARN-like cluster.
+// Run a set of DAG jobs on a fresh YarnCluster built from `config`, faults
+// and observability included.
 struct DagRunResult {
   std::int64_t jobs_completed = 0;
   DagStats totals;

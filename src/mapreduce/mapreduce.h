@@ -5,8 +5,9 @@
 // (src/dag): a map stage with no dependencies feeding a reduce stage whose
 // tasks fetch their shuffle partitions from the map output nodes. All
 // preemption behaviour — Algorithm 1 with the shuffle-refetch cost on the
-// at-stake side, incremental dumps, Algorithm-2 resumption — comes from
-// DagAm; this header provides the MapReduce-shaped job spec and statistics.
+// at-stake side, incremental dumps, Algorithm-2 resumption — comes from the
+// YARN ApplicationMaster the DAG engine runs on; this header provides the
+// MapReduce-shaped job spec and statistics.
 #pragma once
 
 #include <cstdint>

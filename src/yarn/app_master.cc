@@ -8,12 +8,33 @@
 
 namespace ckpt {
 
+namespace {
+
+// MemoryImage page size; coarse pages keep big runs cheap.
+constexpr Bytes kImagePageSize = kMiB;
+// Algorithm-1-aware fallback: after this many consecutive dump failures a
+// task stops checkpointing and is killed on preemption instead.
+constexpr int kMaxCheckpointFailures = 3;
+
+}  // namespace
+
+// Fields are ordered so the stage bookkeeping fills padding: a big trace
+// job holds one of these per task.
 struct DistributedShellAm::TaskRt {
   const TaskSpec* spec = nullptr;
   std::unique_ptr<ProcessState> proc;  // created on first launch
 
-  enum class State { kWaiting, kRunning, kDumping, kRestoring, kDone };
-  State state = State::kWaiting;
+  enum class State : std::uint8_t {
+    kBlocked,   // an input stage has not finished
+    kWaiting,   // needs a container
+    kFetching,  // pulling inputs from upstream outputs
+    kRunning,
+    kDumping,
+    kRestoring,
+    kDone
+  };
+  State state = State::kBlocked;
+  bool inputs_fetched = false;
   int attempt = 0;
 
   SimTime submit_time = 0;
@@ -21,28 +42,65 @@ struct DistributedShellAm::TaskRt {
   SimDuration work_done = 0;   // validated work while stopped
   SimDuration saved_work = 0;  // captured in the image
   SimDuration unsynced_run = 0;
-  // Consecutive dump failures; at config.max_checkpoint_failures the AM
-  // stops checkpointing this task (Algorithm-1-aware fallback to kill).
+  // Consecutive dump failures; at kMaxCheckpointFailures the AM stops
+  // checkpointing this task (Algorithm-1-aware fallback to kill).
   int dump_failures = 0;
+  int stage = 0;  // index into stages_
 
   Container container;  // valid while holding one
-  int preempt_count = 0;
+  int pending_fetches = 0;
+};
+
+struct DistributedShellAm::StageRt {
+  JobStage spec;
+  int first_task = 0;  // index of the stage's first task in job_.tasks
+  int tasks_left = 0;
+  bool activated = false;
+  // Some stage fetches this one's output, so output_nodes records the node
+  // of every finished task, in completion order.
+  bool feeds = false;
+  std::vector<NodeId> output_nodes;
 };
 
 DistributedShellAm::DistributedShellAm(
     Simulator* sim, ResourceManager* rm, CheckpointEngine* engine,
-    const JobSpec& job, const YarnConfig& config,
+    NetworkModel* network, const JobSpec& job, std::vector<JobStage> stages,
+    std::uint64_t seed, const YarnConfig& config,
     std::function<void(const DistributedShellAm&)> on_done)
     : sim_(sim),
       rm_(rm),
       engine_(engine),
+      network_(network),
       job_(job),
       config_(config),
       on_done_(std::move(on_done)),
-      rng_(config.seed ^ static_cast<std::uint64_t>(job.id.value() * 7919)) {
+      rng_(seed) {
   CKPT_CHECK(sim != nullptr);
   CKPT_CHECK(rm != nullptr);
   CKPT_CHECK(engine != nullptr);
+  CKPT_CHECK(network != nullptr);
+  if (stages.empty()) {
+    stages.emplace_back();
+    stages.back().num_tasks = static_cast<int>(job_.tasks.size());
+  }
+  const int num_stages = static_cast<int>(stages.size());
+  stages_.resize(stages.size());
+  int first_task = 0;
+  for (int s = 0; s < num_stages; ++s) {
+    for (int input : stages[s].inputs) {
+      CKPT_CHECK(input >= 0 && input < num_stages && input != s)
+          << "job " << job_.id.value() << " stage " << s << " input "
+          << input;
+      stages_[input].feeds = true;
+    }
+    CKPT_CHECK_GE(stages[s].num_tasks, 0);
+    stages_[s].first_task = first_task;
+    stages_[s].tasks_left = stages[s].num_tasks;
+    first_task += stages[s].num_tasks;
+    stages_[s].spec = std::move(stages[s]);
+  }
+  CKPT_CHECK_EQ(first_task, static_cast<int>(job_.tasks.size()))
+      << "stages of job " << job_.id.value() << " must cover its tasks";
 }
 
 DistributedShellAm::~DistributedShellAm() = default;
@@ -51,19 +109,41 @@ void DistributedShellAm::Start() {
   app_ = rm_->RegisterApp(this, job_.priority);
   stats_.tasks_total = static_cast<std::int64_t>(job_.tasks.size());
   tasks_.reserve(job_.tasks.size());
-  for (const TaskSpec& spec : job_.tasks) {
-    auto task = std::make_unique<TaskRt>();
-    task->spec = &spec;
-    task->submit_time = sim_->Now();
-    waiting_.push_back(task.get());
-    tasks_.push_back(std::move(task));
+  for (size_t s = 0; s < stages_.size(); ++s) {
+    for (int i = 0; i < stages_[s].spec.num_tasks; ++i) {
+      auto task = std::make_unique<TaskRt>();
+      task->spec = &job_.tasks[tasks_.size()];
+      task->stage = static_cast<int>(s);
+      task->submit_time = sim_->Now();
+      tasks_.push_back(std::move(task));
+    }
   }
-  if (stats_.tasks_total == 0) {
+  if (Done()) {
     finish_time_ = sim_->Now();
+    rm_->UnregisterApp(app_);
     if (on_done_) on_done_(*this);
     return;
   }
-  rm_->RequestContainers(app_, static_cast<int>(job_.tasks.size()));
+  ActivateReadyStages();
+}
+
+void DistributedShellAm::ActivateReadyStages() {
+  int newly_waiting = 0;
+  for (StageRt& stage : stages_) {
+    if (stage.activated || stage.spec.num_tasks == 0) continue;
+    const bool ready = std::all_of(
+        stage.spec.inputs.begin(), stage.spec.inputs.end(),
+        [this](int input) { return stages_[input].tasks_left == 0; });
+    if (!ready) continue;
+    stage.activated = true;
+    for (int i = 0; i < stage.spec.num_tasks; ++i) {
+      TaskRt* task = tasks_[stage.first_task + i].get();
+      task->state = TaskRt::State::kWaiting;
+      waiting_.push_back(task);
+    }
+    newly_waiting += stage.spec.num_tasks;
+  }
+  if (newly_waiting > 0) rm_->RequestContainers(app_, newly_waiting);
 }
 
 void DistributedShellAm::OnContainerAllocated(const Container& container) {
@@ -95,7 +175,7 @@ void DistributedShellAm::LaunchTask(TaskRt* task, const Container& container) {
 
   if (task->proc == nullptr) {
     task->proc = std::make_unique<ProcessState>(
-        task->spec->id, task->spec->demand.memory, config_.image_page_size);
+        task->spec->id, task->spec->demand.memory, kImagePageSize);
   }
 
   if (task->proc->has_image) {
@@ -122,9 +202,9 @@ void DistributedShellAm::LaunchTask(TaskRt* task, const Container& container) {
                        rm_->ResumeContainer(task->container.id);
                        if (!result.ok) {
                          // The image is unusable (corrupt, replicas lost, or
-                         // I/O kept failing past the retry budget): drop it
-                         // and re-run from scratch in the held container
-                         // rather than crash the AM.
+                         // I/O kept failing past the retry budget): drop it,
+                         // and the inputs it held, and re-run from scratch
+                         // in the held container rather than crash the AM.
                          stats_.restore_failures++;
                          stats_.lost_work += task->saved_work;
                          ChargeWaste(WasteCause::kFaultLostWork,
@@ -133,7 +213,8 @@ void DistributedShellAm::LaunchTask(TaskRt* task, const Container& container) {
                          task->saved_work = 0;
                          task->work_done = 0;
                          task->unsynced_run = 0;
-                         RunTask(task);
+                         task->inputs_fetched = false;
+                         Execute(task);
                          return;
                        }
                        task->work_done = task->saved_work;
@@ -141,7 +222,50 @@ void DistributedShellAm::LaunchTask(TaskRt* task, const Container& container) {
                      });
     return;
   }
-  RunTask(task);
+  Execute(task);
+}
+
+void DistributedShellAm::Execute(TaskRt* task) {
+  if (task->inputs_fetched || stages_[task->stage].spec.inputs.empty()) {
+    RunTask(task);
+    return;
+  }
+  StartFetch(task);
+}
+
+void DistributedShellAm::StartFetch(TaskRt* task) {
+  task->state = TaskRt::State::kFetching;
+  task->attempt++;
+  const int attempt = task->attempt;
+  stats_.input_fetches++;
+
+  // Inputs are in memory once every slice has arrived.
+  auto fetched = [this, task] {
+    task->inputs_fetched = true;
+    task->proc->memory.TouchAll();
+    RunTask(task);
+  };
+  const JobStage& stage = stages_[task->stage].spec;
+  const int width = std::max(stage.num_tasks, 1);
+  task->pending_fetches = 0;
+  for (int input : stage.inputs) {
+    const StageRt& upstream = stages_[input];
+    if (upstream.spec.output_bytes == 0) continue;
+    const Bytes slice = std::max<Bytes>(upstream.spec.output_bytes / width, 1);
+    for (NodeId source : upstream.output_nodes) {
+      task->pending_fetches++;
+      stats_.input_bytes_moved += slice;
+      network_->Transfer(source, task->container.node, slice,
+                         [task, attempt, fetched] {
+                           if (task->attempt == attempt &&
+                               task->state == TaskRt::State::kFetching &&
+                               --task->pending_fetches == 0) {
+                             fetched();
+                           }
+                         });
+    }
+  }
+  if (task->pending_fetches == 0) fetched();
 }
 
 void DistributedShellAm::RunTask(TaskRt* task) {
@@ -170,6 +294,9 @@ void DistributedShellAm::OnTaskComplete(TaskRt* task, int attempt) {
   stats_.tasks_done++;
   stats_.task_response_seconds.push_back(
       ToSeconds(sim_->Now() - task->submit_time));
+  StageRt& stage = stages_[task->stage];
+  if (stage.feeds) stage.output_nodes.push_back(task->container.node);
+  if (--stage.tasks_left == 0) ActivateReadyStages();
   if (Done()) {
     finish_time_ = sim_->Now();
     rm_->UnregisterApp(app_);
@@ -182,19 +309,24 @@ void DistributedShellAm::OnPreemptContainer(ContainerId id) {
   if (it == by_container_.end()) return;  // task completed concurrently
   TaskRt* task = it->second;
   stats_.preempt_events++;
-  task->preempt_count++;
 
-  if (task->state == TaskRt::State::kRestoring) {
-    // Preempted mid-restore: abandon the restore, give the container back;
-    // the image is intact so nothing is lost.
-    task->attempt++;
-    by_container_.erase(task->container.id);
-    rm_->ReleaseContainer(task->container.id);
-    RequeueTask(task);
-    return;
+  switch (task->state) {
+    case TaskRt::State::kRunning:
+      HandlePreempt(task);
+      return;
+    case TaskRt::State::kFetching:
+      // Nothing durable yet: abandon the fetch, as a kill would.
+      stats_.kills++;
+      RequeueTask(task, /*release=*/true);
+      return;
+    case TaskRt::State::kRestoring:
+      // Preempted mid-restore: abandon the restore, give the container back;
+      // the image is intact so nothing is lost.
+      RequeueTask(task, /*release=*/true);
+      return;
+    default:
+      return;  // already vacating
   }
-  if (task->state != TaskRt::State::kRunning) return;
-  HandlePreempt(task);
 }
 
 void DistributedShellAm::OnContainerLost(ContainerId id) {
@@ -202,7 +334,6 @@ void DistributedShellAm::OnContainerLost(ContainerId id) {
   if (it == by_container_.end()) return;  // task completed concurrently
   TaskRt* task = it->second;
   stats_.containers_lost++;
-  by_container_.erase(it);
 
   switch (task->state) {
     case TaskRt::State::kRunning:
@@ -215,7 +346,6 @@ void DistributedShellAm::OnContainerLost(ContainerId id) {
     case TaskRt::State::kDumping:
       // The in-flight dump can never commit (and must not resurrect an
       // image produced on the dead node).
-      engine_->CancelInflight(*task->proc);
       stats_.lost_work += task->work_done - task->saved_work;
       ChargeWaste(WasteCause::kFaultLostWork,
                   task->work_done - task->saved_work, task->container.node);
@@ -223,17 +353,14 @@ void DistributedShellAm::OnContainerLost(ContainerId id) {
     case TaskRt::State::kRestoring:
       // Abandon the restore; the image (wherever its replicas live) is
       // untouched and the task requeues.
-      engine_->CancelInflight(*task->proc);
+    case TaskRt::State::kFetching:
+      // Nothing durable yet.
       break;
-    case TaskRt::State::kWaiting:
-    case TaskRt::State::kDone:
-      return;  // no container should be mapped in these states
+    default:
+      return;  // no container is mapped in these states
   }
-  task->attempt++;
-  task->run_start = -1;
-  task->work_done = task->saved_work;
-  task->unsynced_run = 0;
-  RequeueTask(task);
+  RollBack(task);
+  RequeueTask(task, /*release=*/false);
 }
 
 SimDuration DistributedShellAm::UnsavedProgress(const TaskRt* task) const {
@@ -244,11 +371,24 @@ SimDuration DistributedShellAm::UnsavedProgress(const TaskRt* task) const {
   return progress;
 }
 
+SimDuration DistributedShellAm::InputRefetchCost(const TaskRt* task) const {
+  if (!task->inputs_fetched) return 0;
+  const JobStage& stage = stages_[task->stage].spec;
+  const int width = std::max(stage.num_tasks, 1);
+  Bytes total = 0;
+  for (int input : stage.inputs) {
+    const StageRt& upstream = stages_[input];
+    total += upstream.spec.output_bytes *
+             static_cast<Bytes>(upstream.output_nodes.size()) / width;
+  }
+  return network_->EstimateTransfer(total);
+}
+
 void DistributedShellAm::ChargeWaste(WasteCause cause, SimDuration sim_lost,
                                      NodeId node) {
   if (config_.obs == nullptr) return;
   config_.obs->waste().Add(cause,
-                           ToHours(sim_lost) * config_.container_size.cpus,
+                           ToHours(sim_lost) * kContainerSize.cpus,
                            job_.id.value(),
                            node.valid() ? node.value() : -1);
 }
@@ -331,7 +471,7 @@ void DistributedShellAm::HandlePreempt(TaskRt* task) {
   // matter the estimates. Stop trying to checkpoint it.
   if (config_.policy != PreemptionPolicy::kKill &&
       config_.policy != PreemptionPolicy::kWait &&
-      task->dump_failures >= config_.max_checkpoint_failures) {
+      task->dump_failures >= kMaxCheckpointFailures) {
     RecordPolicyDecision(task, can_increment, "kill_fallback");
     stats_.fallback_kills++;
     KillTask(task);
@@ -353,16 +493,17 @@ void DistributedShellAm::HandlePreempt(TaskRt* task) {
       return;
     case PreemptionPolicy::kAdaptive: {
       // Algorithm 1: dump + restore service time plus the node's checkpoint-
-      // queue backlog (the RM tracks in-flight reservations).
+      // queue backlog (the RM tracks in-flight reservations). Killing
+      // forfeits fetched inputs as well as progress: both are at stake.
       TouchDirtyPages(task);
       const NodeId node = task->container.node;
       const SimDuration overhead =
           rm_->DumpQueueDelay(node) +
           engine_->EstimateDumpService(*task->proc, node, can_increment) +
           engine_->EstimateRestore(*task->proc, node, /*local=*/true);
-      const PreemptAction action =
-          DecidePreemption(UnsavedProgress(task), overhead, can_increment,
-                           config_.adaptive_threshold);
+      const PreemptAction action = DecidePreemption(
+          UnsavedProgress(task) + InputRefetchCost(task), overhead,
+          can_increment, config_.adaptive_threshold);
       RecordPolicyDecision(task, can_increment,
                            action == PreemptAction::kKill
                                ? "kill"
@@ -387,13 +528,8 @@ void DistributedShellAm::KillTask(TaskRt* task) {
   stats_.lost_work += lost;
   ChargeWaste(WasteCause::kKillLostWork, lost, task->container.node);
   stats_.kills++;
-  task->attempt++;
-  task->run_start = -1;
-  task->work_done = task->saved_work;
-  task->unsynced_run = 0;
-  by_container_.erase(task->container.id);
-  rm_->ReleaseContainer(task->container.id);
-  RequeueTask(task);
+  RollBack(task);
+  RequeueTask(task, /*release=*/true);
 }
 
 void DistributedShellAm::TouchDirtyPages(TaskRt* task) {
@@ -459,28 +595,35 @@ void DistributedShellAm::CheckpointTask(TaskRt* task, bool incremental) {
                     ChargeWaste(WasteCause::kFaultLostWork,
                                 task->work_done - task->saved_work,
                                 task->container.node);
-                    task->work_done = task->saved_work;
-                    task->unsynced_run = 0;
-                    task->attempt++;
-                    by_container_.erase(task->container.id);
-                    rm_->ReleaseContainer(task->container.id);
-                    RequeueTask(task);
+                    RollBack(task);
+                    RequeueTask(task, /*release=*/true);
                     return;
                   }
                   task->dump_failures = 0;
                   task->saved_work = task->work_done;
                   task->unsynced_run = 0;
-                  by_container_.erase(task->container.id);
-                  rm_->ReleaseContainer(task->container.id);
-                  RequeueTask(task);
+                  RequeueTask(task, /*release=*/true);
                 });
 }
 
-void DistributedShellAm::RequeueTask(TaskRt* task) {
+void DistributedShellAm::RollBack(TaskRt* task) {
+  task->run_start = -1;
+  task->work_done = task->saved_work;
+  task->unsynced_run = 0;
+  if (!task->proc->has_image) task->inputs_fetched = false;
+}
+
+void DistributedShellAm::RequeueTask(TaskRt* task, bool release) {
+  // Void whatever dump or restore this attempt still has in flight (a
+  // no-op once it has completed), so no stale completion can commit.
+  engine_->CancelInflight(*task->proc);
+  task->attempt++;
+  by_container_.erase(task->container.id);
+  if (release) rm_->ReleaseContainer(task->container.id);
   task->state = TaskRt::State::kWaiting;
   waiting_.push_back(task);
   NodeId preferred;
-  if (task->proc != nullptr && task->proc->has_image) {
+  if (task->proc->has_image) {
     preferred = task->proc->image_node;
   }
   rm_->RequestContainers(app_, 1, preferred);

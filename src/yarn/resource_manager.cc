@@ -7,6 +7,13 @@
 
 namespace ckpt {
 
+namespace {
+
+// RM <-> AM message delay (allocations, preempt events, lost containers).
+constexpr SimDuration kRpcLatency = Millis(1);
+
+}  // namespace
+
 ResourceManager::ResourceManager(Simulator* sim,
                                  std::vector<NodeManager*> nodes,
                                  const YarnConfig& config)
@@ -21,9 +28,9 @@ ResourceManager::ResourceManager(Simulator* sim,
     node_by_id_[i] = nm;
     const Resources capacity = nm->node().capacity();
     const int by_cpu = static_cast<int>(capacity.cpus /
-                                        config_.container_size.cpus);
+                                        kContainerSize.cpus);
     const int by_mem = static_cast<int>(capacity.memory /
-                                        config_.container_size.memory);
+                                        kContainerSize.memory);
     total_slots_ += std::min(by_cpu, by_mem);
   }
   CKPT_CHECK_GE(config_.production_guarantee, 0.0);
@@ -147,7 +154,7 @@ void ResourceManager::OnNodeFailure(NodeId node) {
     AppClient* client = app_it->second.client;
     const ContainerId id = container.id;
     // The AM learns asynchronously, as it would from a missed NM heartbeat.
-    sim_->ScheduleAfter(config_.rpc_latency,
+    sim_->ScheduleAfter(kRpcLatency,
                         [client, id] { client->OnContainerLost(id); });
   }
   RequestSchedule();
@@ -182,14 +189,14 @@ NodeManager* ResourceManager::PickNode(NodeId preferred) {
   const auto pi = static_cast<size_t>(preferred.value());
   if (preferred.valid() && pi < node_by_id_.size()) {
     NodeManager* nm = node_by_id_[pi];
-    if (nm != nullptr && config_.container_size.FitsIn(nm->Available())) {
+    if (nm != nullptr && kContainerSize.FitsIn(nm->Available())) {
       return nm;
     }
   }
   const size_t n = nodes_.size();
   for (size_t i = 0; i < n; ++i) {
     NodeManager* nm = nodes_[(place_cursor_ + i) % n];
-    if (config_.container_size.FitsIn(nm->Available())) {
+    if (kContainerSize.FitsIn(nm->Available())) {
       place_cursor_ = (place_cursor_ + i + 1) % n;
       return nm;
     }
@@ -247,13 +254,13 @@ bool ResourceManager::Allocate(const Ask& ask) {
   container.id = ContainerId(next_container_++);
   container.app = ask.app;
   container.node = nm->id();
-  container.size = config_.container_size;
+  container.size = kContainerSize;
   container.priority = ask.priority;
   container.started = sim_->Now();
   CKPT_CHECK(nm->LaunchContainer(container));
   live_[container.id] = container;
   AppClient* client = app_it->second.client;
-  sim_->ScheduleAfter(config_.rpc_latency, [client, container] {
+  sim_->ScheduleAfter(kRpcLatency, [client, container] {
     client->OnContainerAllocated(container);
   });
   return true;
@@ -387,7 +394,7 @@ void ResourceManager::DispatchPreempts(std::int64_t count) {
     // freezes work that could still be executing.
     if (config_.policy != PreemptionPolicy::kKill &&
         vacating_[static_cast<size_t>(victim->node.value())] >=
-            config_.max_vacating_per_node) {
+            kMaxVacatingPerNode) {
       audit_victim(v, "skipped", "vacating_cap");
       continue;
     }
@@ -431,7 +438,7 @@ void ResourceManager::DispatchPreempts(std::int64_t count) {
     }
     AppClient* client = app_it->second.client;
     const ContainerId cid = victim->id;
-    sim_->ScheduleAfter(config_.rpc_latency,
+    sim_->ScheduleAfter(kRpcLatency,
                         [client, cid] { client->OnPreemptContainer(cid); });
   }
   if (obs != nullptr && cand_used > 0) {

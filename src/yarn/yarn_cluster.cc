@@ -15,13 +15,12 @@ YarnCluster::YarnCluster(YarnConfig config) : config_(config) {
   }
   cluster_ = std::make_unique<Cluster>(sim_.get());
   const Resources per_node{
-      config_.container_size.cpus * config_.containers_per_node,
-      config_.container_size.memory * config_.containers_per_node};
-  cluster_->AddNodes(config_.num_nodes, per_node, config_.medium,
-                     config_.power);
+      kContainerSize.cpus * config_.containers_per_node,
+      kContainerSize.memory * config_.containers_per_node};
+  cluster_->AddNodes(config_.num_nodes, per_node, config_.medium);
 
   network_ = std::make_unique<NetworkModel>(sim_.get(), config_.network);
-  dfs_ = std::make_unique<DfsCluster>(sim_.get(), network_.get(), config_.dfs);
+  dfs_ = std::make_unique<DfsCluster>(sim_.get(), network_.get(), DfsConfig{});
   dfs_->set_observability(config_.obs);
   for (Node* node : cluster_->nodes()) {
     network_->AddNode(node->id());
@@ -38,8 +37,6 @@ YarnCluster::YarnCluster(YarnConfig config) : config_(config) {
 
   RetryPolicy retry;
   retry.max_attempts = std::max(config_.checkpoint_retry_attempts, 1);
-  retry.backoff = config_.checkpoint_retry_backoff;
-  retry.multiplier = config_.checkpoint_retry_multiplier;
   engine_->set_retry_policy(retry);
 
   if (!config_.fault.empty()) {
@@ -79,12 +76,25 @@ YarnCluster::~YarnCluster() {
   if (config_.obs != nullptr) ClearLogClock();
 }
 
+DistributedShellAm& YarnCluster::Submit(
+    const JobSpec& job, std::vector<JobStage> stages, std::uint64_t seed,
+    std::function<void(const DistributedShellAm&)> on_done) {
+  ams_.push_back(std::make_unique<DistributedShellAm>(
+      sim_.get(), rm_.get(), engine_.get(), network_.get(), job,
+      std::move(stages), seed, config_, std::move(on_done)));
+  DistributedShellAm* am = ams_.back().get();
+  sim_->ScheduleAt(job.submit_time, [am] { am->Start(); });
+  return *am;
+}
+
 YarnResult YarnCluster::RunWorkload(const Workload& workload) {
   YarnResult result;
 
   for (const JobSpec& job : workload.jobs) {
-    auto am = std::make_unique<DistributedShellAm>(
-        sim_.get(), rm_.get(), engine_.get(), job, config_,
+    const std::uint64_t seed =
+        config_.seed ^ static_cast<std::uint64_t>(job.id.value() * 7919);
+    Submit(
+        job, {}, seed,
         [&result, this](const DistributedShellAm& am) {
           result.jobs_completed++;
           const double response =
@@ -97,9 +107,6 @@ YarnResult YarnCluster::RunWorkload(const Workload& workload) {
           }
           result.makespan = std::max(result.makespan, sim_->Now());
         });
-    DistributedShellAm* am_ptr = am.get();
-    ams_.push_back(std::move(am));
-    sim_->ScheduleAt(job.submit_time, [am_ptr] { am_ptr->Start(); });
   }
 
   sim_->Run();
@@ -130,7 +137,7 @@ YarnResult YarnCluster::RunWorkload(const Workload& workload) {
   }
 
   // Containers are single-core, so container-held time equals core-time.
-  const double cpus = config_.container_size.cpus;
+  const double cpus = kContainerSize.cpus;
   result.lost_work_core_hours = ToHours(lost_work) * cpus;
   result.overhead_core_hours = ToHours(overhead_time) * cpus;
   result.wasted_core_hours =

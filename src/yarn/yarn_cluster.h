@@ -3,6 +3,8 @@
 // workload, and aggregates the paper's S5.3 metrics.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -76,6 +78,12 @@ class YarnCluster {
 
   // Submit every job at its submit_time, run to completion, aggregate.
   YarnResult RunWorkload(const Workload& workload);
+
+  // Create the AM for `job` (DistributedShellAm describes `stages` and
+  // `seed`) and start it at job.submit_time; the caller then runs sim().
+  DistributedShellAm& Submit(
+      const JobSpec& job, std::vector<JobStage> stages, std::uint64_t seed,
+      std::function<void(const DistributedShellAm&)> on_done);
 
   // Script a node crash at `at`; with `down_for >= 0` the node rejoins
   // (empty) after that long. Crashes listed in config.fault.node_crashes

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "obs/observability.h"
+
 namespace ckpt {
 namespace {
 
@@ -169,6 +173,68 @@ TEST(DagPreemption, KilledTasksRefetchInputs) {
   EXPECT_GT(kill.totals.input_fetches, 5);
 }
 
+// An image holds the fetched inputs as well as the progress: a checkpointed
+// task resumes without fetching again, on every medium.
+TEST(DagPreemption, CheckpointImagesKeepFetchedInputs) {
+  for (MediaKind media : {MediaKind::kHdd, MediaKind::kSsd, MediaKind::kNvm}) {
+    SCOPED_TRACE(static_cast<int>(media));
+    const DagRunResult chk = RunDagWorkload(
+        ContendedDagWorkload(), SmallYarn(PreemptionPolicy::kCheckpoint,
+                                          media));
+    EXPECT_EQ(chk.jobs_completed, 2);
+    ASSERT_GT(chk.totals.checkpoints, 0);
+    EXPECT_EQ(chk.totals.restores, chk.totals.checkpoints);
+    EXPECT_EQ(chk.totals.input_fetches, 5);
+    EXPECT_EQ(chk.totals.input_bytes_moved, MiB(256 + 256 + 128));
+  }
+}
+
+// A batch job whose second stage pulls `output` bytes from each first-stage
+// task, then computes for 10 minutes; a burst takes every container at
+// `burst_at`.
+std::vector<DagJobSpec> ShuffleWorkload(Bytes output, SimTime burst_at) {
+  DagJobSpec batch;
+  batch.id = JobId(0);
+  batch.priority = 1;
+  batch.stages = {Stage(0, {}, 8, Seconds(20), output),
+                  Stage(1, {0}, 8, Minutes(10))};
+  DagJobSpec burst;
+  burst.id = JobId(1);
+  burst.submit_time = burst_at;
+  burst.priority = 9;
+  burst.stages = {Stage(0, {}, 8, Seconds(30))};
+  return {batch, burst};
+}
+
+// Algorithm 1 puts the inputs a kill would forfeit on the at-stake side.
+// Tasks with nothing to refetch are killed 8 s into their run; tasks that
+// fetched 16 GiB each are checkpointed although less progress is at stake.
+TEST(DagPreemption, InputRefetchCostFavoursCheckpoint) {
+  const YarnConfig adaptive =
+      SmallYarn(PreemptionPolicy::kAdaptive, MediaKind::kSsd);
+  const DagRunResult light =
+      RunDagWorkload(ShuffleWorkload(0, Seconds(28)), adaptive);
+  const DagRunResult heavy =
+      RunDagWorkload(ShuffleWorkload(GiB(16), Seconds(40)), adaptive);
+  // The kill policy measures the progress at stake in the heavy run.
+  const DagRunResult heavy_kill =
+      RunDagWorkload(ShuffleWorkload(GiB(16), Seconds(40)),
+                     SmallYarn(PreemptionPolicy::kKill, MediaKind::kSsd));
+
+  EXPECT_EQ(light.totals.preempt_events, 8);
+  EXPECT_EQ(light.totals.kills, 8);
+  EXPECT_EQ(light.totals.checkpoints, 0);
+  EXPECT_EQ(heavy.totals.preempt_events, 8);
+  EXPECT_EQ(heavy.totals.kills, 0);
+  EXPECT_EQ(heavy.totals.checkpoints, 8);
+  EXPECT_EQ(heavy.totals.lost_work, 0);
+  EXPECT_EQ(heavy_kill.totals.kills, 8);
+  EXPECT_GT(heavy_kill.totals.lost_work, 0);
+  EXPECT_LT(heavy_kill.totals.lost_work, light.totals.lost_work);
+  EXPECT_EQ(heavy.jobs_completed, 2);
+  EXPECT_EQ(light.jobs_completed, 2);
+}
+
 TEST(DagPreemption, DeterministicAcrossRuns) {
   const DagRunResult a = RunDagWorkload(
       ContendedDagWorkload(), SmallYarn(PreemptionPolicy::kAdaptive,
@@ -180,16 +246,92 @@ TEST(DagPreemption, DeterministicAcrossRuns) {
   EXPECT_EQ(a.totals.checkpoints, b.totals.checkpoints);
 }
 
-TEST(DagPreemption, AdaptiveCompletesMultiTenantMix) {
+// DAG runs reach observability through YarnCluster: recording must not
+// change a decision, and the AM records the decisions it makes.
+TEST(DagPreemption, ObservabilityDoesNotPerturbDecisions) {
+  YarnConfig config = SmallYarn(PreemptionPolicy::kAdaptive, MediaKind::kSsd);
+  const DagRunResult plain = RunDagWorkload(ContendedDagWorkload(), config);
+  Observability obs;
+  config.obs = &obs;
+  const DagRunResult traced = RunDagWorkload(ContendedDagWorkload(), config);
+  EXPECT_EQ(traced.makespan, plain.makespan);
+  EXPECT_EQ(traced.job_response_seconds, plain.job_response_seconds);
+  EXPECT_EQ(traced.totals.kills, plain.totals.kills);
+  EXPECT_EQ(traced.totals.checkpoints, plain.totals.checkpoints);
+  EXPECT_EQ(traced.totals.input_fetches, plain.totals.input_fetches);
+  ASSERT_GT(plain.totals.checkpoints, 0);
+  std::int64_t decisions = 0;
+  for (const char* action :
+       {"kill", "checkpoint_full", "checkpoint_incremental"}) {
+    decisions += obs.metrics()
+                     .GetCounter("policy.decisions",
+                                 {{"policy", "Adaptive"}, {"action", action}})
+                     ->value();
+  }
+  EXPECT_GE(decisions, plain.totals.checkpoints);
+}
+
+// Three diamonds at rising priorities, 30 s apart.
+std::vector<DagJobSpec> DiamondMix() {
   std::vector<DagJobSpec> jobs;
   for (int j = 0; j < 3; ++j) {
-    DagJobSpec job = DiamondJob(JobId(j), 1 + 4 * j, Seconds(30 * j));
-    jobs.push_back(job);
+    jobs.push_back(DiamondJob(JobId(j), 1 + 4 * j, Seconds(30 * j)));
   }
+  return jobs;
+}
+
+TEST(DagPreemption, AdaptiveCompletesMultiTenantMix) {
   const DagRunResult result = RunDagWorkload(
-      jobs, SmallYarn(PreemptionPolicy::kAdaptive, MediaKind::kHdd));
+      DiamondMix(), SmallYarn(PreemptionPolicy::kAdaptive, MediaKind::kHdd));
   EXPECT_EQ(result.jobs_completed, 3);
   EXPECT_EQ(result.totals.tasks_done, 27);
+}
+
+// DAG jobs run on YarnCluster, so its FaultPlan reaches them: a node crash
+// and transient storage faults cost work, yet every job still completes.
+class DagFaults : public ::testing::TestWithParam<
+                      std::tuple<PreemptionPolicy, MediaKind>> {};
+
+TEST_P(DagFaults, CrashAndStorageFaultsStillComplete) {
+  const auto [policy, media] = GetParam();
+  YarnConfig config = SmallYarn(policy, media);
+  config.fault.node_crashes.push_back({NodeId(0), Seconds(90), Seconds(60)});
+  config.fault.storage_write_fail_prob = 0.05;
+  config.fault.storage_read_fail_prob = 0.05;
+
+  const DagRunResult contended =
+      RunDagWorkload(ContendedDagWorkload(), config);
+  EXPECT_EQ(contended.jobs_completed, 2);
+  EXPECT_EQ(contended.totals.tasks_done, 17);
+  EXPECT_GT(contended.totals.lost_work, 0);
+
+  const DagRunResult mix = RunDagWorkload(DiamondMix(), config);
+  EXPECT_EQ(mix.jobs_completed, 3);
+  EXPECT_EQ(mix.totals.tasks_done, 27);
+  EXPECT_GT(mix.totals.lost_work, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PolicyMedia, DagFaults,
+    ::testing::Combine(::testing::Values(PreemptionPolicy::kCheckpoint,
+                                         PreemptionPolicy::kAdaptive),
+                       ::testing::Values(MediaKind::kSsd, MediaKind::kNvm)));
+
+// A task that dies with its node holds no image, so it loses its fetched
+// inputs along with its progress and fetches them again, as a killed task
+// does. Node 0 crashes 45 s in, while the branch stages run.
+TEST(DagNodeCrash, LostTaskRefetchesItsInputs) {
+  YarnConfig config = SmallYarn(PreemptionPolicy::kKill, MediaKind::kNvm);
+  config.fault.node_crashes.push_back({NodeId(0), Seconds(45), Seconds(30)});
+  const DagRunResult result =
+      RunDagWorkload({DiamondJob(JobId(0), 1)}, config);
+  EXPECT_EQ(result.jobs_completed, 1);
+  EXPECT_EQ(result.totals.tasks_done, 9);
+  EXPECT_EQ(result.totals.preempt_events, 0);
+  EXPECT_GT(result.totals.lost_work, 0);
+  // Without the crash: 5 fetch rounds moving 640 MiB.
+  EXPECT_GT(result.totals.input_fetches, 5);
+  EXPECT_GT(result.totals.input_bytes_moved, MiB(256 + 256 + 128));
 }
 
 }  // namespace

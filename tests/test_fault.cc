@@ -1,6 +1,6 @@
 // Deterministic fault injection and recovery: injector streams, storage-op
 // failures and cancellation, checkpoint retry/swap/corruption semantics, and
-// end-to-end failure runs on the YARN, Mesos and trace-scheduler layers.
+// end-to-end failure runs on the YARN and trace-scheduler layers.
 #include "fault/fault.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "checkpoint/checkpoint_engine.h"
 #include "cluster/cluster.h"
 #include "common/rng.h"
-#include "mesos/mesos.h"
 #include "scheduler/cluster_scheduler.h"
 #include "sim/simulator.h"
 #include "storage/storage_device.h"
@@ -482,43 +481,6 @@ TEST(YarnFaults, PersistentDumpFailureDegradesToKillSemantics) {
   EXPECT_EQ(result.tasks_completed, 16);
   EXPECT_GT(result.dump_failures, 0);
   EXPECT_GT(result.fallback_kills, 0);
-}
-
-// --- Mesos layer under node failure ---------------------------------------
-
-TEST(MesosFaults, NodeFailureRequeuesTasksAndCompletes) {
-  Simulator sim;
-  Cluster cluster(&sim);
-  cluster.AddNodes(2, Resources{4.0, GiB(8)}, StorageMedium::Nvm());
-  NetworkModel net(&sim, NetworkConfig{});
-  DfsConfig dfs_config;
-  dfs_config.replication = 1;
-  DfsCluster dfs(&sim, &net, dfs_config);
-  for (Node* node : cluster.nodes()) {
-    net.AddNode(node->id());
-    dfs.AddDataNode(node->id(), &node->storage());
-  }
-  DfsStore store(&dfs);
-  CheckpointEngine engine(&sim, &store);
-  MesosMaster master(&sim, &cluster, MesosConfig{});
-
-  BatchFrameworkConfig batch;
-  batch.num_tasks = 8;
-  batch.task_duration = Seconds(30);
-  batch.task_demand = Resources{1.0, GiB(2)};
-  batch.policy = PreemptionPolicy::kCheckpoint;
-  BatchFramework fw(&sim, &master, &engine, "batch", batch, nullptr);
-  master.RegisterFramework(&fw, 1);
-  fw.Start();
-
-  sim.ScheduleAt(Seconds(10), [&] { master.InjectNodeFailure(NodeId(0)); });
-  sim.ScheduleAt(Seconds(60), [&] { master.RecoverNode(NodeId(0)); });
-  sim.Run();
-
-  EXPECT_TRUE(fw.Done());
-  EXPECT_EQ(fw.stats().tasks_done, 8);
-  EXPECT_GT(fw.stats().tasks_lost, 0);
-  EXPECT_EQ(master.node_failures(), 1);
 }
 
 // --- Trace scheduler under a FaultPlan ------------------------------------

@@ -163,6 +163,47 @@ TEST_F(YarnAmTest, TaskResponsesCoverEveryTask) {
   }
 }
 
+// A restore abandoned because its container was preempted must never
+// complete later as if live: that would count an engine restore, rebind the
+// image to a node holding no replica, and, under corruption, discard the
+// image of a task still waiting to restore it. Twelve production bursts
+// keep preempting job 0's tasks, often while they restore.
+class YarnAbandonedRestoreTest
+    : public YarnAmTest,
+      public ::testing::WithParamInterface<MediaKind> {
+ protected:
+  static Workload Bursts() {
+    Workload w;
+    w.jobs.push_back(MakeJob(JobId(0), 1, 8, 0, Seconds(600)));
+    for (int b = 0; b < 12; ++b) {
+      w.jobs.push_back(
+          MakeJob(JobId(1 + b), 9, 8, Seconds(60 + 40 * b), Seconds(20)));
+    }
+    return w;
+  }
+};
+
+TEST_P(YarnAbandonedRestoreTest, OnlyLiveRestoresComplete) {
+  YarnCluster yarn(Config(PreemptionPolicy::kCheckpoint, GetParam()));
+  const YarnResult result = yarn.RunWorkload(Bursts());
+  EXPECT_EQ(result.jobs_completed, 13);
+  // Each image is restored to completion exactly once before its task runs.
+  EXPECT_EQ(yarn.engine().restores_completed(), result.checkpoints);
+}
+
+TEST_P(YarnAbandonedRestoreTest, OnlyLiveRestoresDetectCorruption) {
+  YarnConfig config = Config(PreemptionPolicy::kCheckpoint, GetParam());
+  config.fault.image_corruption_prob = 1.0;
+  YarnCluster yarn(config);
+  const YarnResult result = yarn.RunWorkload(Bursts());
+  EXPECT_EQ(result.jobs_completed, 13);
+  EXPECT_EQ(result.corrupt_images, result.restore_failures);
+}
+
+INSTANTIATE_TEST_SUITE_P(Media, YarnAbandonedRestoreTest,
+                         ::testing::Values(MediaKind::kHdd, MediaKind::kSsd,
+                                           MediaKind::kNvm));
+
 // Parameterized sweep: every policy x medium combination must complete the
 // same workload with consistent bookkeeping.
 class YarnPolicyMediaTest

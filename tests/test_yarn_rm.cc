@@ -367,7 +367,7 @@ TEST(RmChurn, MonitorDispatchesUnsatisfiedMinusInFlight) {
         // yields up to its remaining vacating room.
         std::vector<int> eligible(kNodes, 0), room(kNodes, 1 << 20);
         if (policy != PreemptionPolicy::kKill) {
-          std::fill(room.begin(), room.end(), config.max_vacating_per_node);
+          std::fill(room.begin(), room.end(), kMaxVacatingPerNode);
           for (ContainerId id : pending_before) {
             room[static_cast<size_t>(live_before.at(id).node.value())]--;
           }
