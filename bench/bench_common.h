@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/file.h"
 #include "common/thread_pool.h"
 #include "metrics/report.h"
 #include "obs/observability.h"
@@ -40,6 +41,16 @@ inline std::string ObsPath(const std::string& filename) {
   std::string path(dir);
   if (path.back() != '/') path += '/';
   return path + filename;
+}
+
+// Writes an obs artifact to ObsPath(filename). A failure warns on stderr;
+// stdout and the exit status stay as they are.
+inline void WriteObsFile(const std::string& filename,
+                         const std::string& content) {
+  const std::string path = ObsPath(filename);
+  if (!WriteFile(path, content)) {
+    std::fprintf(stderr, "obs: cannot write %s\n", path.c_str());
+  }
 }
 
 // Peak resident set size of this process, in bytes (ru_maxrss is KiB on

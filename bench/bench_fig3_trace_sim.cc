@@ -9,7 +9,6 @@
 // (NVM: -74%/-23%) while high priority suffers on slow media.
 #include <array>
 #include <cstdio>
-#include <fstream>
 
 #include "bench_common.h"
 
@@ -90,10 +89,7 @@ int main(int argc, char** argv) {
       metrics_json += outputs[i].metrics_entry;
     }
     metrics_json += "]}\n";
-    const std::string path = ObsPath("bench_fig3_trace_sim.metrics.json");
-    std::ofstream out(path);
-    out << metrics_json;
-    if (!out) std::fprintf(stderr, "obs: cannot write %s\n", path.c_str());
+    WriteObsFile("bench_fig3_trace_sim.metrics.json", metrics_json);
   }
 
   PrintHeader("Fig 3a: Resource wastage");

@@ -8,7 +8,6 @@
 // response drops 18/53/61% while high-priority is worse on HDD/SSD and
 // comparable on NVM.
 #include <cstdio>
-#include <fstream>
 
 #include "bench_yarn_common.h"
 
@@ -25,11 +24,12 @@ int main(int argc, char** argv) {
               static_cast<long long>(workload.TotalTasks()));
 
   // With CKPT_OBS=1 each policy row gets its own Observability (the rows are
-  // independent sim timelines, so they get separate trace files); metric
-  // snapshots are combined into one bench_fig8_yarn.metrics.json. Rows are
-  // independent cells: each run holds a private Observability and its own
-  // trace file, and per-row metrics JSON is assembled after the sweep so
-  // the file is identical for any --jobs value.
+  // independent sim timelines, so they get separate trace and decision
+  // audit files); metric snapshots are combined into one
+  // bench_fig8_yarn.metrics.json. Rows are independent cells: each run
+  // holds a private Observability and its own files, and per-row metrics
+  // JSON is assembled after the sweep so the file is identical for any
+  // --jobs value.
   const bool obs_enabled = ObsEnabled();
   struct Cell {
     std::string name;
@@ -62,10 +62,14 @@ int main(int argc, char** argv) {
         if (obs_enabled) options.obs = &obs;
         out.result = RunYarn(workload, options);
         if (obs_enabled) {
-          const std::string path =
-              ObsPath("bench_fig8_yarn." + cells[i].name + ".trace.json");
-          if (!obs.WriteChromeTrace(path)) {
-            std::fprintf(stderr, "obs: cannot write %s\n", path.c_str());
+          const std::string base = ObsPath("bench_fig8_yarn." + cells[i].name);
+          if (!obs.WriteChromeTrace(base + ".trace.json")) {
+            std::fprintf(stderr, "obs: cannot write %s.trace.json\n",
+                         base.c_str());
+          }
+          if (!obs.WriteAuditJsonl(base + ".audit.jsonl")) {
+            std::fprintf(stderr, "obs: cannot write %s.audit.jsonl\n",
+                         base.c_str());
           }
           out.metrics_entry = "{\"name\":\"" + cells[i].name +
                               "\",\"metrics\":" + obs.metrics().ToJson() + "}";
@@ -88,10 +92,7 @@ int main(int argc, char** argv) {
       metrics_json += outputs[i].metrics_entry;
     }
     metrics_json += "]}\n";
-    const std::string path = ObsPath("bench_fig8_yarn.metrics.json");
-    std::ofstream out(path);
-    out << metrics_json;
-    if (!out) std::fprintf(stderr, "obs: cannot write %s\n", path.c_str());
+    WriteObsFile("bench_fig8_yarn.metrics.json", metrics_json);
   }
 
   const YarnResult& kill = rows.front().result;

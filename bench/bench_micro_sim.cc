@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <queue>
 #include <string>
@@ -228,10 +227,7 @@ int main(int argc, char** argv) {
                     {{"scenario", sample.scenario}, {"impl", sample.impl}})
           ->Set(sample.EventsPerSec());
     }
-    const std::string path = ObsPath("bench_micro_sim.metrics.json");
-    std::ofstream out(path);
-    out << obs.metrics().ToJson() << "\n";
-    if (!out) std::fprintf(stderr, "obs: cannot write %s\n", path.c_str());
+    WriteObsFile("bench_micro_sim.metrics.json", obs.metrics().ToJson() + "\n");
   }
   return 0;
 }

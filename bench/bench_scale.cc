@@ -9,7 +9,6 @@
 // reference; scripts/check_determinism.sh byte-diffs the two.
 #include <charconv>
 #include <chrono>
-#include <fstream>
 
 #include "bench_common.h"
 
@@ -195,10 +194,7 @@ int main(int argc, char** argv) {
 
   if (obs_enabled) {
     metrics_json += "]}\n";
-    const std::string path = ObsPath("bench_scale.metrics.json");
-    std::ofstream out(path);
-    out << metrics_json;
-    if (!out) std::fprintf(stderr, "obs: cannot write %s\n", path.c_str());
+    WriteObsFile("bench_scale.metrics.json", metrics_json);
   }
   return 0;
 }

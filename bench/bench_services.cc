@@ -24,7 +24,6 @@
 // any value).
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 
 #include "bench_common.h"
@@ -149,10 +148,7 @@ int main(int argc, char** argv) {
       metrics_json += outputs[i].metrics_entry;
     }
     metrics_json += "]}\n";
-    const std::string path = ObsPath("bench_services.metrics.json");
-    std::ofstream out(path);
-    out << metrics_json;
-    if (!out) std::fprintf(stderr, "obs: cannot write %s\n", path.c_str());
+    WriteObsFile("bench_services.metrics.json", metrics_json);
   }
 
   std::vector<std::vector<std::string>> table{

@@ -21,10 +21,9 @@ present) a `candidates` array of objects. --require matches kinds there.
 With --summary the files are not validated. Instead the script prints,
 from Python's json module, what `ckpt-report` prints for the same files:
 per audit stream the record count, candidate rows, time span and records
-per kind; per trace (Chrome .trace.json or .trace.jsonl) the non-metadata
-events per category. The layout is ckpt-report's, byte for byte, so CI
-diffs the two to cross-check ckpt-report's streaming parser against an
-independent one.
+per kind; per Chrome trace the non-metadata events per category. The
+layout is ckpt-report's, byte for byte, so CI diffs the two to
+cross-check ckpt-report's streaming parser against an independent one.
 
 Exit code 0 on success; 1 with a diagnostic on the first violation.
 """
@@ -209,7 +208,7 @@ def table_section(counts, header):
     return render_table(rows)
 
 
-def jsonl_objects(path, what):
+def jsonl_objects(path):
     # Lines end at "\n" only, as in ckpt-report; a stray "\r" is JSON
     # whitespace, not a line break.
     with open(path, "r", encoding="utf-8", errors="surrogatepass",
@@ -221,9 +220,9 @@ def jsonl_objects(path, what):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
-                fail(f"{path}:{lineno}: bad {what}: {e}")
+                fail(f"{path}:{lineno}: bad record: {e}")
             if not isinstance(obj, dict):
-                fail(f"{path}:{lineno}: bad {what}: not a JSON object")
+                fail(f"{path}:{lineno}: bad record: not a JSON object")
             yield obj
 
 
@@ -231,7 +230,7 @@ def audit_summary(path):
     records = candidates = 0
     first_t = last_t = 0
     kinds = collections.Counter()
-    for rec in jsonl_objects(path, "record"):
+    for rec in jsonl_objects(path):
         t = field(rec, "t", "number", 0)
         if records == 0:
             first_t = t
@@ -247,16 +246,13 @@ def audit_summary(path):
 
 
 def trace_summary(path):
-    if path.endswith(".jsonl"):
-        events = list(jsonl_objects(path, "event"))
-    else:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-        if not isinstance(doc, dict):
-            fail(f"{path}: not a JSON object")
-        events = doc.get("traceEvents")
-        events = [e for e in events if isinstance(e, dict)] \
-            if isinstance(events, list) else []
+    with open(path, "r", encoding="utf-8") as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        fail(f"{path}: not a JSON object")
+    events = doc.get("traceEvents")
+    events = [e for e in events if isinstance(e, dict)] \
+        if isinstance(events, list) else []
     categories = collections.Counter(
         field(e, "cat", "string", "?") for e in events
         if field(e, "ph", "string", "") != "M")

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Build, run the test suite, and validate observability output end to end:
 # a short fig8 bench run with CKPT_OBS=1 must produce Chrome traces that
-# scripts/check_trace.py accepts, including ckpt.dump spans and
-# policy.decision instants (the Algorithm-1 cost terms).
+# scripts/check_trace.py accepts, including ckpt.dump spans, and decision
+# audit streams carrying am_decision and rm_preempt_dispatch records (the
+# Algorithm-1 cost terms; decisions are recorded only there).
 #
 # The repository benchmark's smoke run (benchmark/run.py --smoke) must pass
 # every output check.
@@ -45,11 +46,15 @@ trap 'rm -rf "$obs_dir"' EXIT
 CKPT_OBS=1 CKPT_OBS_DIR="$obs_dir" "$build_dir/bench/bench_fig8_yarn" 600 \
   > "$obs_dir/stdout.txt"
 
-# Every policy row must carry Algorithm-1 decision instants; the checkpoint
-# rows must additionally contain dump spans (the Kill row never dumps).
+# Every policy row must audit the AM's Algorithm-1 decisions and the RM's
+# preemption dispatches. Every trace must pass the schema checks, and the
+# checkpoint rows' traces must contain dump and restore spans (the Kill row
+# never dumps).
 python3 "$repo_root/scripts/check_trace.py" \
-  --require policy.decision \
-  "$obs_dir"/bench_fig8_yarn.*.trace.json
+  --require am_decision --require rm_preempt_dispatch \
+  "$obs_dir"/bench_fig8_yarn.*.audit.jsonl
+python3 "$repo_root/scripts/check_trace.py" \
+  "$obs_dir"/bench_fig8_yarn.Kill.trace.json
 python3 "$repo_root/scripts/check_trace.py" \
   --require ckpt.dump --require ckpt.restore \
   "$obs_dir"/bench_fig8_yarn.Chk-*.trace.json
@@ -75,11 +80,12 @@ if grep -q "MISMATCH" "$obs_dir/fig3_report.txt"; then
   exit 1
 fi
 
-# Parser cross-check: ckpt-report's streaming tallies of the fig3 audit
-# streams and the fig8 Chrome traces must equal what Python's json module
-# counts in the same files (check_trace.py --summary prints them in
+# Parser cross-check: ckpt-report's streaming tallies of the fig3 and fig8
+# audit streams and the fig8 Chrome traces must equal what Python's json
+# module counts in the same files (check_trace.py --summary prints them in
 # ckpt-report's layout).
-for artifacts in "bench_fig3_trace_sim.*.audit.jsonl" "bench_fig8_yarn.*.trace.json"; do
+for artifacts in "bench_fig3_trace_sim.*.audit.jsonl" \
+    "bench_fig8_yarn.*.audit.jsonl" "bench_fig8_yarn.*.trace.json"; do
   # shellcheck disable=SC2086  # the pattern is meant to glob
   "$build_dir/tools/ckpt-report" "$obs_dir"/$artifacts > "$obs_dir/report.txt"
   # shellcheck disable=SC2086

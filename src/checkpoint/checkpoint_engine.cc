@@ -1,10 +1,8 @@
 #include "checkpoint/checkpoint_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "checkpoint/dump_scheduler.h"
 #include "common/logging.h"
 #include "fault/fault.h"
 #include "obs/observability.h"
@@ -27,9 +25,7 @@ CheckpointEngine::CheckpointEngine(Simulator* sim, CheckpointStore* store,
 CheckpointEngine::NodeObs& CheckpointEngine::ObsFor(NodeId node) {
   const size_t i = static_cast<size_t>(node.value());
   if (node_obs_.size() <= i) node_obs_.resize(i + 1);
-  NodeObs& h = node_obs_[i];
-  if (h.track.empty()) h.track = Observability::NodeTrack(node);
-  return h;
+  return node_obs_[i];
 }
 
 std::string CheckpointEngine::ImagePath(const ProcessState& proc) const {
@@ -105,49 +101,6 @@ void CheckpointEngine::Dump(ProcessState& proc, NodeId node,
   DumpAttempt(proc, node, opts, 1, std::move(done));
 }
 
-SimDuration CheckpointEngine::PeriodicInterval(const ProcessState& proc,
-                                               NodeId node,
-                                               SimDuration mtbf) const {
-  return YoungDalyInterval(EstimateDumpService(proc, node, true), mtbf);
-}
-
-void CheckpointEngine::StartPeriodicDumps(
-    ProcessState& proc, NodeId node, SimDuration mtbf, DumpOptions opts,
-    std::function<void(const DumpResult&)> on_dump) {
-  CKPT_CHECK_GT(mtbf, 0);
-  const std::int64_t generation = ++periodic_gen_[proc.task.value()];
-  SchedulePeriodic(proc, node, mtbf, opts, generation, std::move(on_dump));
-}
-
-void CheckpointEngine::StopPeriodicDumps(ProcessState& proc) {
-  ++periodic_gen_[proc.task.value()];
-}
-
-void CheckpointEngine::SchedulePeriodic(
-    ProcessState& proc, NodeId node, SimDuration mtbf, DumpOptions opts,
-    std::int64_t generation, std::function<void(const DumpResult&)> on_dump) {
-  const SimDuration interval = PeriodicInterval(proc, node, mtbf);
-  const std::int64_t task = proc.task.value();
-  sim_->ScheduleAfter(
-      interval, [this, &proc, node, mtbf, opts, generation, task,
-                 on_dump = std::move(on_dump)]() mutable {
-        auto it = periodic_gen_.find(task);
-        if (it == periodic_gen_.end() || it->second != generation) return;
-        Dump(proc, node, opts,
-             [this, &proc, node, mtbf, opts, generation, task,
-              on_dump = std::move(on_dump)](DumpResult result) mutable {
-               if (on_dump) on_dump(result);
-               auto it = periodic_gen_.find(task);
-               if (it == periodic_gen_.end() || it->second != generation) {
-                 return;
-               }
-               ++periodic_dumps_;
-               SchedulePeriodic(proc, node, mtbf, opts, generation,
-                                std::move(on_dump));
-             });
-      });
-}
-
 void CheckpointEngine::DumpAttempt(ProcessState& proc, NodeId node,
                                    DumpOptions opts, int attempt,
                                    std::function<void(DumpResult)> done) {
@@ -168,7 +121,7 @@ void CheckpointEngine::DumpAttempt(ProcessState& proc, NodeId node,
   Tracer::SpanId span = Tracer::kInvalidSpan;
   if (obs_ != nullptr) {
     span = obs_->tracer().BeginSpan(
-        "ckpt.dump", "ckpt", ObsFor(node).track, started,
+        "ckpt.dump", "ckpt", obs_->TrackFor(node), started,
         {TraceArg::Num("task", static_cast<double>(proc.task.value())),
          TraceArg::Num("bytes", static_cast<double>(bytes)),
          TraceArg::Num("incremental", can_increment ? 1 : 0)});
@@ -300,7 +253,7 @@ void CheckpointEngine::RestoreAttempt(ProcessState& proc, NodeId node,
   Tracer::SpanId span = Tracer::kInvalidSpan;
   if (obs_ != nullptr) {
     span = obs_->tracer().BeginSpan(
-        "ckpt.restore", "ckpt", ObsFor(node).track, started,
+        "ckpt.restore", "ckpt", obs_->TrackFor(node), started,
         {TraceArg::Num("task", static_cast<double>(proc.task.value())),
          TraceArg::Num("bytes", static_cast<double>(bytes)),
          TraceArg::Num("remote", remote ? 1 : 0)});
@@ -318,7 +271,7 @@ void CheckpointEngine::RestoreAttempt(ProcessState& proc, NodeId node,
         // Integrity check, like CRIU verifying image magic/checksums after
         // the read: a corrupt image is only discovered once loaded.
         if (ok && live && fault_ != nullptr &&
-            fault_->ShouldCorruptImage(ObsFor(node).track)) {
+            fault_->ShouldCorruptImage(Observability::NodeTrack(node))) {
           ok = false;
           result.ok = false;
           result.corrupt = true;

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -116,21 +115,6 @@ class CheckpointEngine {
   // further retries. Call when the initiator dies (node failure, kill).
   void CancelInflight(ProcessState& proc) { ++proc.io_epoch; }
 
-  // Periodic Young/Daly checkpointing against the fault layer: dump `proc`
-  // every PeriodicInterval(...) so a node crash loses at most ~one
-  // interval of work instead of everything since the last preemption.
-  // `on_dump` (optional) observes every attempt's result. The cycle keeps
-  // re-arming until StopPeriodicDumps (or a fresh StartPeriodicDumps)
-  // retires it; the caller must stop the cycle before destroying `proc`.
-  void StartPeriodicDumps(ProcessState& proc, NodeId node, SimDuration mtbf,
-                          DumpOptions opts,
-                          std::function<void(const DumpResult&)> on_dump = {});
-  void StopPeriodicDumps(ProcessState& proc);
-  // The Young/Daly interval for `proc` on `node`: sqrt(2 * C * MTBF) with
-  // C the current estimated dump service time.
-  SimDuration PeriodicInterval(const ProcessState& proc, NodeId node,
-                               SimDuration mtbf) const;
-
   // Retry budget for transient dump/restore failures.
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_; }
@@ -163,7 +147,6 @@ class CheckpointEngine {
   std::int64_t restores_completed() const { return restores_; }
   std::int64_t dump_retries() const { return dump_retries_; }
   std::int64_t restore_retries() const { return restore_retries_; }
-  std::int64_t periodic_dumps() const { return periodic_dumps_; }
   std::int64_t corrupt_images_detected() const { return corrupt_images_; }
   Bytes total_dump_bytes() const { return dump_bytes_; }
   Bytes total_restore_bytes() const { return restore_bytes_; }
@@ -180,16 +163,12 @@ class CheckpointEngine {
   // Record a retry: counter + trace instant, plus the backoff delay
   // charged to the waste ledger's fault_retry cause against `node`.
   void CountRetry(const char* op, SimDuration backoff, NodeId node);
-  void SchedulePeriodic(ProcessState& proc, NodeId node, SimDuration mtbf,
-                        DumpOptions opts, std::int64_t generation,
-                        std::function<void(const DumpResult&)> on_dump);
 
   // Per-node observability handles, resolved lazily one series at a time so
   // the emitted series set stays exactly what the run actually touched, but
   // each dump/restore completion stops re-building label maps and series
-  // keys. `track` is the cached "node/N" tracer-track spelling.
+  // keys.
   struct NodeObs {
-    std::string track;
     Counter* dump_count_full = nullptr;
     Counter* dump_count_incremental = nullptr;
     Histogram* dump_seconds = nullptr;
@@ -212,10 +191,6 @@ class CheckpointEngine {
   std::int64_t restores_ = 0;
   std::int64_t dump_retries_ = 0;
   std::int64_t restore_retries_ = 0;
-  std::int64_t periodic_dumps_ = 0;
-  // Task id -> live periodic-cycle generation; Stop/Start bump it and any
-  // pending timer or completion with an older generation retires itself.
-  std::map<std::int64_t, std::int64_t> periodic_gen_;
   std::int64_t corrupt_images_ = 0;
   std::vector<NodeObs> node_obs_;  // indexed by node id (dense)
   Bytes dump_bytes_ = 0;

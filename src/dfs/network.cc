@@ -106,30 +106,6 @@ SimTime NetworkModel::Transfer(NodeId src, NodeId dst, Bytes size,
   return egress_done + config_.fabric_latency;
 }
 
-SimDuration NetworkModel::EstimateTransferContended(NodeId src, NodeId dst,
-                                                    Bytes size) const {
-  if (src == dst) return 0;
-  SimDuration total = EstimateTransfer(size);
-  if (!HasSharedDomains()) return total;
-  const bool cross_rack =
-      config_.rack_size <= 0 || RackOf(src) != RackOf(dst);
-  if (config_.rack_size > 0 && config_.rack_uplink_bw > 0) {
-    if (!cross_rack) return total;
-    for (const int rack : {RackOf(src), RackOf(dst)}) {
-      auto it = racks_.find(rack);
-      if (it != racks_.end()) {
-        total += it->second->EstimateDrain(size);
-      } else {
-        total += TransferTime(size, config_.rack_uplink_bw);
-      }
-    }
-  }
-  if (aggregate_ != nullptr && cross_rack) {
-    total += aggregate_->EstimateDrain(size);
-  }
-  return total;
-}
-
 void NetworkModel::ForEachDomain(
     const std::function<void(const BandwidthDomain&)>& fn) const {
   for (const auto& [rack, domain] : racks_) fn(*domain);

@@ -66,12 +66,6 @@ class NetworkModel {
     return config_.fabric_latency + TransferTime(size, config_.link_bw);
   }
 
-  // Service time for one transfer including the current fair-share
-  // contention on the shared stages it would cross — the
-  // interference-aware bw_net term for Algorithm 2.
-  SimDuration EstimateTransferContended(NodeId src, NodeId dst,
-                                        Bytes size) const;
-
   // Current egress backlog of `node`.
   SimDuration QueueDelay(NodeId node) const;
 

@@ -1,24 +1,16 @@
 #include "obs/observability.h"
 
-#include <fstream>
+#include "common/file.h"
 
 namespace ckpt {
 
-namespace {
-// Writes the serialized buffer as is; `trailer` ends the single-document
-// formats with a newline without copying the document to append it. The
-// stream is closed before its state is read: a file smaller than the
-// stream buffer reaches the disk only in that final flush.
-bool WriteFile(const std::string& path, const std::string& content,
-               const char* trailer = "") {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  out << trailer;
-  out.close();
-  return static_cast<bool>(out);
+const std::string& Observability::TrackFor(NodeId node) {
+  const auto i = static_cast<std::size_t>(node.value());
+  if (node_tracks_.size() <= i) node_tracks_.resize(i + 1);
+  std::string& track = node_tracks_[i];
+  if (track.empty()) track = NodeTrack(node);
+  return track;
 }
-}  // namespace
 
 bool Observability::WriteMetricsJson(const std::string& path) const {
   return WriteFile(path, metrics_.ToJson(), "\n");
@@ -26,10 +18,6 @@ bool Observability::WriteMetricsJson(const std::string& path) const {
 
 bool Observability::WriteChromeTrace(const std::string& path) const {
   return WriteFile(path, tracer_.ToChromeJson(), "\n");
-}
-
-bool Observability::WriteTraceJsonl(const std::string& path) const {
-  return WriteFile(path, tracer_.ToJsonl());
 }
 
 bool Observability::WriteAuditJsonl(const std::string& path) const {

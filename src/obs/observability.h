@@ -7,6 +7,7 @@
 // benches construct their own context and pass it through the config.
 #pragma once
 
+#include <deque>
 #include <string>
 
 #include "common/ids.h"
@@ -45,11 +46,14 @@ class Observability {
   static std::string NodeLabel(NodeId node) {
     return std::to_string(node.value());
   }
+  // NodeTrack(node), built once per node and shared by every component
+  // recording into this context. The reference stays valid for the
+  // context's lifetime: growing a deque at its end never moves elements.
+  const std::string& TrackFor(NodeId node);
 
   // Export helpers; false when the file cannot be written.
   bool WriteMetricsJson(const std::string& path) const;
   bool WriteChromeTrace(const std::string& path) const;
-  bool WriteTraceJsonl(const std::string& path) const;
   bool WriteAuditJsonl(const std::string& path) const;
 
   // Folds end-of-run derived series into the metrics registry: the waste
@@ -65,6 +69,7 @@ class Observability {
   AuditLog audit_;
   WasteLedger waste_;
   SelfProfile self_profile_;
+  std::deque<std::string> node_tracks_;  // indexed by node id (dense)
 };
 
 }  // namespace ckpt

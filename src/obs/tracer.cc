@@ -191,16 +191,4 @@ std::string Tracer::ToChromeJson() const {
   return out;
 }
 
-std::string Tracer::ToJsonl() const {
-  std::vector<std::string_view> tracks;
-  const std::vector<int> tids = TrackTids(ring_, &tracks);
-  std::string out;
-  out.reserve(ring_.size() * kExportBytesPerEvent);
-  for (std::size_t i : SortedRecords(ring_)) {
-    AppendEvent(ring_, i, tids[i], &out);
-    out.push_back('\n');
-  }
-  return out;
-}
-
 }  // namespace ckpt

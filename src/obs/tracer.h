@@ -1,11 +1,12 @@
 // Sim-time structured event tracing.
 //
 // Spans (begin/end pairs, e.g. ckpt.dump, dfs.write) and instant events
-// (rm.preempt_event, policy.decision) are recorded against the simulator's
+// (fault.node_crash, fault.ckpt_retry) are recorded against the simulator's
 // microsecond clock — callers pass Now() explicitly, so the tracer has no
-// dependency on the simulator and stays deterministic. Completed events sit
-// in a bounded ring buffer (overflow drops the oldest), exportable as
-// Chrome trace_event JSON (about:tracing / Perfetto) or as JSONL.
+// dependency on the simulator and stays deterministic. Scheduler decisions
+// are not traced: each one is recorded once, in the AuditLog. Completed
+// events sit in a bounded ring buffer (overflow drops the oldest),
+// exportable as Chrome trace_event JSON (about:tracing / Perfetto).
 #pragma once
 
 #include <cstdint>
@@ -55,13 +56,6 @@ class Tracer {
   void Instant(std::string_view name, std::string_view category,
                std::string_view track, SimTime now, ArgSpan args = {});
 
-  // Instant(record->name, record->category, record->track, now,
-  // record->args); *record is left as it was.
-  void InstantSwap(TraceRecord* record, SimTime now) {
-    Instant(record->name, record->category, record->track, now,
-            record->args);
-  }
-
   std::size_t size() const { return ring_.size(); }
   std::size_t capacity() const { return ring_.capacity(); }
   std::size_t open_spans() const { return open_.size(); }
@@ -73,9 +67,6 @@ class Tracer {
   // Chrome trace_event format: {"traceEvents":[...]} with one metadata
   // thread_name event per track. Timestamps are sim microseconds.
   std::string ToChromeJson() const;
-
-  // One JSON object per line; same fields, no enclosing array.
-  std::string ToJsonl() const;
 
  private:
   // An open span: its header and its name, category, track and begin

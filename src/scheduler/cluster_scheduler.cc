@@ -706,7 +706,7 @@ bool ClusterScheduler::TryPlace(RtTask* task) {
                   ? "always_remote"
                   : "adaptive";
     obs->audit().Event(
-        "restore_decision", NodeTrackCached(node->id()), sim_->Now(),
+        "restore_decision", obs->TrackFor(node->id()), sim_->Now(),
         {TraceArg::Num("task", static_cast<double>(task->spec->id.value())),
          TraceArg::Num("job", static_cast<double>(task->job->spec.id.value())),
          TraceArg::Num("image_node",
@@ -1074,18 +1074,6 @@ PreemptAction ClusterScheduler::DecideVictimAction(RtTask* victim) const {
   return PreemptAction::kKill;
 }
 
-namespace {
-const char* ActionName(PreemptAction action) {
-  switch (action) {
-    case PreemptAction::kKill: return "kill";
-    case PreemptAction::kCheckpointFull: return "checkpoint_full";
-    case PreemptAction::kCheckpointIncremental:
-      return "checkpoint_incremental";
-  }
-  return "unknown";
-}
-}  // namespace
-
 void ClusterScheduler::ChargeWaste(WasteCause cause, double amount,
                                    const RtTask* task) {
   if (config_.obs == nullptr) return;
@@ -1094,38 +1082,14 @@ void ClusterScheduler::ChargeWaste(WasteCause cause, double amount,
                            task->node.valid() ? task->node.value() : -1);
 }
 
-const std::string& ClusterScheduler::NodeTrackCached(NodeId node) const {
-  const size_t i = static_cast<size_t>(node.value());
-  if (node_tracks_.size() <= i) node_tracks_.resize(i + 1);
-  std::string& track = node_tracks_[i];
-  if (track.empty()) track = Observability::NodeTrack(node);
-  return track;
-}
-
-void ClusterScheduler::RecordVictimDecision(const RtTask* victim,
-                                            PreemptAction action) const {
-  Observability* obs = config_.obs;
-  if (obs == nullptr) return;
-  const char* name = ActionName(action);
-  const SimDuration queue =
-      cluster_->node(victim->node).storage().QueueDelay();
-  obs->tracer().Instant(
-      "policy.decision", "policy", NodeTrackCached(victim->node), sim_->Now(),
-      {TraceArg::Num("task", static_cast<double>(victim->spec->id.value())),
-       TraceArg::Num("unsaved_progress_s", ToSeconds(UnsavedProgress(victim))),
-       TraceArg::Num("dump_queue_s", ToSeconds(queue)),
-       TraceArg::Num("overhead_s",
-                     ToSeconds(VictimCheckpointOverhead(victim))),
-       TraceArg::Num("threshold", config_.adaptive_threshold),
-       TraceArg::Str("action", name)});
-  // Counter handles are series-stable; resolving them on first use (not at
-  // construction) keeps the emitted series set identical to the per-call
-  // lookup this replaces.
+void ClusterScheduler::CountVictimDecision(PreemptAction action) {
+  // Handles resolve on first use, not at construction, so only the
+  // actions a run takes appear as series.
   Counter*& decisions = decision_counters_[static_cast<size_t>(action)];
   if (decisions == nullptr) {
-    decisions = obs->metrics().GetCounter(
-        "policy.decisions",
-        {{"policy", PolicyName(config_.policy)}, {"action", name}});
+    decisions = config_.obs->metrics().GetCounter(
+        "policy.decisions", {{"policy", PolicyName(config_.policy)},
+                             {"action", ActionName(action)}});
   }
   decisions->Inc();
 }
@@ -1139,7 +1103,7 @@ void ClusterScheduler::RecordServicePreempt(
   const ServiceSpec& spec = services_->spec(s);
   const SimTime now = sim_->Now();
   obs->audit().Event(
-      "service_preempt", NodeTrackCached(victim->node), now,
+      "service_preempt", obs->TrackFor(victim->node), now,
       {TraceArg::Num("service", static_cast<double>(spec.id)),
        TraceArg::Num("replica", static_cast<double>(victim->replica_idx)),
        TraceArg::Num("rate_rps", DiurnalRate(spec, now)),
@@ -1348,8 +1312,8 @@ bool ClusterScheduler::TryPreemptFor(RtTask* task) {
     if (obs != nullptr) {
       audit_candidate(victim, ActionName(action),
                       fallback ? "dump_failures_fallback" : "selected");
+      CountVictimDecision(action);
     }
-    RecordVictimDecision(victim, action);
     PreemptVictim(victim, action);
     if (victim->state == RtTask::State::kDumping) {
       // Remember whom this dump is for; until it completes the beneficiary
@@ -1362,7 +1326,7 @@ bool ClusterScheduler::TryPreemptFor(RtTask* task) {
     args.push_back(
         TraceArg::Num("chosen_node", static_cast<double>(chosen->id().value())));
     args.push_back(TraceArg::Str("outcome", "preempted"));
-    obs->audit().Event("preempt_scan", NodeTrackCached(chosen->id()),
+    obs->audit().Event("preempt_scan", obs->TrackFor(chosen->id()),
                        sim_->Now(), args,
                        {preempt_candidates_.data(), cand_used});
   }
@@ -1423,7 +1387,7 @@ void ClusterScheduler::PreemptVictim(RtTask* victim, PreemptAction action) {
     result_.capacity_fallback_kills++;
     if (config_.obs != nullptr) {
       config_.obs->audit().Event(
-          "capacity_fallback", NodeTrackCached(victim->node),
+          "capacity_fallback", config_.obs->TrackFor(victim->node),
           sim_->Now(),
           {TraceArg::Num("task",
                          static_cast<double>(victim->spec->id.value())),

@@ -339,7 +339,9 @@ class ClusterScheduler {
   void DetachFromNode(RtTask* task);
   void ReleaseImage(RtTask* task);
   PreemptAction DecideVictimAction(RtTask* victim) const;
-  void RecordVictimDecision(const RtTask* victim, PreemptAction action) const;
+  // Ticks policy.decisions for one victim (obs only); the decision itself
+  // is recorded in the preempt_scan audit record's candidate list.
+  void CountVictimDecision(PreemptAction action);
   // --- Service workload hooks (all no-ops unless SubmitServices ran) ---
   bool IsService(const RtTask* task) const;
   // Capacity bookkeeping: a replica comes up cold (fresh start / post-kill
@@ -355,9 +357,6 @@ class ClusterScheduler {
   SimDuration VictimSloPenalty(const RtTask* victim) const;
   void RecordServicePreempt(const RtTask* victim, PreemptAction action,
                             const ServicePreemptCost& cost) const;
-  // Canonical "node/N" track spelling from a lazily filled per-node cache
-  // (node ids are dense), so hot audit/trace sites stop re-formatting it.
-  const std::string& NodeTrackCached(NodeId node) const;
   // Mirror of a result_ waste increment into the ledger (no-op without
   // obs); `amount` is in the cause's unit, attribution from the task.
   void ChargeWaste(WasteCause cause, double amount, const RtTask* task);
@@ -469,11 +468,8 @@ class ClusterScheduler {
   // capacity instead of allocating per decision.
   TraceArgs preempt_args_;
   std::vector<TraceArgs> preempt_candidates_;
-  // Per-node "node/N" spellings (see NodeTrackCached) and policy.decisions
-  // counter handles resolved on first use per action; mutable because the
-  // const decision-recording paths fill them.
-  mutable std::vector<std::string> node_tracks_;
-  mutable std::array<Counter*, 3> decision_counters_{};
+  // policy.decisions counter handles, one per PreemptAction.
+  std::array<Counter*, 3> decision_counters_{};
 
   // Feasibility-index work counter (leaves recomputed by flushes); cheap
   // enough to keep always-on, exported and audited only under obs.

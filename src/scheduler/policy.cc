@@ -14,6 +14,16 @@ const char* PolicyName(PreemptionPolicy policy) {
   return "?";
 }
 
+const char* ActionName(PreemptAction action) {
+  switch (action) {
+    case PreemptAction::kKill: return "kill";
+    case PreemptAction::kCheckpointFull: return "checkpoint_full";
+    case PreemptAction::kCheckpointIncremental:
+      return "checkpoint_incremental";
+  }
+  return "unknown";
+}
+
 SimDuration EstimateCheckpointOverhead(const CheckpointCost& cost) {
   CKPT_CHECK_GE(cost.dump_bytes, 0);
   CKPT_CHECK_GE(cost.restore_bytes, 0);

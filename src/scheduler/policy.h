@@ -60,6 +60,10 @@ SimDuration EstimateCheckpointOverhead(const CheckpointCost& cost);
 
 enum class PreemptAction { kKill, kCheckpointFull, kCheckpointIncremental };
 
+// "kill", "checkpoint_full" or "checkpoint_incremental": the action's
+// spelling in audit records and the policy.decisions counter.
+const char* ActionName(PreemptAction action);
+
 // Decide kill vs (incremental) checkpoint for one victim.
 //  `unsaved_progress` — work that dies with the task if killed;
 //  `overhead`         — EstimateCheckpointOverhead result;

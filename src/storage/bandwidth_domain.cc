@@ -55,13 +55,6 @@ BandwidthDomain::FlowId BandwidthDomain::StartFlow(Bytes bytes,
   return id;
 }
 
-SimDuration BandwidthDomain::EstimateDrain(Bytes bytes) const {
-  const double rate =
-      capacity_ / 1e6 / static_cast<double>(flows_.size() + 1);
-  return static_cast<SimDuration>(
-      std::ceil(static_cast<double>(bytes) / rate));
-}
-
 void BandwidthDomain::Reschedule() {
   if (event_armed_) {
     sim_->Cancel(next_event_);

@@ -35,11 +35,6 @@ class BandwidthDomain {
   // Every other active flow slows down immediately.
   FlowId StartFlow(Bytes bytes, std::function<void()> done);
 
-  // Drain time for a hypothetical flow of `bytes` entering now, assuming
-  // the current flow population persists (each of the n+1 flows then gets
-  // capacity/(n+1)). The no-contention estimate when the pool is idle.
-  SimDuration EstimateDrain(Bytes bytes) const;
-
   // Slowdown factor a new flow would see vs an idle pool: active()+1.
   double ContentionFactor() const {
     return static_cast<double>(flows_.size() + 1);

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/file.h"
 #include "common/logging.h"
 
 namespace ckpt {
@@ -83,10 +84,9 @@ std::int64_t WriteTraceCsv(const EventTrace& trace, std::ostream& out) {
 }
 
 bool WriteTraceCsvFile(const EventTrace& trace, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  WriteTraceCsv(trace, out);
-  return static_cast<bool>(out);
+  std::ostringstream csv;
+  WriteTraceCsv(trace, csv);
+  return WriteFile(path, csv.view());
 }
 
 TraceReadResult ReadTraceCsv(std::istream& in) {

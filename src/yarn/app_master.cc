@@ -407,20 +407,6 @@ void DistributedShellAm::RecordPolicyDecision(TaskRt* task, bool can_increment,
   const SimDuration restore =
       engine_->EstimateRestore(*task->proc, node, /*local=*/true);
   const SimDuration unsaved = UnsavedProgress(task);
-  const std::string& track = NodeTrackCached(node);
-  obs->tracer().Instant(
-      "policy.decision", "policy", track, sim_->Now(),
-      {TraceArg::Num("task", static_cast<double>(task->spec->id.value())),
-       TraceArg::Num("container",
-                     static_cast<double>(task->container.id.value())),
-       TraceArg::Num("unsaved_progress_s", ToSeconds(unsaved)),
-       TraceArg::Num("dump_queue_s", ToSeconds(queue)),
-       TraceArg::Num("dump_service_s", ToSeconds(dump_service)),
-       TraceArg::Num("restore_s", ToSeconds(restore)),
-       TraceArg::Num("overhead_s", ToSeconds(queue + dump_service + restore)),
-       TraceArg::Num("threshold", config_.adaptive_threshold),
-       TraceArg::Num("incremental_available", can_increment ? 1 : 0),
-       TraceArg::Str("action", action)});
   // Per-action counter handle, resolved on first use only so the emitted
   // series set matches the per-call lookup exactly.
   Counter* counter = nullptr;
@@ -438,7 +424,7 @@ void DistributedShellAm::RecordPolicyDecision(TaskRt* task, bool can_increment,
   }
   counter->Inc();
   obs->audit().Event(
-      "am_decision", track, sim_->Now(),
+      "am_decision", obs->TrackFor(node), sim_->Now(),
       {TraceArg::Num("task", static_cast<double>(task->spec->id.value())),
        TraceArg::Num("job", static_cast<double>(job_.id.value())),
        TraceArg::Num("container",
@@ -455,14 +441,6 @@ void DistributedShellAm::RecordPolicyDecision(TaskRt* task, bool can_increment,
        TraceArg::Str("action", action)});
 }
 
-const std::string& DistributedShellAm::NodeTrackCached(NodeId node) {
-  const size_t i = static_cast<size_t>(node.value());
-  if (node_tracks_.size() <= i) node_tracks_.resize(i + 1);
-  std::string& track = node_tracks_[i];
-  if (track.empty()) track = Observability::NodeTrack(node);
-  return track;
-}
-
 void DistributedShellAm::HandlePreempt(TaskRt* task) {
   const bool can_increment =
       config_.incremental_checkpoints && task->proc->has_image;
@@ -477,20 +455,17 @@ void DistributedShellAm::HandlePreempt(TaskRt* task) {
     KillTask(task);
     return;
   }
+  PreemptAction action = PreemptAction::kKill;
   switch (config_.policy) {
     case PreemptionPolicy::kWait:
       CKPT_CHECK(false) << "wait policy never sends preempt events";
       return;
     case PreemptionPolicy::kKill:
-      RecordPolicyDecision(task, can_increment, "kill");
-      KillTask(task);
-      return;
+      break;
     case PreemptionPolicy::kCheckpoint:
-      RecordPolicyDecision(task, can_increment,
-                           can_increment ? "checkpoint_incremental"
-                                         : "checkpoint_full");
-      CheckpointTask(task, can_increment);
-      return;
+      action = can_increment ? PreemptAction::kCheckpointIncremental
+                             : PreemptAction::kCheckpointFull;
+      break;
     case PreemptionPolicy::kAdaptive: {
       // Algorithm 1: dump + restore service time plus the node's checkpoint-
       // queue backlog (the RM tracks in-flight reservations). Killing
@@ -501,23 +476,17 @@ void DistributedShellAm::HandlePreempt(TaskRt* task) {
           rm_->DumpQueueDelay(node) +
           engine_->EstimateDumpService(*task->proc, node, can_increment) +
           engine_->EstimateRestore(*task->proc, node, /*local=*/true);
-      const PreemptAction action = DecidePreemption(
-          UnsavedProgress(task) + InputRefetchCost(task), overhead,
-          can_increment, config_.adaptive_threshold);
-      RecordPolicyDecision(task, can_increment,
-                           action == PreemptAction::kKill
-                               ? "kill"
-                               : action == PreemptAction::kCheckpointIncremental
-                                     ? "checkpoint_incremental"
-                                     : "checkpoint_full");
-      if (action == PreemptAction::kKill) {
-        KillTask(task);
-      } else {
-        CheckpointTask(task,
-                       action == PreemptAction::kCheckpointIncremental);
-      }
-      return;
+      action = DecidePreemption(UnsavedProgress(task) + InputRefetchCost(task),
+                                overhead, can_increment,
+                                config_.adaptive_threshold);
+      break;
     }
+  }
+  RecordPolicyDecision(task, can_increment, ActionName(action));
+  if (action == PreemptAction::kKill) {
+    KillTask(task);
+  } else {
+    CheckpointTask(task, action == PreemptAction::kCheckpointIncremental);
   }
 }
 

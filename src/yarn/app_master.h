@@ -129,13 +129,11 @@ class DistributedShellAm final : public AppClient {
   // Network time to fetch the task's inputs again; 0 when it holds none.
   SimDuration InputRefetchCost(const TaskRt* task) const;
   void TouchDirtyPages(TaskRt* task);
-  // Emit the policy.decision instant + counter and the am_decision audit
-  // record: the Algorithm-1 cost terms this AM computed (or would compute)
-  // for `task`, and the chosen action.
+  // Tick policy.decisions and emit the am_decision audit record: the
+  // Algorithm-1 cost terms this AM computed (or would compute) for `task`,
+  // and the chosen action.
   void RecordPolicyDecision(TaskRt* task, bool can_increment,
                             const char* action);
-  // Cached "node/N" tracer-track spelling, built once per node.
-  const std::string& NodeTrackCached(NodeId node);
   // Mirror an AmStats waste increment into the obs waste ledger (no-op
   // without obs); `sim_lost` converts at the container's CPU width.
   void ChargeWaste(WasteCause cause, SimDuration sim_lost, NodeId node);
@@ -161,7 +159,6 @@ class DistributedShellAm final : public AppClient {
   // decision_counters_ maps each action literal to its resolved
   // policy.decisions handle (first use only — the series set is unchanged).
   std::vector<std::pair<const char*, Counter*>> decision_counters_;
-  std::vector<std::string> node_tracks_;
 };
 
 }  // namespace ckpt

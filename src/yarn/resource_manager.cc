@@ -141,8 +141,7 @@ void ResourceManager::OnNodeFailure(NodeId node) {
                     {{"node", Observability::NodeLabel(node)}})
         ->Inc();
     obs->tracer().Instant(
-        "fault.node_crash", "fault", Observability::NodeTrack(node),
-        sim_->Now(),
+        "fault.node_crash", "fault", obs->TrackFor(node), sim_->Now(),
         {TraceArg::Num("containers_lost",
                        static_cast<double>(evicted.size()))});
   }
@@ -165,8 +164,8 @@ void ResourceManager::OnNodeRecovered(NodeId node) {
   if (nm->node().online()) return;
   nm->node().SetOnline(true);
   if (Observability* obs = config_.obs) {
-    obs->tracer().Instant("fault.node_recover", "fault",
-                          Observability::NodeTrack(node), sim_->Now(), {});
+    obs->tracer().Instant("fault.node_recover", "fault", obs->TrackFor(node),
+                          sim_->Now(), {});
   }
   RequestSchedule();
 }
@@ -350,14 +349,6 @@ void ResourceManager::RankVictims() {
   }
 }
 
-const std::string& ResourceManager::NodeTrackCached(NodeId node) {
-  const size_t i = static_cast<size_t>(node.value());
-  if (node_tracks_.size() <= i) node_tracks_.resize(i + 1);
-  std::string& track = node_tracks_[i];
-  if (track.empty()) track = Observability::NodeTrack(node);
-  return track;
-}
-
 void ResourceManager::DispatchPreempts(std::int64_t count) {
   // Audit envelope: which ranked victims the monitor examined this round
   // and why each was dispatched or passed over.
@@ -409,15 +400,6 @@ void ResourceManager::DispatchPreempts(std::int64_t count) {
     ++preempt_events_;
     --count;
     if (obs != nullptr) {
-      const SimDuration queue_delay = DumpQueueDelay(victim->node);
-      obs->tracer().Instant(
-          "rm.preempt_event", "rm", NodeTrackCached(victim->node),
-          sim_->Now(),
-          {TraceArg::Num("container", static_cast<double>(victim->id.value())),
-           TraceArg::Num("app", static_cast<double>(victim->app.value())),
-           TraceArg::Num("priority", victim->priority),
-           TraceArg::Num("victim_cost_s", ToSeconds(v.cost)),
-           TraceArg::Num("dump_queue_s", ToSeconds(queue_delay))});
       const size_t ni = static_cast<size_t>(victim->node.value());
       if (preempt_event_counters_.size() <= ni) {
         preempt_event_counters_.resize(ni + 1);
@@ -434,7 +416,8 @@ void ResourceManager::DispatchPreempts(std::int64_t count) {
             "rm.dump_queue_delay_seconds", {},
             {0.01, 0.1, 0.5, 1, 5, 10, 30, 60, 120, 300});
       }
-      dump_queue_delay_hist_->Observe(ToSeconds(queue_delay));
+      dump_queue_delay_hist_->Observe(
+          ToSeconds(DumpQueueDelay(victim->node)));
     }
     AppClient* client = app_it->second.client;
     const ContainerId cid = victim->id;

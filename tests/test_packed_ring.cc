@@ -188,16 +188,6 @@ std::string ModelChromeJson(const ModelRing<ModelTraceRecord>& ring) {
   return out + "]}";
 }
 
-std::string ModelTraceJsonl(const ModelRing<ModelTraceRecord>& ring) {
-  const std::map<std::string, int> tids = ModelTids(ring);
-  std::string out;
-  for (const ModelTraceRecord& e : ModelSorted(ring)) {
-    ModelEventJson(e, tids.at(e.track), &out);
-    out.push_back('\n');
-  }
-  return out;
-}
-
 // ---- Random inputs -------------------------------------------------------
 
 constexpr TraceKey kKeys[] = {"task",       "unsaved_progress_s", "action",
@@ -320,7 +310,6 @@ void ExpectTraceEqual(const Tracer& tracer,
     ExpectArgsEqual(got[i].args, want[i].args);
   }
   EXPECT_EQ(tracer.ToChromeJson(), ModelChromeJson(model));
-  EXPECT_EQ(tracer.ToJsonl(), ModelTraceJsonl(model));
 }
 
 class PackedRingVsModel : public testing::TestWithParam<std::size_t> {};

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
 #include "trace/analyzer.h"
@@ -36,6 +37,19 @@ TEST(TraceIo, RoundTripPreservesEvents) {
     EXPECT_EQ(a.type, b.type);
     EXPECT_NEAR(a.cpus, b.cpus, 1e-6);
   }
+}
+
+// A trace smaller than the stream buffer reaches the file only in the
+// final flush at close; a failure there must still be reported.
+TEST(TraceIo, FailedFinalFlushReportsFailure) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  GoogleTraceConfig config;
+  config.trace_tasks = 10;
+  const EventTrace trace = GoogleTraceGenerator(config).GenerateEventTrace();
+  ASSERT_FALSE(trace.events.empty());
+  EXPECT_FALSE(WriteTraceCsvFile(trace, "/dev/full"));
 }
 
 TEST(TraceIo, AnalysisSurvivesRoundTrip) {

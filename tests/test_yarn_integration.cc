@@ -108,12 +108,34 @@ TEST(YarnIntegration, ObservabilityMatchesResultCounters) {
   // completed or changed state before the RPC landed decide nothing).
   EXPECT_GE(preempt_count, result.preempt_events);
 
-  // Each completed checkpoint shows up as one ckpt.dump span.
+  // Each completed checkpoint shows up as one ckpt.dump span; decisions
+  // are not traced.
   for (const TraceRecord& event : obs.tracer().SortedEvents()) {
     if (event.name == "ckpt.dump") dump_spans++;
+    EXPECT_NE(event.name, "policy.decision");
+    EXPECT_NE(event.name, "rm.preempt_event");
   }
   EXPECT_EQ(dump_spans, result.checkpoints);
   EXPECT_EQ(obs.tracer().open_spans(), 0u);  // no leaked spans at drain
+
+  // Each decision is recorded once, in the audit log: one am_decision per
+  // AM decision and one dispatched rm_preempt_dispatch candidate per
+  // preemption notice the RM sent.
+  ASSERT_EQ(obs.audit().dropped(), 0);
+  std::int64_t am_decisions = 0;
+  std::int64_t dispatched = 0;
+  for (std::size_t i = 0; i < obs.audit().size(); ++i) {
+    const AuditRecord record = obs.audit().record(i);
+    if (record.kind == "am_decision") ++am_decisions;
+    if (record.kind != "rm_preempt_dispatch") continue;
+    for (const TraceArgs& candidate : record.candidates) {
+      for (const TraceArg& arg : candidate) {
+        if (arg.key == "action" && arg.str == "dispatched") ++dispatched;
+      }
+    }
+  }
+  EXPECT_EQ(am_decisions, decision_count);
+  EXPECT_EQ(dispatched, yarn.rm().preempt_events_sent());
 }
 
 TEST(YarnIntegration, ObservabilityDoesNotPerturbSimulation) {

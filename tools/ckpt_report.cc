@@ -277,9 +277,8 @@ struct TraceSummary {
   std::map<std::string, std::int64_t, std::less<>> by_category;
 };
 
-// Accepts both the Chrome format ({"traceEvents":[...]}) and the JSONL
-// stream (one event object per line). Either way events are tallied as
-// they stream past; only ph and cat are read.
+// Reads the Chrome format ({"traceEvents":[...]}); events are tallied as
+// they stream past, and only ph and cat are read.
 bool ParseTraceFile(const std::string& path, TraceSummary* out) {
   std::string text;
   if (!ReadFile(path, &text)) {
@@ -288,39 +287,7 @@ bool ParseTraceFile(const std::string& path, TraceSummary* out) {
   }
   out->path = path;
   std::string phase, category;
-  auto event_member = [&](json::Reader& reader, std::string_view key) {
-    if (key == "ph") {
-      CopyStringOr(reader, "", &phase);
-    } else if (key == "cat") {
-      CopyStringOr(reader, "?", &category);
-    } else {
-      reader.Skip();
-    }
-  };
-  auto start_event = [&] {
-    phase.clear();
-    category.assign("?");
-  };
-  auto tally = [&] {
-    // Skip thread-name metadata events; count real phases only.
-    if (phase == "M") return;
-    ++out->events;
-    Tally(&out->by_category, category);
-  };
   std::string error;
-  if (EndsWith(path, ".jsonl")) {
-    return ForEachLine(text, [&](std::string_view line, std::int64_t lineno) {
-      start_event();
-      if (!VisitDocument(line, event_member, &error)) {
-        std::fprintf(stderr, "ckpt-report: %s:%lld: bad event: %s\n",
-                     path.c_str(), static_cast<long long>(lineno),
-                     error.c_str());
-        return false;
-      }
-      tally();
-      return true;
-    });
-  }
   const bool ok = VisitDocument(
       text,
       [&](json::Reader& reader, std::string_view key) {
@@ -340,11 +307,21 @@ bool ParseTraceFile(const std::string& path, TraceSummary* out) {
             reader.Skip();
             return;
           }
-          start_event();
-          if (reader.VisitObject([&](std::string_view key) {
-                event_member(reader, key);
-              })) {
-            tally();
+          phase.clear();
+          category.assign("?");
+          const bool event_ok = reader.VisitObject([&](std::string_view key) {
+            if (key == "ph") {
+              CopyStringOr(reader, "", &phase);
+            } else if (key == "cat") {
+              CopyStringOr(reader, "?", &category);
+            } else {
+              reader.Skip();
+            }
+          });
+          // Skip thread-name metadata events; count real phases only.
+          if (event_ok && phase != "M") {
+            ++out->events;
+            Tally(&out->by_category, category);
           }
         });
       },
@@ -657,7 +634,7 @@ void Usage(const char* argv0) {
       "       %s --diff [--run=NAME]... A.metrics.json B.metrics.json\n"
       "  artifacts by suffix: *.metrics.json (registry snapshot or combined\n"
       "  {\"runs\":[...]} sweep), *.audit.jsonl (decision audit stream),\n"
-      "  *.trace.json / *.trace.jsonl (event traces)\n"
+      "  *.trace.json (event traces)\n"
       "  --run=NAME  pick one run out of a combined metrics file\n"
       "              (repeatable: first applies to A, second to B in --diff)\n",
       argv0, argv0);
@@ -680,7 +657,7 @@ int main(int argc, char** argv) {
       return 2;
     } else if (EndsWith(arg, ".audit.jsonl")) {
       audit_files.push_back(arg);
-    } else if (EndsWith(arg, ".trace.json") || EndsWith(arg, ".trace.jsonl")) {
+    } else if (EndsWith(arg, ".trace.json")) {
       trace_files.push_back(arg);
     } else if (EndsWith(arg, ".json")) {
       metrics_files.push_back(arg);
@@ -739,9 +716,26 @@ int main(int argc, char** argv) {
     Usage(argv[0]);
     return 2;
   }
-  for (const std::string& path : metrics_files) {
+  {
+    // Scoped so the runs are freed before the audit and trace files load.
     std::vector<RunData> runs;
-    if (!ParseMetricsFile(path, &runs)) return 1;
+    for (const std::string& path : metrics_files) {
+      if (!ParseMetricsFile(path, &runs)) return 1;
+    }
+    for (const std::string& filter : run_filters) {
+      if (metrics_files.empty() ||
+          std::any_of(runs.begin(), runs.end(),
+                      [&](const RunData& run) { return run.name == filter; })) {
+        continue;
+      }
+      std::string where = metrics_files.front();
+      for (size_t i = 1; i < metrics_files.size(); ++i) {
+        where += ", " + metrics_files[i];
+      }
+      std::fprintf(stderr, "ckpt-report: no run named %s in %s\n",
+                   filter.c_str(), where.c_str());
+      return 1;
+    }
     for (const RunData& run : runs) {
       if (!run_filters.empty() &&
           std::find(run_filters.begin(), run_filters.end(), run.name) ==
