@@ -455,6 +455,12 @@ void DistributedShellAm::HandlePreempt(TaskRt* task) {
     KillTask(task);
     return;
   }
+  // A checkpoint writes the pages this run dirtied: fold the whole exposure
+  // into the page table once, before anything estimates the dump.
+  if (config_.policy == PreemptionPolicy::kCheckpoint ||
+      config_.policy == PreemptionPolicy::kAdaptive) {
+    TouchDirtyPages(task);
+  }
   PreemptAction action = PreemptAction::kKill;
   switch (config_.policy) {
     case PreemptionPolicy::kWait:
@@ -470,7 +476,6 @@ void DistributedShellAm::HandlePreempt(TaskRt* task) {
       // Algorithm 1: dump + restore service time plus the node's checkpoint-
       // queue backlog (the RM tracks in-flight reservations). Killing
       // forfeits fetched inputs as well as progress: both are at stake.
-      TouchDirtyPages(task);
       const NodeId node = task->container.node;
       const SimDuration overhead =
           rm_->DumpQueueDelay(node) +
@@ -525,7 +530,6 @@ void DistributedShellAm::CheckpointTask(TaskRt* task, bool incremental) {
   task->run_start = -1;
   task->state = TaskRt::State::kDumping;
   task->attempt++;
-  TouchDirtyPages(task);
   rm_->SuspendContainer(task->container.id);
 
   stats_.checkpoints++;

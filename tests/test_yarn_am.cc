@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "yarn/yarn_cluster.h"
 
@@ -160,6 +161,65 @@ TEST_F(YarnAmTest, TaskResponsesCoverEveryTask) {
             result.tasks_completed);
   for (double response : result.all_task_responses) {
     EXPECT_GT(response, 0.0);
+  }
+}
+
+// An incremental dump writes the pages the run dirtied since the last image,
+// so a preempted task's exposure must reach its page table once, before the
+// dump is costed, under every policy that checkpoints. Eight 900 s tasks
+// fill the cluster and three production bursts, 300 s apart, preempt all of
+// them: eight full dumps, then sixteen incremental ones.
+TEST_F(YarnAmTest, IncrementalDumpsCarryTheRunsDirtyPagesOnce) {
+  struct Dumps {
+    std::int64_t full = 0;
+    std::int64_t incremental = 0;
+    std::int64_t kills = 0;
+    Bytes written = 0;
+  };
+  auto run = [](PreemptionPolicy policy, double write_rate) {
+    YarnConfig config;
+    config.num_nodes = 2;
+    config.containers_per_node = 4;
+    config.policy = policy;
+    config.medium = MediumFor(MediaKind::kNvm);
+    Workload w;
+    w.jobs.push_back(MakeJob(JobId(0), 1, 8, 0, Seconds(900)));
+    for (TaskSpec& task : w.jobs[0].tasks) task.memory_write_rate = write_rate;
+    for (int b = 0; b < 3; ++b) {
+      w.jobs.push_back(
+          MakeJob(JobId(1 + b), 9, 8, Seconds(100 + 300 * b), Seconds(20)));
+    }
+    YarnCluster yarn(config);
+    const YarnResult result = yarn.RunWorkload(w);
+    EXPECT_EQ(result.jobs_completed, 4);
+    const CheckpointEngine& engine = yarn.engine();
+    return Dumps{engine.dumps_completed() - engine.incremental_dumps(),
+                 engine.incremental_dumps(), result.kills,
+                 engine.total_dump_bytes()};
+  };
+  const Bytes image = MiB(1800) + kCheckpointMetadataBytes;
+
+  const Dumps slow = run(PreemptionPolicy::kCheckpoint, 0.002);
+  const Dumps fast = run(PreemptionPolicy::kCheckpoint, 0.02);
+  ASSERT_EQ(slow.full, 8);
+  ASSERT_EQ(slow.incremental, 16);
+  ASSERT_EQ(fast.incremental, 16);
+  // Faster writers dirty more pages, so their increments are bigger.
+  EXPECT_GT(fast.written, slow.written);
+  // A run of at most 300 s at 0.002/s rewrites at most 60% of its pages:
+  // touching the same exposure twice would dirty ~70% per increment.
+  EXPECT_LE(slow.written - slow.full * image,
+            slow.incremental * (MiB(1080) + kCheckpointMetadataBytes));
+
+  // Adaptive checkpoints every victim here, so it must write exactly what
+  // the checkpoint policy writes.
+  for (const auto& [rate, checkpoint] :
+       {std::pair{0.002, slow}, std::pair{0.02, fast}}) {
+    const Dumps adaptive = run(PreemptionPolicy::kAdaptive, rate);
+    ASSERT_EQ(adaptive.kills, 0);
+    EXPECT_EQ(adaptive.full, checkpoint.full);
+    EXPECT_EQ(adaptive.incremental, checkpoint.incremental);
+    EXPECT_EQ(adaptive.written, checkpoint.written);
   }
 }
 
