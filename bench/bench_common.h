@@ -27,21 +27,8 @@
 
 namespace ckpt::bench {
 
-// Observability export is opt-in via CKPT_OBS=1 so default runs stay
-// byte-identical on stdout and pay no recording cost. CKPT_OBS_DIR selects
-// the output directory (default: current directory).
-inline bool ObsEnabled() {
-  const char* v = std::getenv("CKPT_OBS");
-  return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
-
-inline std::string ObsPath(const std::string& filename) {
-  const char* dir = std::getenv("CKPT_OBS_DIR");
-  if (dir == nullptr || *dir == '\0') return filename;
-  std::string path(dir);
-  if (path.back() != '/') path += '/';
-  return path + filename;
-}
+// Observability export is opt-in via CKPT_OBS=1 (ObsEnabled) and lands in
+// CKPT_OBS_DIR (ObsPath); see obs/observability.h.
 
 // Writes an obs artifact to ObsPath(filename). A failure warns on stderr;
 // stdout and the exit status stay as they are.

@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -141,24 +140,9 @@ BENCHMARK(BM_DfsWrite)->Arg(64)->Arg(512);
 }  // namespace
 }  // namespace ckpt
 
-namespace {
-
-std::string ObsOutputPath(const std::string& filename) {
-  const char* dir = std::getenv("CKPT_OBS_DIR");
-  if (dir == nullptr || *dir == '\0') return filename;
-  std::string path(dir);
-  if (path.back() != '/') path += '/';
-  return path + filename;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const char* obs_env = std::getenv("CKPT_OBS");
-  const bool obs_enabled =
-      obs_env != nullptr && *obs_env != '\0' && std::string(obs_env) != "0";
   std::unique_ptr<ckpt::Observability> obs;
-  if (obs_enabled) {
+  if (ckpt::ObsEnabled()) {
     obs = std::make_unique<ckpt::Observability>(/*trace_capacity=*/1 << 16);
     ckpt::g_obs = obs.get();
   }
@@ -170,9 +154,9 @@ int main(int argc, char** argv) {
 
   if (obs != nullptr) {
     const std::string metrics_path =
-        ObsOutputPath("bench_micro_checkpoint.metrics.json");
+        ckpt::ObsPath("bench_micro_checkpoint.metrics.json");
     const std::string trace_path =
-        ObsOutputPath("bench_micro_checkpoint.trace.json");
+        ckpt::ObsPath("bench_micro_checkpoint.trace.json");
     if (!obs->WriteMetricsJson(metrics_path)) {
       std::fprintf(stderr, "obs: cannot write %s\n", metrics_path.c_str());
     }

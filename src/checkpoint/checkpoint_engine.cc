@@ -41,12 +41,6 @@ Bytes CheckpointEngine::DumpBytes(const ProcessState& proc,
   return proc.memory.size() + proc.metadata_bytes;
 }
 
-SimDuration CheckpointEngine::EstimateDump(const ProcessState& proc,
-                                           NodeId node,
-                                           bool incremental) const {
-  return store_->EstimateSave(DumpBytes(proc, incremental), node);
-}
-
 SimDuration CheckpointEngine::EstimateDumpService(const ProcessState& proc,
                                                   NodeId node,
                                                   bool incremental) const {
@@ -106,7 +100,6 @@ void CheckpointEngine::DumpAttempt(ProcessState& proc, NodeId node,
                                    std::function<void(DumpResult)> done) {
   const bool can_increment = opts.incremental && proc.has_image &&
                              proc.memory.tracking_enabled() &&
-                             !opts.replace_existing &&
                              proc.image_id.valid() &&
                              store_->Exists(proc.image_id) &&
                              // Incremental layers must extend an image dumped

@@ -55,9 +55,9 @@ struct ProcessState {
 };
 
 struct DumpOptions {
+  // Write only the pages dirtied since the last image when one exists; a
+  // full dump replaces the previous image once it is stored.
   bool incremental = true;
-  // Release any previous image for this process before dumping afresh.
-  bool replace_existing = false;
 };
 
 struct DumpResult {
@@ -126,12 +126,9 @@ class CheckpointEngine {
   // image when incremental dumping is unavailable).
   Bytes DumpBytes(const ProcessState& proc, bool incremental) const;
 
-  // Algorithm 1 inputs: estimated dump / restore service time including the
-  // store's current queue backlog.
-  SimDuration EstimateDump(const ProcessState& proc, NodeId node,
-                           bool incremental) const;
-  // Service time only; callers holding an explicit checkpoint-queue slot
-  // add the wait term themselves.
+  // Algorithm 1 inputs. The dump estimate is service time only: callers
+  // holding an explicit checkpoint-queue slot add the wait term themselves.
+  // The restore estimate includes the store's current queue backlog.
   SimDuration EstimateDumpService(const ProcessState& proc, NodeId node,
                                   bool incremental) const;
   SimDuration EstimateRestore(const ProcessState& proc, NodeId node,

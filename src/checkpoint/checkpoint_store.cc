@@ -140,21 +140,9 @@ bool LocalStore::IsLocalTo(ImageId image, NodeId node) const {
   return entry != nullptr && entry->present && entry->node == node;
 }
 
-SimDuration LocalStore::EstimateSave(Bytes size, NodeId node) const {
-  StorageDevice* device = DeviceFor(node);
-  if (device == nullptr) return 0;
-  return device->QueueDelay() + device->EstimateWrite(size);
-}
-
 SimDuration LocalStore::EstimateSaveService(Bytes size, NodeId node) const {
   StorageDevice* device = DeviceFor(node);
   return device == nullptr ? 0 : device->EstimateWrite(size);
-}
-
-SimDuration LocalStore::EstimateLoad(ImageId image, NodeId node) const {
-  const Entry* entry = EntryFor(image);
-  if (entry == nullptr || !entry->present) return 0;
-  return EstimateLoadBytes(entry->size, node, entry->node == node);
 }
 
 SimDuration LocalStore::EstimateLoadBytes(Bytes size, NodeId node,
@@ -277,16 +265,8 @@ bool DfsStore::IsLocalTo(ImageId image, NodeId node) const {
   return dfs_->HasLocalReplica(PathOf(image), node);
 }
 
-SimDuration DfsStore::EstimateSave(Bytes size, NodeId node) const {
-  return dfs_->EstimateWrite(size, node);
-}
-
 SimDuration DfsStore::EstimateSaveService(Bytes size, NodeId node) const {
   return dfs_->EstimateWriteService(size, node);
-}
-
-SimDuration DfsStore::EstimateLoad(ImageId image, NodeId node) const {
-  return dfs_->EstimateRead(PathOf(image), node);
 }
 
 SimDuration DfsStore::EstimateLoadBytes(Bytes size, NodeId node,

@@ -65,12 +65,10 @@ class CheckpointStore {
   // Whether `node` can read the image without crossing the network.
   virtual bool IsLocalTo(ImageId image, NodeId node) const = 0;
 
-  // Cost estimates feeding Algorithms 1 and 2.
-  virtual SimDuration EstimateSave(Bytes size, NodeId node) const = 0;
-  // Service time only (no queue backlog); pairs with the RM's checkpoint-
-  // queue reservation, which accounts the wait separately.
+  // Cost estimates feeding Algorithms 1 and 2. A save's is service time only
+  // (no queue backlog); it pairs with the RM's checkpoint-queue reservation,
+  // which accounts the wait separately.
   virtual SimDuration EstimateSaveService(Bytes size, NodeId node) const = 0;
-  virtual SimDuration EstimateLoad(ImageId image, NodeId node) const = 0;
   virtual SimDuration EstimateLoadBytes(Bytes size, NodeId node,
                                         bool local) const = 0;
   // Service time only (no queue backlog).
@@ -118,10 +116,6 @@ class CheckpointStore {
     const ImageId image = Find(path);
     return image.valid() && IsLocalTo(image, node);
   }
-  SimDuration EstimateLoad(const std::string& path, NodeId node) const {
-    const ImageId image = Find(path);
-    return image.valid() ? EstimateLoad(image, node) : 0;
-  }
 
  protected:
   void RecordStoreOp(const char* op, const char* backend, Bytes bytes);
@@ -139,7 +133,6 @@ class LocalStore final : public CheckpointStore {
   void AddNode(NodeId node, StorageDevice* device);
 
   using CheckpointStore::Append;
-  using CheckpointStore::EstimateLoad;
   using CheckpointStore::Exists;
   using CheckpointStore::IsLocalTo;
   using CheckpointStore::Load;
@@ -158,9 +151,7 @@ class LocalStore final : public CheckpointStore {
   Bytes StoredSize(ImageId image) const override;
   bool SupportsRemoteRestore() const override { return false; }
   bool IsLocalTo(ImageId image, NodeId node) const override;
-  SimDuration EstimateSave(Bytes size, NodeId node) const override;
   SimDuration EstimateSaveService(Bytes size, NodeId node) const override;
-  SimDuration EstimateLoad(ImageId image, NodeId node) const override;
   SimDuration EstimateLoadBytes(Bytes size, NodeId node,
                                 bool local) const override;
   SimDuration EstimateLoadBytesService(Bytes size, NodeId node,
@@ -188,7 +179,6 @@ class DfsStore final : public CheckpointStore {
   explicit DfsStore(DfsCluster* dfs);
 
   using CheckpointStore::Append;
-  using CheckpointStore::EstimateLoad;
   using CheckpointStore::Exists;
   using CheckpointStore::IsLocalTo;
   using CheckpointStore::Load;
@@ -207,9 +197,7 @@ class DfsStore final : public CheckpointStore {
   Bytes StoredSize(ImageId image) const override;
   bool SupportsRemoteRestore() const override { return true; }
   bool IsLocalTo(ImageId image, NodeId node) const override;
-  SimDuration EstimateSave(Bytes size, NodeId node) const override;
   SimDuration EstimateSaveService(Bytes size, NodeId node) const override;
-  SimDuration EstimateLoad(ImageId image, NodeId node) const override;
   SimDuration EstimateLoadBytes(Bytes size, NodeId node,
                                 bool local) const override;
   SimDuration EstimateLoadBytesService(Bytes size, NodeId node,

@@ -81,7 +81,7 @@ DumpScheduler::Ticket DumpScheduler::Request(std::int64_t node,
   // Small dumps interfere negligibly but would pay the full deferral
   // freeze — the interference-aware policy lets them through uncapped.
   if (config_.policy == DumpPolicy::kInterferenceAware &&
-      config_.bypass_bytes > 0 && bytes <= config_.bypass_bytes) {
+      bytes <= kDumpBypassBytes) {
     ++bypassed_;
     Admit(ticket, std::move(pending), /*was_deferred=*/false,
           /*force=*/false, /*holds_slot=*/false);

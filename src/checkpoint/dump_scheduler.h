@@ -13,7 +13,7 @@
 //  - kInterferenceAware: the in-flight cap is derived from the shared
 //                        domain capacity so every admitted dump keeps at
 //                        least `min_share` of fair-shared bandwidth; dumps
-//                        of at most `bypass_bytes` (small incrementals)
+//                        of at most kDumpBypassBytes (small incrementals)
 //                        skip admission entirely — their drain barely moves
 //                        the contention factor, while deferring them would
 //                        freeze the task and stretch the checkpoint cadence
@@ -55,6 +55,9 @@ SimDuration YoungDalyInterval(SimDuration dump_cost, SimDuration mtbf,
 
 enum class DumpPolicy { kNaive, kStaggered, kInterferenceAware };
 
+// kInterferenceAware lets dumps this small bypass admission.
+inline constexpr Bytes kDumpBypassBytes = MiB(256);
+
 const char* DumpPolicyName(DumpPolicy policy);
 bool ParseDumpPolicy(const std::string& name, DumpPolicy* out);
 
@@ -64,8 +67,6 @@ struct DumpSchedulerConfig {
   Bandwidth shared_bw = 0;         // kInterferenceAware: shared capacity...
   Bandwidth min_share = MBps(100);  // ...each admitted dump must keep
   SimDuration max_defer = Minutes(10);  // force-admit deadline
-  Bytes bypass_bytes = MiB(256);   // kInterferenceAware: dumps this small
-                                   // bypass admission (0 disables bypass)
 };
 
 class DumpScheduler {

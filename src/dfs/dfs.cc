@@ -444,26 +444,13 @@ Bytes DfsCluster::total_stored() const {
 SimDuration DfsCluster::EstimateWriteService(Bytes size, NodeId writer) const {
   if (datanode_ids_.empty()) return 0;
   StorageDevice* local = DeviceFor(writer);
-  StorageDevice* primary = local != nullptr ? local : datanodes_.begin()->second;
-  SimDuration t = primary->EstimateWrite(Inflated(size));
-  if (local == nullptr) t += net_->EstimateTransfer(size);
-  const std::int64_t blocks = (size + config_.block_size - 1) / config_.block_size;
-  t += config_.block_op_overhead * std::max<std::int64_t>(blocks, 1);
-  return t;
-}
-
-SimDuration DfsCluster::EstimateWrite(Bytes size, NodeId writer) const {
-  if (datanode_ids_.empty()) return 0;
-  StorageDevice* local = DeviceFor(writer);
   // Primary device: the writer's own when co-located, else a representative
   // (first) datanode. The pipeline hides replica fan-out behind the primary
   // write, so the estimate charges one device write plus, when remote, one
   // network traversal.
   StorageDevice* primary = local != nullptr ? local : datanodes_.begin()->second;
-  SimDuration t = primary->QueueDelay() + primary->EstimateWrite(Inflated(size));
-  if (local == nullptr) {
-    t += net_->EstimateTransfer(size) + net_->QueueDelay(writer);
-  }
+  SimDuration t = primary->EstimateWrite(Inflated(size));
+  if (local == nullptr) t += net_->EstimateTransfer(size);
   const std::int64_t blocks = (size + config_.block_size - 1) / config_.block_size;
   t += config_.block_op_overhead * std::max<std::int64_t>(blocks, 1);
   return t;

@@ -115,12 +115,9 @@ class DfsCluster {
 
   // --- Cost estimates (Algorithm 1/2 inputs) ------------------------------
 
-  // Service-time estimate for writing `size` bytes from `writer`, including
-  // current storage/network backlog on the primary replica.
-  SimDuration EstimateWrite(Bytes size, NodeId writer) const;
-
-  // Like EstimateWrite but excluding the primary device's current backlog
-  // (callers that reserve an explicit queue slot add the wait themselves).
+  // Service-time estimate for writing `size` bytes from `writer`, excluding
+  // the primary device's current backlog (callers that reserve an explicit
+  // queue slot add the wait themselves).
   SimDuration EstimateWriteService(Bytes size, NodeId writer) const;
 
   // Estimate for reading `path` from `reader`: local replicas cost a device

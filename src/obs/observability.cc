@@ -1,8 +1,23 @@
 #include "obs/observability.h"
 
+#include <cstdlib>
+
 #include "common/file.h"
 
 namespace ckpt {
+
+bool ObsEnabled() {
+  const char* v = std::getenv("CKPT_OBS");
+  return v != nullptr && *v != '\0' && std::string(v) != "0";
+}
+
+std::string ObsPath(const std::string& filename) {
+  const char* dir = std::getenv("CKPT_OBS_DIR");
+  if (dir == nullptr || *dir == '\0') return filename;
+  std::string path(dir);
+  if (path.back() != '/') path += '/';
+  return path + filename;
+}
 
 const std::string& Observability::TrackFor(NodeId node) {
   const auto i = static_cast<std::size_t>(node.value());
@@ -10,6 +25,19 @@ const std::string& Observability::TrackFor(NodeId node) {
   std::string& track = node_tracks_[i];
   if (track.empty()) track = NodeTrack(node);
   return track;
+}
+
+Counter* Observability::DecisionCounter(const char* policy,
+                                        const char* action) {
+  for (const DecisionSeries& series : decision_series_) {
+    if (series.policy == policy && series.action == action) {
+      return series.counter;
+    }
+  }
+  Counter* counter = metrics_.GetCounter(
+      "policy.decisions", {{"policy", policy}, {"action", action}});
+  decision_series_.push_back({policy, action, counter});
+  return counter;
 }
 
 bool Observability::WriteMetricsJson(const std::string& path) const {

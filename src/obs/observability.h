@@ -9,6 +9,7 @@
 
 #include <deque>
 #include <string>
+#include <vector>
 
 #include "common/ids.h"
 #include "obs/audit_log.h"
@@ -18,6 +19,14 @@
 #include "obs/waste_ledger.h"
 
 namespace ckpt {
+
+// The export switch every bench and CLI shares: CKPT_OBS set to anything but
+// "" or "0" turns recording and export on, so default runs stay
+// byte-identical on stdout and pay no recording cost.
+bool ObsEnabled();
+// Where an export named `filename` goes: under CKPT_OBS_DIR when it is set,
+// else the current directory.
+std::string ObsPath(const std::string& filename);
 
 class Observability {
  public:
@@ -51,6 +60,11 @@ class Observability {
   // context's lifetime: growing a deque at its end never moves elements.
   const std::string& TrackFor(NodeId node);
 
+  // The policy.decisions{policy, action} counter every scheduler front-end
+  // ticks once per preemption decision. Resolved on first use, so only the
+  // decisions a run takes appear as series.
+  Counter* DecisionCounter(const char* policy, const char* action);
+
   // Export helpers; false when the file cannot be written.
   bool WriteMetricsJson(const std::string& path) const;
   bool WriteChromeTrace(const std::string& path) const;
@@ -70,6 +84,12 @@ class Observability {
   WasteLedger waste_;
   SelfProfile self_profile_;
   std::deque<std::string> node_tracks_;  // indexed by node id (dense)
+  struct DecisionSeries {
+    std::string policy;
+    std::string action;
+    Counter* counter = nullptr;
+  };
+  std::vector<DecisionSeries> decision_series_;
 };
 
 }  // namespace ckpt

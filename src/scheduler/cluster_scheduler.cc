@@ -19,12 +19,14 @@ namespace {
 constexpr int kMaxBackfillScan = 64;
 // Lazy restore pages this fraction of the image in before the task resumes.
 constexpr double kLazyEagerFraction = 0.05;
+// Shadow buffering's background mirror streams dirty pages to NVM at this
+// rate while the task runs.
+constexpr Bandwidth kShadowSyncBw = GBps(2);
 // Floor under the Young/Daly period, so cheap increments cannot thrash.
 constexpr SimDuration kPeriodicMinInterval = Minutes(2);
-// SLO accounting cadence per service, and the weight converting a
-// replica's estimated SLO-violation seconds into the time units the
-// cost-aware victim order compares against checkpoint overhead.
-constexpr SimDuration kServiceTick = Seconds(30);
+// The weight converting a replica's estimated SLO-violation seconds into
+// the time units the cost-aware victim order compares against checkpoint
+// overhead.
 constexpr double kServiceSloWeight = 1.0;
 // Interference model's rack layer: cross-rack transfers drain per-rack
 // uplink domains.
@@ -62,10 +64,7 @@ struct ClusterScheduler::RtTask {
 
   SimTime submit_time = 0;
   SimTime finish_time = -1;
-  SimTime run_start = -1;         // valid while kRunning
-  SimDuration work_done = 0;      // validated work while not running
-  SimDuration saved_work = 0;     // progress captured in the image
-  SimDuration unsynced_run = 0;   // run time since last dump (dirty model)
+  TaskProgress progress;  // running exactly while kRunning
 
   NodeId node;  // holder of resources in kRunning/kDumping/kRestoring
 
@@ -250,7 +249,7 @@ void ClusterScheduler::OnStreamArrival() {
 void ClusterScheduler::SubmitServices(const std::vector<ServiceSpec>& services) {
   CKPT_CHECK(services_ == nullptr) << "SubmitServices called twice";
   CKPT_CHECK(!services.empty());
-  services_ = std::make_unique<ServiceManager>(services, kServiceTick);
+  services_ = std::make_unique<ServiceManager>(services);
   for (int s = 0; s < static_cast<int>(services.size()); ++s) {
     const ServiceSpec& spec = services[static_cast<size_t>(s)];
     CKPT_CHECK(spec.priority >= kMinPriority && spec.priority <= kMaxPriority)
@@ -763,7 +762,7 @@ void ClusterScheduler::StartTask(RtTask* task, Node* node) {
   RemovePending(task);
   task->state = RtTask::State::kRunning;
   task->node = node->id();
-  task->run_start = sim_->Now();
+  task->progress.Start(sim_->Now());
   task->attempt++;
   RunningOn(node->id()).push_back(task);
   // The horizon opens on services already in steady state, so a replica's
@@ -851,19 +850,18 @@ void ClusterScheduler::OnRestoreFailed(RtTask* task) {
   EndFreeze(task);  // the failed attempt still froze the container
   DetachFromNode(task);
   BumpOverheadEpoch();
-  if (task->restore_failures >= config_.max_checkpoint_failures) {
+  if (task->restore_failures >= kMaxCheckpointFailures) {
     // The image keeps failing to load (Algorithm 1's fallback mirror on the
     // restore side): give up on it and restart from scratch, so a permanent
     // read fault cannot livelock the task in a restore-retry loop.
-    const SimDuration lost = IsService(task) ? 0 : task->saved_work;
+    const SimDuration lost = IsService(task) ? 0 : task->progress.saved_work;
     result_.lost_work_core_hours += ToHours(lost) * task->spec->demand.cpus;
     result_.wasted_core_hours += ToHours(lost) * task->spec->demand.cpus;
     ChargeWaste(WasteCause::kFaultLostWork,
                 ToHours(lost) * task->spec->demand.cpus, task);
     ReleaseImage(task);
     result_.restarts_from_scratch++;
-    task->work_done = 0;
-    task->unsynced_run = 0;
+    task->progress.RollBack();
     task->restore_failures = 0;
   }
   ApplyResubmitBackoff(task);
@@ -875,17 +873,14 @@ void ClusterScheduler::OnRestoreDone(RtTask* task, int attempt) {
   CKPT_CHECK_EQ(task->attempt, attempt);
   EndFreeze(task);
   task->restore_failures = 0;
-  task->work_done = task->saved_work;
+  task->progress.work_done = task->progress.saved_work;
   ResumeFrozen(task);
   ScheduleRun(task);
 }
 
 void ClusterScheduler::StopRunning(RtTask* task) {
   CKPT_CHECK(task->state == RtTask::State::kRunning);
-  const SimDuration span = sim_->Now() - task->run_start;
-  task->work_done += span;
-  task->unsynced_run += span;
-  task->run_start = -1;
+  task->progress.Stop(sim_->Now());
   // Every exit from kRunning (preempt, dump freeze, crash, retirement)
   // takes the replica's capacity out of the latency model.
   ServiceReplicaDown(task);
@@ -910,7 +905,7 @@ void ClusterScheduler::OnTaskComplete(RtTask* task, int attempt) {
   }
   StopRunning(task);
   if (!IsService(task)) {
-    CKPT_CHECK_GE(task->work_done, task->spec->duration);
+    CKPT_CHECK_GE(task->progress.work_done, task->spec->duration);
   }
   task->state = RtTask::State::kFinished;
   task->finish_time = sim_->Now();
@@ -961,42 +956,24 @@ void ClusterScheduler::FinishJobIfDone(RtJob* job) {
 
 // --- Preemption -------------------------------------------------------------
 
-Bytes ClusterScheduler::DirtyBytes(const RtTask* victim) const {
-  SimDuration exposure = victim->unsynced_run;
-  if (victim->state == RtTask::State::kRunning && victim->run_start >= 0) {
-    exposure += sim_->Now() - victim->run_start;
-  }
-  const double dirty_fraction =
-      std::min(1.0, victim->spec->memory_write_rate * ToSeconds(exposure));
-  return static_cast<Bytes>(dirty_fraction *
-                            static_cast<double>(victim->spec->demand.memory));
-}
-
 Bytes ClusterScheduler::DumpBytes(const RtTask* victim,
                                   bool incremental) const {
-  Bytes payload = incremental && victim->has_image
-                      ? DirtyBytes(victim)
-                      : victim->spec->demand.memory;
+  const SimTime now = sim_->Now();
+  const Bytes memory = victim->spec->demand.memory;
+  Bytes payload = memory;
+  if (incremental && victim->has_image) {
+    payload = static_cast<Bytes>(
+        victim->progress.DirtyFraction(now, victim->spec->memory_write_rate) *
+        static_cast<double>(memory));
+  }
   if (config_.shadow_buffering) {
     // The background mirror has already streamed part of the (dirty) state
     // to NVM; only the unsynced residue must be copied at dump time.
-    SimDuration exposure = victim->unsynced_run;
-    if (victim->state == RtTask::State::kRunning && victim->run_start >= 0) {
-      exposure += sim_->Now() - victim->run_start;
-    }
     const Bytes shadowed = static_cast<Bytes>(
-        config_.shadow_sync_bw * ToSeconds(exposure));
+        kShadowSyncBw * ToSeconds(victim->progress.Exposure(now)));
     payload = std::max<Bytes>(payload - shadowed, 0);
   }
   return payload + kCheckpointMetadataBytes;
-}
-
-SimDuration ClusterScheduler::UnsavedProgress(const RtTask* task) const {
-  SimDuration progress = task->work_done - task->saved_work;
-  if (task->state == RtTask::State::kRunning && task->run_start >= 0) {
-    progress += sim_->Now() - task->run_start;
-  }
-  return progress;
 }
 
 bool ClusterScheduler::CanIncrement(const RtTask* victim) const {
@@ -1048,30 +1025,19 @@ SimDuration ClusterScheduler::VictimCheckpointOverhead(
 
 PreemptAction ClusterScheduler::DecideVictimAction(RtTask* victim) const {
   const bool can_increment = CanIncrement(victim);
-  switch (config_.policy) {
-    case PreemptionPolicy::kWait:
-      CKPT_CHECK(false) << "wait policy never preempts";
-      return PreemptAction::kKill;
-    case PreemptionPolicy::kKill:
-      return PreemptAction::kKill;
-    case PreemptionPolicy::kCheckpoint:
-      return can_increment ? PreemptAction::kCheckpointIncremental
-                           : PreemptAction::kCheckpointFull;
-    case PreemptionPolicy::kAdaptive:
-      // Service replicas have no unsaved batch progress to weigh; their
-      // Algorithm 1 branch compares kill's SLO damage (downtime + cold
-      // warmup) against the checkpoint's (freeze at current load, plus the
-      // frozen-core overhead): troughs kill, peaks checkpoint.
-      if (IsService(victim)) {
-        return DecideServicePreemption(ServiceVictimCost(victim),
-                                       can_increment,
-                                       config_.adaptive_threshold);
-      }
-      return DecidePreemption(UnsavedProgress(victim),
-                              VictimCheckpointOverhead(victim), can_increment,
-                              config_.adaptive_threshold);
-  }
-  return PreemptAction::kKill;
+  return ActionForPolicy(config_.policy, can_increment, [&] {
+    // Service replicas have no unsaved batch progress to weigh; their
+    // Algorithm 1 branch compares kill's SLO damage (downtime + cold
+    // warmup) against the checkpoint's (freeze at current load, plus the
+    // frozen-core overhead): troughs kill, peaks checkpoint.
+    if (IsService(victim)) {
+      return DecideServicePreemption(ServiceVictimCost(victim), can_increment,
+                                     config_.adaptive_threshold);
+    }
+    return DecidePreemption(victim->progress.Unsaved(sim_->Now()),
+                            VictimCheckpointOverhead(victim), can_increment,
+                            config_.adaptive_threshold);
+  });
 }
 
 void ClusterScheduler::ChargeWaste(WasteCause cause, double amount,
@@ -1080,18 +1046,6 @@ void ClusterScheduler::ChargeWaste(WasteCause cause, double amount,
   if (prof_waste_charge_ != nullptr) ++prof_waste_charge_->calls;
   config_.obs->waste().Add(cause, amount, task->job->spec.id.value(),
                            task->node.valid() ? task->node.value() : -1);
-}
-
-void ClusterScheduler::CountVictimDecision(PreemptAction action) {
-  // Handles resolve on first use, not at construction, so only the
-  // actions a run takes appear as series.
-  Counter*& decisions = decision_counters_[static_cast<size_t>(action)];
-  if (decisions == nullptr) {
-    decisions = config_.obs->metrics().GetCounter(
-        "policy.decisions", {{"policy", PolicyName(config_.policy)},
-                             {"action", ActionName(action)}});
-  }
-  decisions->Inc();
 }
 
 void ClusterScheduler::RecordServicePreempt(
@@ -1258,7 +1212,8 @@ bool ClusterScheduler::TryPreemptFor(RtTask* task) {
                 [](RtTask* a, RtTask* b) {
                   if (a->spec->priority != b->spec->priority)
                     return a->spec->priority < b->spec->priority;
-                  return a->run_start > b->run_start;  // least progress first
+                  // Least progress first.
+                  return a->progress.run_start > b->progress.run_start;
                 });
       break;
     case VictimOrder::kRandom:
@@ -1280,7 +1235,7 @@ bool ClusterScheduler::TryPreemptFor(RtTask* task) {
         TraceArg::Num("priority", static_cast<double>(victim->spec->priority)),
         TraceArg::Num("cpus", victim->spec->demand.cpus),
         TraceArg::Num("unsaved_progress_s",
-                      ToSeconds(UnsavedProgress(victim))),
+                      ToSeconds(victim->progress.Unsaved(sim_->Now()))),
         TraceArg::Num("overhead_s",
                       ToSeconds(VictimCheckpointOverhead(victim))),
         TraceArg::Num("has_image", victim->has_image ? 1 : 0),
@@ -1302,7 +1257,7 @@ bool ClusterScheduler::TryPreemptFor(RtTask* task) {
     PreemptAction action = DecideVictimAction(victim);
     bool fallback = false;
     if (action != PreemptAction::kKill &&
-        victim->dump_failures >= config_.max_checkpoint_failures) {
+        victim->dump_failures >= kMaxCheckpointFailures) {
       // Algorithm 1 falls back to the kill baseline for a victim whose
       // dumps keep failing: the checkpoint cost is paid with nothing saved.
       action = PreemptAction::kKill;
@@ -1312,7 +1267,8 @@ bool ClusterScheduler::TryPreemptFor(RtTask* task) {
     if (obs != nullptr) {
       audit_candidate(victim, ActionName(action),
                       fallback ? "dump_failures_fallback" : "selected");
-      CountVictimDecision(action);
+      obs->DecisionCounter(PolicyName(config_.policy), ActionName(action))
+          ->Inc();
     }
     PreemptVictim(victim, action);
     if (victim->state == RtTask::State::kDumping) {
@@ -1499,8 +1455,7 @@ void ClusterScheduler::OnDumpComplete(RtTask* task, int attempt,
   EndFreeze(task);
   // The reservation becomes the image.
   UnindexPendingDump(task);
-  task->saved_work = task->work_done;
-  task->unsynced_run = 0;
+  task->progress.Commit();
   task->has_image = true;
   task->dump_failures = 0;
   task->pending_dump_bytes = 0;
@@ -1667,7 +1622,7 @@ void ClusterScheduler::EvacuateImage(RtTask* task, NodeId failed) {
   // the task restarts from scratch.
   ReleaseImage(task);
   if (task->state == RtTask::State::kPending) {
-    task->work_done = 0;
+    task->progress.work_done = 0;
   }
   result_.images_lost_to_failure++;
 }
@@ -1679,7 +1634,7 @@ void ClusterScheduler::ReleaseImage(RtTask* task) {
   current_checkpoint_bytes_ -= task->stored_bytes;
   task->has_image = false;
   task->stored_bytes = 0;
-  task->saved_work = 0;
+  task->progress.saved_work = 0;
   BumpOverheadEpoch();  // CanIncrement and restore sizes changed
 }
 
@@ -1689,7 +1644,7 @@ SimDuration ClusterScheduler::RemainingRun(const RtTask* task) const {
   // A service replica completes at its absolute retirement instant; a batch
   // task after its remaining work.
   return IsService(task) ? task->service_end - sim_->Now()
-                         : task->spec->duration - task->work_done;
+                         : task->spec->duration - task->progress.work_done;
 }
 
 void ClusterScheduler::ScheduleRun(RtTask* task) {
@@ -1831,7 +1786,7 @@ void ClusterScheduler::ResumeFrozen(RtTask* task) {
   // the node's releasable set: its feasibility-index leaf must refresh.
   TouchNode(task->node);
   task->state = RtTask::State::kRunning;
-  task->run_start = sim_->Now();
+  task->progress.Start(sim_->Now());
   task->attempt++;
   // Checkpoint-resumed service replicas come back warm — the asymmetry the
   // SLO-aware kill-vs-checkpoint decision trades on.
@@ -1843,13 +1798,12 @@ void ClusterScheduler::ForfeitUnsavedWork(RtTask* task, WasteCause cause) {
   // seconds plus the cold restart, accounted by the ServiceManager — so
   // charging zero keeps the ledger's reconciliation invariant intact.
   const SimDuration lost =
-      IsService(task) ? 0 : task->work_done - task->saved_work;
+      IsService(task) ? 0 : task->progress.Unsaved(sim_->Now());
   const double core_hours = ToHours(lost) * task->spec->demand.cpus;
   result_.lost_work_core_hours += core_hours;
   result_.wasted_core_hours += core_hours;
   ChargeWaste(cause, core_hours, task);
-  task->work_done = task->saved_work;
-  task->unsynced_run = 0;
+  task->progress.RollBack();
 }
 
 void ClusterScheduler::ReleaseBeneficiary(RtTask* task) {

@@ -78,10 +78,9 @@ struct SchedulerConfig {
 
   // --- NVRAM-as-virtual-memory extensions (paper S3.2.3 / future work) ---
   // Shadow buffering: while a task runs, a background mirror streams its
-  // dirty pages to NVM at `shadow_sync_bw`, so a later dump only writes the
-  // residue that the mirror has not caught up with.
+  // dirty pages to NVM at 2 GB/s, so a later dump only writes the residue
+  // that the mirror has not caught up with.
   bool shadow_buffering = false;
-  Bandwidth shadow_sync_bw = GBps(2);
   // Lazy (copy-on-touch) restore: resume after reloading metadata plus 5%
   // of the image, eagerly paged; the rest faults back from NVRAM on demand
   // via OS paging.
@@ -108,10 +107,9 @@ struct SchedulerConfig {
   // Deterministic fault injection (node crashes are scheduled at
   // construction; storage faults hook into every node's device). An empty
   // plan leaves behaviour bit-for-bit identical to a build without faults.
+  // After kMaxCheckpointFailures consecutive failures a victim's dumps
+  // give way to kills and a task's image to a scratch restart.
   FaultPlan fault;
-  // After this many consecutive failed dumps of one victim, Algorithm 1
-  // falls back to killing it instead of checkpointing again.
-  int max_checkpoint_failures = 3;
 
   // Shared-bandwidth checkpoint interference; see InterferenceConfig.
   InterferenceConfig interference;
@@ -339,9 +337,6 @@ class ClusterScheduler {
   void DetachFromNode(RtTask* task);
   void ReleaseImage(RtTask* task);
   PreemptAction DecideVictimAction(RtTask* victim) const;
-  // Ticks policy.decisions for one victim (obs only); the decision itself
-  // is recorded in the preempt_scan audit record's candidate list.
-  void CountVictimDecision(PreemptAction action);
   // --- Service workload hooks (all no-ops unless SubmitServices ran) ---
   bool IsService(const RtTask* task) const;
   // Capacity bookkeeping: a replica comes up cold (fresh start / post-kill
@@ -363,8 +358,6 @@ class ClusterScheduler {
   bool CanIncrement(const RtTask* victim) const;
   SimDuration VictimCheckpointOverhead(const RtTask* victim) const;
   Bytes DumpBytes(const RtTask* victim, bool incremental) const;
-  Bytes DirtyBytes(const RtTask* victim) const;
-  SimDuration UnsavedProgress(const RtTask* task) const;
   void AddPending(RtTask* task);
   void RemovePending(RtTask* task);
   void FinishJobIfDone(RtJob* job);
@@ -468,8 +461,6 @@ class ClusterScheduler {
   // capacity instead of allocating per decision.
   TraceArgs preempt_args_;
   std::vector<TraceArgs> preempt_candidates_;
-  // policy.decisions counter handles, one per PreemptAction.
-  std::array<Counter*, 3> decision_counters_{};
 
   // Feasibility-index work counter (leaves recomputed by flushes); cheap
   // enough to keep always-on, exported and audited only under obs.

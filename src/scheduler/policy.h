@@ -12,8 +12,15 @@
 // smaller:
 //   overhead_local  = size/bw_read + queue_time_local
 //   overhead_remote = size/bw_net + size/bw_read + queue_time_remote
+//
+// Both scheduler front-ends (ClusterScheduler and the YARN AM) keep their
+// tasks' progress in a TaskProgress and map a policy to an action with
+// ActionForPolicy; each supplies its own cost terms.
 #pragma once
 
+#include <algorithm>
+
+#include "common/logging.h"
 #include "common/units.h"
 
 namespace ckpt {
@@ -39,7 +46,59 @@ enum class VictimOrder {
   kRandom,          // ablation baseline
 };
 
+// --- Task progress ---------------------------------------------------------
+// One task's work ledger: validated work, the part of it an image holds, and
+// the run time since the last committed dump. A kill loses Unsaved(); an
+// incremental dump writes the DirtyFraction() of the footprint that the
+// exposure rewrote (soft-dirty tracking, S3.2 and Table 3).
+struct TaskProgress {
+  SimTime run_start = -1;      // start of the current run; -1 while stopped
+  SimDuration work_done = 0;   // validated work up to the last Stop
+  SimDuration saved_work = 0;  // captured in the image
+  SimDuration unsynced = 0;    // stopped run time since the last Commit
+
+  bool running() const { return run_start >= 0; }
+  void Start(SimTime now) { run_start = now; }
+  // End the current run: its span joins work_done and unsynced.
+  void Stop(SimTime now) {
+    const SimDuration span = now - run_start;
+    work_done += span;
+    unsynced += span;
+    run_start = -1;
+  }
+  // Work a kill at `now` would lose.
+  SimDuration Unsaved(SimTime now) const {
+    return work_done - saved_work + (running() ? now - run_start : 0);
+  }
+  // Run time since the last committed dump.
+  SimDuration Exposure(SimTime now) const {
+    return unsynced + (running() ? now - run_start : 0);
+  }
+  // Share of the footprint rewritten over Exposure(now) by a task that
+  // rewrites `write_rate` of it per second.
+  double DirtyFraction(SimTime now, double write_rate) const {
+    return std::min(1.0, write_rate * ToSeconds(Exposure(now)));
+  }
+  // A dump committed: the image holds all work done so far.
+  void Commit() {
+    saved_work = work_done;
+    unsynced = 0;
+  }
+  // Back to the image: work since it is gone.
+  void RollBack() {
+    run_start = -1;
+    work_done = saved_work;
+    unsynced = 0;
+  }
+};
+
 // --- Algorithm 1 -----------------------------------------------------------
+
+// After this many consecutive failed dumps of one task, Algorithm 1 kills it
+// instead of checkpointing again: its dumps cost overhead and save nothing.
+// ClusterScheduler likewise gives up on an image after this many failed
+// restores.
+inline constexpr int kMaxCheckpointFailures = 3;
 
 struct CheckpointCost {
   Bytes dump_bytes = 0;     // what the next dump would write
@@ -73,6 +132,28 @@ const char* ActionName(PreemptAction action);
 PreemptAction DecidePreemption(SimDuration unsaved_progress,
                                SimDuration overhead, bool has_prior_image,
                                double threshold = 1.0);
+
+// The action `policy` takes for one victim: kill kills, checkpoint always
+// checkpoints (incrementally when `can_increment`), and adaptive returns
+// `algorithm1()`, the front-end's Algorithm 1 over its own cost terms. The
+// wait policy never preempts.
+template <typename Algorithm1>
+PreemptAction ActionForPolicy(PreemptionPolicy policy, bool can_increment,
+                              const Algorithm1& algorithm1) {
+  switch (policy) {
+    case PreemptionPolicy::kWait:
+      CKPT_CHECK(false) << "wait policy never preempts";
+      break;
+    case PreemptionPolicy::kKill:
+      break;
+    case PreemptionPolicy::kCheckpoint:
+      return can_increment ? PreemptAction::kCheckpointIncremental
+                           : PreemptAction::kCheckpointFull;
+    case PreemptionPolicy::kAdaptive:
+      return algorithm1();
+  }
+  return PreemptAction::kKill;
+}
 
 // --- Service extension of Algorithm 1 --------------------------------------
 // For a long-running service replica, killing loses no batch work — the

@@ -6,10 +6,7 @@
 
 namespace ckpt {
 
-ServiceManager::ServiceManager(std::vector<ServiceSpec> services,
-                               SimDuration tick)
-    : tick_(tick) {
-  CKPT_CHECK_GT(tick_, 0);
+ServiceManager::ServiceManager(std::vector<ServiceSpec> services) {
   states_.reserve(services.size());
   for (ServiceSpec& spec : services) {
     CKPT_CHECK_GT(spec.replicas, 0);
@@ -67,7 +64,7 @@ ServiceManager::TickSample ServiceManager::Tick(int s,
   sample.q = MmcQuantiles(sample.lambda_rps, spec.replica_capacity_rps,
                           sample.effective_replicas);
   sample.violated = sample.q.p99 > spec.slo_p99;
-  const double tick_s = ToSeconds(tick_);
+  const double tick_s = ToSeconds(kServiceTick);
   if (sample.violated) {
     sample.violation_s = tick_s;
     // Counterfactual: would the full fleet, all warm, have met the SLO at

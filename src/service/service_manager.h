@@ -16,6 +16,9 @@
 
 namespace ckpt {
 
+// SLO accounting cadence: every service is sampled once per tick.
+inline constexpr SimDuration kServiceTick = Seconds(30);
+
 class ServiceManager {
  public:
   // Everything a tick observed; the scheduler mirrors violation seconds
@@ -25,7 +28,7 @@ class ServiceManager {
     double effective_replicas = 0;
     LatencyQuantiles q;
     bool violated = false;
-    double violation_s = 0;  // == tick seconds when violated
+    double violation_s = 0;  // == kServiceTick seconds when violated
     double preempt_s = 0;    // violation attributed to lost capacity
     double organic_s = 0;    // full fleet would have violated too
   };
@@ -47,12 +50,10 @@ class ServiceManager {
     double P99MsMean() const { return ticks > 0 ? p99_ms_sum / ticks : 0; }
   };
 
-  explicit ServiceManager(std::vector<ServiceSpec> services,
-                          SimDuration tick = Seconds(30));
+  explicit ServiceManager(std::vector<ServiceSpec> services);
 
   int count() const { return static_cast<int>(states_.size()); }
   const ServiceSpec& spec(int s) const;
-  SimDuration tick() const { return tick_; }
 
   // --- scheduler hooks ------------------------------------------------------
   // A replica entered the running state. `cold` starts serve at
@@ -92,7 +93,6 @@ class ServiceManager {
     Totals totals;
   };
 
-  SimDuration tick_;
   std::vector<State> states_;
 };
 

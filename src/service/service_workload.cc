@@ -82,30 +82,4 @@ std::vector<ServiceSpec> GenerateServiceFleet(
   return fleet;
 }
 
-bool ServiceFleetStream::Next(ServiceSpec* out) {
-  if (next_ >= config_.services) return false;
-  *out = MakeServiceSpec(config_, next_++);
-  return true;
-}
-
-std::vector<double> MaterializeTraffic(const ServiceSpec& spec,
-                                       SimDuration tick) {
-  CKPT_CHECK_GT(tick, 0);
-  std::vector<double> rates;
-  for (std::int64_t k = 0;; ++k) {
-    const SimTime t = spec.start + (k + 1) * tick;
-    if (t > spec.end) break;
-    rates.push_back(JitteredDiurnalRate(spec, k, t));
-  }
-  return rates;
-}
-
-bool TrafficCursor::Next(double* rate) {
-  const SimTime t = spec_.start + (next_ + 1) * tick_;
-  if (t > spec_.end) return false;
-  *rate = JitteredDiurnalRate(spec_, next_, t);
-  ++next_;
-  return true;
-}
-
 }  // namespace ckpt

@@ -1,11 +1,6 @@
-// Deterministic service-fleet generation, stream-compatible by design.
-//
-// Sibling of the trace layer's SnapshotStream: a fleet can be materialized
-// in one call or pulled one spec at a time, and both paths emit identical
-// specs because every spec is a pure function of (config, index) — there is
-// no sequential RNG state to diverge. The same random-access construction
-// applies to the traffic series helpers below, which back the
-// materialized-vs-streaming byte-identity tests.
+// Deterministic service-fleet generation: every spec is a pure function of
+// (config, index), with no sequential RNG state, so any one spec can be
+// built on its own.
 #pragma once
 
 #include <cstdint>
@@ -54,38 +49,5 @@ ServiceSpec MakeServiceSpec(const ServiceFleetConfig& config, int index);
 
 // All `config.services` specs at once.
 std::vector<ServiceSpec> GenerateServiceFleet(const ServiceFleetConfig& config);
-
-// Streaming counterpart: pulls the same specs one at a time.
-class ServiceFleetStream {
- public:
-  explicit ServiceFleetStream(const ServiceFleetConfig& config)
-      : config_(config) {}
-  bool Next(ServiceSpec* out);
-
- private:
-  ServiceFleetConfig config_;
-  int next_ = 0;
-};
-
-// --- Traffic series ---------------------------------------------------------
-// The jittered per-tick rate series over [spec.start, spec.end), sampled at
-// tick boundaries (tick_index k at time spec.start + (k+1)*tick — the end
-// of the interval the sample accounts, matching ServiceManager::Tick).
-
-std::vector<double> MaterializeTraffic(const ServiceSpec& spec,
-                                       SimDuration tick);
-
-class TrafficCursor {
- public:
-  TrafficCursor(const ServiceSpec& spec, SimDuration tick)
-      : spec_(spec), tick_(tick) {}
-  // Emits the next tick's jittered rate; false once the horizon is reached.
-  bool Next(double* rate);
-
- private:
-  ServiceSpec spec_;
-  SimDuration tick_;
-  std::int64_t next_ = 0;
-};
 
 }  // namespace ckpt

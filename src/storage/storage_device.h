@@ -9,18 +9,11 @@
 // Completions carry a `bool ok`. Without a fault injector every op
 // succeeds; with one attached (set_fault_injector), transient failures
 // consume the op's full service time and then complete ok=false, and
-// degraded-bandwidth windows stretch the service time. CancelOp()
-// abandons a pending op: if the device already started servicing it the
-// completion is merely suppressed (the hardware finishes the request and
-// discards the result), but an op still waiting in the queue is removed
-// outright — its service time is reclaimed and every op queued behind it
-// shifts earlier, so canceled work no longer inflates QueueDelay() or
-// total_busy_time().
+// degraded-bandwidth windows stretch the service time.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 
 #include "common/ids.h"
@@ -33,8 +26,6 @@ namespace ckpt {
 
 class BandwidthDomain;
 class FaultInjector;
-
-using StorageOpId = std::uint64_t;
 
 class StorageDevice {
  public:
@@ -69,18 +60,6 @@ class StorageDevice {
   SimTime SubmitWrite(Bytes size, std::function<void(bool)> done);
   SimTime SubmitRead(Bytes size, std::function<void(bool)> done);
 
-  // Id of the op most recently submitted, for CancelOp().
-  StorageOpId last_op_id() const { return next_op_id_ - 1; }
-
-  // Abandon a still-pending op: `done` is never invoked and the caller
-  // owns any cleanup. An op already in service keeps its timing (the
-  // hardware finishes the request; only the completion is suppressed). An
-  // op still queued is removed: its service time, byte counters, and
-  // busy-time charge are rolled back and every later op's start/completion
-  // shifts earlier deterministically. Returns false when the op already
-  // completed, was already canceled, or never existed.
-  bool CancelOp(StorageOpId id);
-
   // Pure service time (no queueing, no degradation).
   SimDuration EstimateWrite(Bytes size) const { return medium_.WriteTime(size); }
   SimDuration EstimateRead(Bytes size) const { return medium_.ReadTime(size); }
@@ -107,27 +86,10 @@ class StorageDevice {
   Bytes peak_used() const { return peak_used_; }
 
  private:
-  // One in-flight op. Kept in a map ordered by id, which is also FIFO
-  // service order: later ids never start before earlier ones.
-  struct PendingOp {
-    SimDuration service = 0;
-    Bytes bytes = 0;
-    bool is_write = false;
-    bool ok = true;
-    SimTime start = 0;
-    SimTime completion = 0;
-    // Bumped when a cancellation shifts this op earlier; the completion
-    // event captures the generation it was scheduled under and goes stale
-    // on mismatch, so the superseded timer fires as a no-op.
-    int generation = 0;
-    bool canceled = false;  // started-then-canceled: suppress `done` only
-    std::function<void(bool)> done;
-  };
-
-  SimTime Enqueue(SimDuration service, Bytes bytes, bool is_write, bool ok,
+  // Queue an op behind the backlog; its completion event carries the op.
+  SimTime Enqueue(SimDuration service, Bytes bytes, bool ok,
                   std::function<void(bool)> done);
-  void ScheduleCompletion(StorageOpId id);
-  void OnOpComplete(StorageOpId id, int generation);
+  void OnOpComplete(Bytes bytes, bool ok, std::function<void(bool)> done);
 
   Simulator* sim_;
   StorageMedium medium_;
@@ -138,8 +100,6 @@ class StorageDevice {
 
   SimTime busy_until_ = 0;
   int pending_ops_ = 0;
-  StorageOpId next_op_id_ = 1;
-  std::map<StorageOpId, PendingOp> ops_;
 
   Bytes used_ = 0;
   Bytes peak_used_ = 0;

@@ -1,7 +1,7 @@
 #include "yarn/app_master.h"
 
 #include <algorithm>
-#include <cstring>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/observability.h"
@@ -12,9 +12,6 @@ namespace {
 
 // MemoryImage page size; coarse pages keep big runs cheap.
 constexpr Bytes kImagePageSize = kMiB;
-// Algorithm-1-aware fallback: after this many consecutive dump failures a
-// task stops checkpointing and is killed on preemption instead.
-constexpr int kMaxCheckpointFailures = 3;
 
 }  // namespace
 
@@ -38,10 +35,7 @@ struct DistributedShellAm::TaskRt {
   int attempt = 0;
 
   SimTime submit_time = 0;
-  SimTime run_start = -1;
-  SimDuration work_done = 0;   // validated work while stopped
-  SimDuration saved_work = 0;  // captured in the image
-  SimDuration unsynced_run = 0;
+  TaskProgress progress;  // running exactly while kRunning
   // Consecutive dump failures; at kMaxCheckpointFailures the AM stops
   // checkpointing this task (Algorithm-1-aware fallback to kill).
   int dump_failures = 0;
@@ -206,18 +200,17 @@ void DistributedShellAm::LaunchTask(TaskRt* task, const Container& container) {
                          // and the inputs it held, and re-run from scratch
                          // in the held container rather than crash the AM.
                          stats_.restore_failures++;
-                         stats_.lost_work += task->saved_work;
+                         stats_.lost_work += task->progress.saved_work;
                          ChargeWaste(WasteCause::kFaultLostWork,
-                                     task->saved_work, task->container.node);
+                                     task->progress.saved_work,
+                                     task->container.node);
                          engine_->Discard(*task->proc);
-                         task->saved_work = 0;
-                         task->work_done = 0;
-                         task->unsynced_run = 0;
+                         task->progress = TaskProgress{};
                          task->inputs_fetched = false;
                          Execute(task);
                          return;
                        }
-                       task->work_done = task->saved_work;
+                       task->progress.work_done = task->progress.saved_work;
                        RunTask(task);
                      });
     return;
@@ -270,9 +263,9 @@ void DistributedShellAm::StartFetch(TaskRt* task) {
 
 void DistributedShellAm::RunTask(TaskRt* task) {
   task->state = TaskRt::State::kRunning;
-  task->run_start = sim_->Now();
+  task->progress.Start(sim_->Now());
   task->attempt++;
-  SimDuration remaining = task->spec->duration - task->work_done;
+  SimDuration remaining = task->spec->duration - task->progress.work_done;
   if (remaining < 1) remaining = 1;
   const int attempt = task->attempt;
   sim_->ScheduleAfter(remaining,
@@ -283,8 +276,7 @@ void DistributedShellAm::OnTaskComplete(TaskRt* task, int attempt) {
   if (task->attempt != attempt || task->state != TaskRt::State::kRunning) {
     return;
   }
-  task->work_done += sim_->Now() - task->run_start;
-  task->run_start = -1;
+  task->progress.Stop(sim_->Now());
   task->state = TaskRt::State::kDone;
   task->attempt++;
   if (task->proc != nullptr) engine_->Discard(*task->proc);
@@ -339,17 +331,14 @@ void DistributedShellAm::OnContainerLost(ContainerId id) {
     case TaskRt::State::kRunning:
       // The process died with the node; progress since the last image is
       // gone. The container itself was already torn down by the RM.
-      stats_.lost_work += UnsavedProgress(task);
-      ChargeWaste(WasteCause::kFaultLostWork, UnsavedProgress(task),
-                  task->container.node);
+    case TaskRt::State::kDumping: {
+      // A dump in flight can never commit (and must not resurrect an image
+      // produced on the dead node).
+      const SimDuration lost = task->progress.Unsaved(sim_->Now());
+      stats_.lost_work += lost;
+      ChargeWaste(WasteCause::kFaultLostWork, lost, task->container.node);
       break;
-    case TaskRt::State::kDumping:
-      // The in-flight dump can never commit (and must not resurrect an
-      // image produced on the dead node).
-      stats_.lost_work += task->work_done - task->saved_work;
-      ChargeWaste(WasteCause::kFaultLostWork,
-                  task->work_done - task->saved_work, task->container.node);
-      break;
+    }
     case TaskRt::State::kRestoring:
       // Abandon the restore; the image (wherever its replicas live) is
       // untouched and the task requeues.
@@ -361,14 +350,6 @@ void DistributedShellAm::OnContainerLost(ContainerId id) {
   }
   RollBack(task);
   RequeueTask(task, /*release=*/false);
-}
-
-SimDuration DistributedShellAm::UnsavedProgress(const TaskRt* task) const {
-  SimDuration progress = task->work_done - task->saved_work;
-  if (task->state == TaskRt::State::kRunning && task->run_start >= 0) {
-    progress += sim_->Now() - task->run_start;
-  }
-  return progress;
 }
 
 SimDuration DistributedShellAm::InputRefetchCost(const TaskRt* task) const {
@@ -393,36 +374,24 @@ void DistributedShellAm::ChargeWaste(WasteCause cause, SimDuration sim_lost,
                            node.valid() ? node.value() : -1);
 }
 
-void DistributedShellAm::RecordPolicyDecision(TaskRt* task, bool can_increment,
+DistributedShellAm::DumpCost DistributedShellAm::EstimateDumpCost(
+    const TaskRt* task, bool can_increment) const {
+  // Dump + restore service time plus the node's checkpoint-queue backlog
+  // (the RM tracks in-flight reservations).
+  const NodeId node = task->container.node;
+  return {rm_->DumpQueueDelay(node),
+          engine_->EstimateDumpService(*task->proc, node, can_increment),
+          engine_->EstimateRestore(*task->proc, node, /*local=*/true)};
+}
+
+void DistributedShellAm::RecordPolicyDecision(const TaskRt* task,
+                                              bool can_increment,
+                                              const DumpCost& cost,
                                               const char* action) {
   Observability* obs = config_.obs;
   if (obs == nullptr) return;
-  // Algorithm 1's cost terms, recomputed from the same live estimates the
-  // adaptive policy consults; for kill/checkpoint policies this records what
-  // the adaptive decision would have weighed.
   const NodeId node = task->container.node;
-  const SimDuration queue = rm_->DumpQueueDelay(node);
-  const SimDuration dump_service =
-      engine_->EstimateDumpService(*task->proc, node, can_increment);
-  const SimDuration restore =
-      engine_->EstimateRestore(*task->proc, node, /*local=*/true);
-  const SimDuration unsaved = UnsavedProgress(task);
-  // Per-action counter handle, resolved on first use only so the emitted
-  // series set matches the per-call lookup exactly.
-  Counter* counter = nullptr;
-  for (const auto& [known, handle] : decision_counters_) {
-    if (known == action || std::strcmp(known, action) == 0) {
-      counter = handle;
-      break;
-    }
-  }
-  if (counter == nullptr) {
-    counter = obs->metrics().GetCounter(
-        "policy.decisions",
-        {{"policy", PolicyName(config_.policy)}, {"action", action}});
-    decision_counters_.emplace_back(action, counter);
-  }
-  counter->Inc();
+  obs->DecisionCounter(PolicyName(config_.policy), action)->Inc();
   obs->audit().Event(
       "am_decision", obs->TrackFor(node), sim_->Now(),
       {TraceArg::Num("task", static_cast<double>(task->spec->id.value())),
@@ -430,11 +399,12 @@ void DistributedShellAm::RecordPolicyDecision(TaskRt* task, bool can_increment,
        TraceArg::Num("container",
                      static_cast<double>(task->container.id.value())),
        TraceArg::Num("node", static_cast<double>(node.value())),
-       TraceArg::Num("unsaved_progress_s", ToSeconds(unsaved)),
-       TraceArg::Num("dump_queue_s", ToSeconds(queue)),
-       TraceArg::Num("dump_service_s", ToSeconds(dump_service)),
-       TraceArg::Num("restore_s", ToSeconds(restore)),
-       TraceArg::Num("overhead_s", ToSeconds(queue + dump_service + restore)),
+       TraceArg::Num("unsaved_progress_s",
+                     ToSeconds(task->progress.Unsaved(sim_->Now()))),
+       TraceArg::Num("dump_queue_s", ToSeconds(cost.queue)),
+       TraceArg::Num("dump_service_s", ToSeconds(cost.dump_service)),
+       TraceArg::Num("restore_s", ToSeconds(cost.restore)),
+       TraceArg::Num("overhead_s", ToSeconds(cost.Overhead())),
        TraceArg::Num("threshold", config_.adaptive_threshold),
        TraceArg::Num("incremental_available", can_increment ? 1 : 0),
        TraceArg::Str("policy", PolicyName(config_.policy)),
@@ -444,61 +414,45 @@ void DistributedShellAm::RecordPolicyDecision(TaskRt* task, bool can_increment,
 void DistributedShellAm::HandlePreempt(TaskRt* task) {
   const bool can_increment =
       config_.incremental_checkpoints && task->proc->has_image;
+  const bool checkpoints = config_.policy == PreemptionPolicy::kCheckpoint ||
+                           config_.policy == PreemptionPolicy::kAdaptive;
   // Algorithm-1-aware fallback: a task whose dumps keep failing has an
   // effectively infinite checkpoint overhead, so the kill branch wins no
   // matter the estimates. Stop trying to checkpoint it.
-  if (config_.policy != PreemptionPolicy::kKill &&
-      config_.policy != PreemptionPolicy::kWait &&
-      task->dump_failures >= kMaxCheckpointFailures) {
-    RecordPolicyDecision(task, can_increment, "kill_fallback");
-    stats_.fallback_kills++;
-    KillTask(task);
-    return;
-  }
+  const bool fallback =
+      checkpoints && task->dump_failures >= kMaxCheckpointFailures;
   // A checkpoint writes the pages this run dirtied: fold the whole exposure
   // into the page table once, before anything estimates the dump.
-  if (config_.policy == PreemptionPolicy::kCheckpoint ||
-      config_.policy == PreemptionPolicy::kAdaptive) {
-    TouchDirtyPages(task);
-  }
+  if (checkpoints && !fallback) TouchDirtyPages(task);
+  // Algorithm 1's cost terms, for the adaptive decision and the audit
+  // record alike; under kill and checkpoint the record shows what adaptive
+  // would have weighed.
+  const DumpCost cost = EstimateDumpCost(task, can_increment);
   PreemptAction action = PreemptAction::kKill;
-  switch (config_.policy) {
-    case PreemptionPolicy::kWait:
-      CKPT_CHECK(false) << "wait policy never sends preempt events";
-      return;
-    case PreemptionPolicy::kKill:
-      break;
-    case PreemptionPolicy::kCheckpoint:
-      action = can_increment ? PreemptAction::kCheckpointIncremental
-                             : PreemptAction::kCheckpointFull;
-      break;
-    case PreemptionPolicy::kAdaptive: {
-      // Algorithm 1: dump + restore service time plus the node's checkpoint-
-      // queue backlog (the RM tracks in-flight reservations). Killing
-      // forfeits fetched inputs as well as progress: both are at stake.
-      const NodeId node = task->container.node;
-      const SimDuration overhead =
-          rm_->DumpQueueDelay(node) +
-          engine_->EstimateDumpService(*task->proc, node, can_increment) +
-          engine_->EstimateRestore(*task->proc, node, /*local=*/true);
-      action = DecidePreemption(UnsavedProgress(task) + InputRefetchCost(task),
-                                overhead, can_increment,
-                                config_.adaptive_threshold);
-      break;
-    }
+  if (!fallback) {
+    action = ActionForPolicy(config_.policy, can_increment, [&] {
+      // Killing forfeits fetched inputs as well as progress: both are at
+      // stake.
+      return DecidePreemption(
+          task->progress.Unsaved(sim_->Now()) + InputRefetchCost(task),
+          cost.Overhead(), can_increment, config_.adaptive_threshold);
+    });
   }
-  RecordPolicyDecision(task, can_increment, ActionName(action));
+  RecordPolicyDecision(task, can_increment, cost,
+                       fallback ? "kill_fallback" : ActionName(action));
+  if (fallback) stats_.fallback_kills++;
   if (action == PreemptAction::kKill) {
     KillTask(task);
   } else {
-    CheckpointTask(task, action == PreemptAction::kCheckpointIncremental);
+    CheckpointTask(task, action == PreemptAction::kCheckpointIncremental,
+                   cost);
   }
 }
 
 void DistributedShellAm::KillTask(TaskRt* task) {
   // Unsaved progress is lost; the task will rerun from its image (if any)
   // or from scratch.
-  const SimDuration lost = UnsavedProgress(task);
+  const SimDuration lost = task->progress.Unsaved(sim_->Now());
   stats_.lost_work += lost;
   ChargeWaste(WasteCause::kKillLostWork, lost, task->container.node);
   stats_.kills++;
@@ -509,42 +463,34 @@ void DistributedShellAm::KillTask(TaskRt* task) {
 void DistributedShellAm::TouchDirtyPages(TaskRt* task) {
   // Fold the execution since the last dump into the page table: the task
   // rewrote roughly write_rate * seconds of its footprint.
-  SimDuration exposure = task->unsynced_run;
-  if (task->state == TaskRt::State::kRunning && task->run_start >= 0) {
-    exposure += sim_->Now() - task->run_start;
-  }
-  task->unsynced_run = exposure;  // carried until the next dump completes
   if (!task->proc->memory.tracking_enabled()) return;
-  const double fraction = std::min(
-      1.0, task->spec->memory_write_rate * ToSeconds(exposure));
-  task->proc->memory.TouchRandomFraction(fraction, rng_);
+  task->proc->memory.TouchRandomFraction(
+      task->progress.DirtyFraction(sim_->Now(),
+                                   task->spec->memory_write_rate),
+      rng_);
 }
 
-void DistributedShellAm::CheckpointTask(TaskRt* task, bool incremental) {
+void DistributedShellAm::CheckpointTask(TaskRt* task, bool incremental,
+                                        const DumpCost& cost) {
   // Freeze the process tree and enqueue its dump on the node's sequential
   // checkpoint queue. The frozen container keeps its slot (the high-
   // priority job waits for the dump, as in the paper) but burns no CPU, so
   // only the dump's service time is checkpointing overhead.
   CKPT_CHECK(task->state == TaskRt::State::kRunning);
-  task->work_done += sim_->Now() - task->run_start;
-  task->run_start = -1;
+  task->progress.Stop(sim_->Now());
   task->state = TaskRt::State::kDumping;
   task->attempt++;
   rm_->SuspendContainer(task->container.id);
 
   stats_.checkpoints++;
   if (incremental && task->proc->has_image) stats_.incremental_checkpoints++;
-  const SimDuration dump_service = engine_->EstimateDumpService(
-      *task->proc, task->container.node, incremental);
-  stats_.dump_time += dump_service;
+  stats_.dump_time += cost.dump_service;
   if (config_.obs != nullptr) {
-    ChargeWaste(WasteCause::kDumpOverhead, dump_service,
+    ChargeWaste(WasteCause::kDumpOverhead, cost.dump_service,
                 task->container.node);
     // Queue wait behind the node's sequential checkpoint queue freezes the
     // container without counting as dump overhead.
-    ChargeWaste(WasteCause::kQueueing,
-                rm_->DumpQueueDelay(task->container.node),
-                task->container.node);
+    ChargeWaste(WasteCause::kQueueing, cost.queue, task->container.node);
   }
 
   DumpOptions opts;
@@ -564,25 +510,23 @@ void DistributedShellAm::CheckpointTask(TaskRt* task, bool incremental) {
                     stats_.dump_failures++;
                     stats_.fallback_kills++;
                     task->dump_failures++;
-                    stats_.lost_work += task->work_done - task->saved_work;
-                    ChargeWaste(WasteCause::kFaultLostWork,
-                                task->work_done - task->saved_work,
+                    const SimDuration lost =
+                        task->progress.Unsaved(sim_->Now());
+                    stats_.lost_work += lost;
+                    ChargeWaste(WasteCause::kFaultLostWork, lost,
                                 task->container.node);
                     RollBack(task);
                     RequeueTask(task, /*release=*/true);
                     return;
                   }
                   task->dump_failures = 0;
-                  task->saved_work = task->work_done;
-                  task->unsynced_run = 0;
+                  task->progress.Commit();
                   RequeueTask(task, /*release=*/true);
                 });
 }
 
 void DistributedShellAm::RollBack(TaskRt* task) {
-  task->run_start = -1;
-  task->work_done = task->saved_work;
-  task->unsynced_run = 0;
+  task->progress.RollBack();
   if (!task->proc->has_image) task->inputs_fetched = false;
 }
 

@@ -22,7 +22,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "checkpoint/checkpoint_engine.h"
@@ -37,7 +36,6 @@
 namespace ckpt {
 
 enum class WasteCause;
-class Counter;
 
 // One stage of an AM's job. Stages cover job.tasks in order: the first
 // stage owns the first num_tasks tasks, the next one the tasks after them.
@@ -116,7 +114,6 @@ class DistributedShellAm final : public AppClient {
   void OnTaskComplete(TaskRt* task, int attempt);
   void HandlePreempt(TaskRt* task);
   void KillTask(TaskRt* task);
-  void CheckpointTask(TaskRt* task, bool incremental);
   // Back to the last image: progress since it is lost, and so are fetched
   // inputs unless an image holds them.
   void RollBack(TaskRt* task);
@@ -125,15 +122,27 @@ class DistributedShellAm final : public AppClient {
   // commit, the container goes back to the RM (unless it died with its
   // node), and the task asks for a new one.
   void RequeueTask(TaskRt* task, bool release);
-  SimDuration UnsavedProgress(const TaskRt* task) const;
   // Network time to fetch the task's inputs again; 0 when it holds none.
   SimDuration InputRefetchCost(const TaskRt* task) const;
+  // Mark the pages the run dirtied since the last dump.
   void TouchDirtyPages(TaskRt* task);
-  // Tick policy.decisions and emit the am_decision audit record: the
-  // Algorithm-1 cost terms this AM computed (or would compute) for `task`,
-  // and the chosen action.
-  void RecordPolicyDecision(TaskRt* task, bool can_increment,
-                            const char* action);
+  // Algorithm 1's overhead of checkpointing a task where it runs: the
+  // node's dump-queue backlog, the dump's service time and a local
+  // restore's.
+  struct DumpCost {
+    SimDuration queue = 0;
+    SimDuration dump_service = 0;
+    SimDuration restore = 0;
+    SimDuration Overhead() const { return queue + dump_service + restore; }
+  };
+  DumpCost EstimateDumpCost(const TaskRt* task, bool can_increment) const;
+  // Freeze the task and dump it; `cost` is what HandlePreempt estimated for
+  // this dump.
+  void CheckpointTask(TaskRt* task, bool incremental, const DumpCost& cost);
+  // Tick policy.decisions and emit the am_decision audit record: the cost
+  // terms weighed for `task` and the chosen action.
+  void RecordPolicyDecision(const TaskRt* task, bool can_increment,
+                            const DumpCost& cost, const char* action);
   // Mirror an AmStats waste increment into the obs waste ledger (no-op
   // without obs); `sim_lost` converts at the container's CPU width.
   void ChargeWaste(WasteCause cause, SimDuration sim_lost, NodeId node);
@@ -155,10 +164,6 @@ class DistributedShellAm final : public AppClient {
 
   AmStats stats_;
   SimTime finish_time_ = -1;
-
-  // decision_counters_ maps each action literal to its resolved
-  // policy.decisions handle (first use only — the series set is unchanged).
-  std::vector<std::pair<const char*, Counter*>> decision_counters_;
 };
 
 }  // namespace ckpt

@@ -155,15 +155,6 @@ TEST_F(EngineTest, DumpTimeScalesWithMedia) {
   EXPECT_GT(hdd.duration, 20 * nvm.duration);
 }
 
-TEST_F(EngineTest, EstimatesTrackQueueBacklog) {
-  ProcessState proc(TaskId(1), MiB(512), kMiB);
-  const SimDuration idle = engine_->EstimateDump(proc, NodeId(0), false);
-  devices_[0]->SubmitWrite(GiB(2), nullptr);
-  const SimDuration busy = engine_->EstimateDump(proc, NodeId(0), false);
-  EXPECT_GT(busy, idle);
-  sim_.Run();
-}
-
 TEST_F(EngineTest, StatsAccumulate) {
   ProcessState proc(TaskId(1), MiB(64), kMiB);
   ASSERT_TRUE(DumpSync(proc, NodeId(0), true).ok);

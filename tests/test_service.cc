@@ -92,44 +92,24 @@ TEST(JitteredDiurnalRate, RandomAccessMatchesSequentialEvaluation) {
   EXPECT_EQ(forward, backward);
 }
 
-TEST(TrafficSeries, MaterializedAndStreamingAreByteIdentical) {
-  const ServiceSpec spec = TestSpec();
-  const SimDuration tick = Seconds(30);
-  const std::vector<double> materialized = MaterializeTraffic(spec, tick);
-  ASSERT_FALSE(materialized.empty());
-  TrafficCursor cursor(spec, tick);
-  std::vector<double> streamed;
-  double rate = 0;
-  while (cursor.Next(&rate)) streamed.push_back(rate);
-  ASSERT_EQ(materialized.size(), streamed.size());
-  for (size_t i = 0; i < materialized.size(); ++i) {
-    // Exact double equality, not near: both paths must hit the same bits.
-    EXPECT_EQ(materialized[i], streamed[i]) << "tick " << i;
-  }
-}
-
 // --- Fleet generation -------------------------------------------------------
 
-TEST(ServiceFleet, GenerationIsDeterministicAndStreamIdentical) {
+TEST(ServiceFleet, GenerationIsDeterministic) {
   ServiceFleetConfig config;
   config.services = 6;
   const std::vector<ServiceSpec> fleet = GenerateServiceFleet(config);
   const std::vector<ServiceSpec> again = GenerateServiceFleet(config);
   ASSERT_EQ(fleet.size(), 6u);
-  ServiceFleetStream stream(config);
-  ServiceSpec spec;
+  ASSERT_EQ(again.size(), 6u);
   for (size_t i = 0; i < fleet.size(); ++i) {
-    ASSERT_TRUE(stream.Next(&spec));
-    EXPECT_EQ(fleet[i].id, spec.id);
-    EXPECT_EQ(fleet[i].replicas, spec.replicas);
-    EXPECT_EQ(fleet[i].peak_rps, spec.peak_rps);
-    EXPECT_EQ(fleet[i].base_fraction, spec.base_fraction);
-    EXPECT_EQ(fleet[i].phase, spec.phase);
-    EXPECT_EQ(fleet[i].replica_capacity_rps, spec.replica_capacity_rps);
-    EXPECT_EQ(fleet[i].seed, spec.seed);
-    EXPECT_EQ(again[i].seed, spec.seed);
+    EXPECT_EQ(fleet[i].id, again[i].id);
+    EXPECT_EQ(fleet[i].replicas, again[i].replicas);
+    EXPECT_EQ(fleet[i].peak_rps, again[i].peak_rps);
+    EXPECT_EQ(fleet[i].base_fraction, again[i].base_fraction);
+    EXPECT_EQ(fleet[i].phase, again[i].phase);
+    EXPECT_EQ(fleet[i].replica_capacity_rps, again[i].replica_capacity_rps);
+    EXPECT_EQ(fleet[i].seed, again[i].seed);
   }
-  EXPECT_FALSE(stream.Next(&spec));
 }
 
 TEST(ServiceFleet, PeaksSpreadAcrossThePeriodAndSizedForUtilization) {
@@ -176,7 +156,7 @@ TEST(MmcModel, QuantilesAreOrdered) {
 // --- ServiceManager ---------------------------------------------------------
 
 TEST(ServiceManager, ColdStartsWarmUpAndAreCounted) {
-  ServiceManager manager({TestSpec()}, Seconds(30));
+  ServiceManager manager({TestSpec()});
   const SimTime t0 = Hours(1);
   manager.ReplicaUp(0, 0, t0, /*cold=*/false);
   manager.ReplicaUp(0, 1, t0, /*cold=*/true);
@@ -191,7 +171,7 @@ TEST(ServiceManager, ColdStartsWarmUpAndAreCounted) {
 TEST(ServiceManager, TickAttributesPreemptVsOrganicViolations) {
   ServiceSpec spec = TestSpec();
   spec.seed = 3;  // fixed jitter stream
-  ServiceManager manager({spec}, Seconds(30));
+  ServiceManager manager({spec});
   const SimTime peak = spec.phase + spec.period / 4;
 
   // All four replicas warm at the peak: 80% utilized, SLO holds.
@@ -205,24 +185,24 @@ TEST(ServiceManager, TickAttributesPreemptVsOrganicViolations) {
   manager.ReplicaDown(0, 3);
   ServiceManager::TickSample degraded = manager.Tick(0, 1, peak);
   EXPECT_TRUE(degraded.violated);
-  EXPECT_EQ(degraded.preempt_s, ToSeconds(Seconds(30)));
+  EXPECT_EQ(degraded.preempt_s, ToSeconds(kServiceTick));
   EXPECT_EQ(degraded.organic_s, 0);
 
   // A fleet that violates even at full warm strength accrues organic time.
   ServiceSpec overloaded = TestSpec();
   overloaded.replica_capacity_rps = overloaded.peak_rps / 8.0;  // saturated
-  ServiceManager organic_mgr({overloaded}, Seconds(30));
+  ServiceManager organic_mgr({overloaded});
   for (int r = 0; r < 4; ++r) organic_mgr.ReplicaUp(0, r, 0, /*cold=*/false);
   ServiceManager::TickSample organic =
       organic_mgr.Tick(0, 0, overloaded.phase + overloaded.period / 4);
   EXPECT_TRUE(organic.violated);
-  EXPECT_EQ(organic.organic_s, ToSeconds(Seconds(30)));
+  EXPECT_EQ(organic.organic_s, ToSeconds(kServiceTick));
   EXPECT_EQ(organic.preempt_s, 0);
 }
 
 TEST(ServiceManager, MarginalViolationZeroInTroughFullSpanAtPeak) {
   const ServiceSpec spec = TestSpec();
-  ServiceManager manager({spec}, Seconds(30));
+  ServiceManager manager({spec});
   for (int r = 0; r < 4; ++r) manager.ReplicaUp(0, r, 0, /*cold=*/false);
   const SimTime peak = spec.phase + spec.period / 4;
   const SimTime trough = spec.phase + 3 * spec.period / 4;

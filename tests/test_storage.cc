@@ -112,61 +112,6 @@ TEST_F(StorageDeviceTest, EstimatesIgnoreQueueButIncludeLatency) {
   EXPECT_GT(device.QueueDelay(), 0);
 }
 
-TEST_F(StorageDeviceTest, CancelQueuedOpRollsBackAccountingAndShiftsQueue) {
-  // Three 100 MiB writes queue FIFO; cancelling the middle one must (a)
-  // never fire its callback, (b) pull the third op's completion earlier,
-  // and (c) roll the cancelled op's bytes/busy-time back out.
-  bool b_fired = false;
-  SimTime c_done = -1;
-  device_.SubmitWrite(MiB(100), nullptr);
-  device_.SubmitWrite(MiB(100), [&](bool) { b_fired = true; });
-  const StorageOpId b = device_.last_op_id();
-  device_.SubmitWrite(MiB(100), [&](bool ok) {
-    EXPECT_TRUE(ok);
-    c_done = sim_.Now();
-  });
-  EXPECT_TRUE(device_.CancelOp(b));
-  sim_.Run();
-  EXPECT_FALSE(b_fired);
-  // C finishes right behind A — two service times, not three.
-  EXPECT_NEAR(ToSeconds(c_done), 2.097, 0.02);
-  EXPECT_EQ(device_.total_bytes_written(), MiB(200));
-  EXPECT_EQ(device_.ops_completed(), 2);
-  EXPECT_NEAR(ToSeconds(device_.total_busy_time()), 2.097, 0.02);
-  EXPECT_EQ(device_.QueueDelay(), 0);
-}
-
-TEST_F(StorageDeviceTest, CancelInServiceOpSuppressesCompletionOnly) {
-  // The op already holds the device, so its service time stays charged;
-  // only the callback is suppressed.
-  bool fired = false;
-  device_.SubmitWrite(MiB(100), [&](bool) { fired = true; });
-  const StorageOpId a = device_.last_op_id();
-  SimTime b_done = -1;
-  device_.SubmitWrite(MiB(100), [&](bool) { b_done = sim_.Now(); });
-  EXPECT_TRUE(device_.CancelOp(a));
-  sim_.Run();
-  EXPECT_FALSE(fired);
-  // B still waits out A's full service time.
-  EXPECT_NEAR(ToSeconds(b_done), 2.097, 0.02);
-  EXPECT_EQ(device_.ops_completed(), 2);
-}
-
-TEST_F(StorageDeviceTest, CancelCompletedOrUnknownOpReturnsFalse) {
-  device_.SubmitWrite(MiB(10), nullptr);
-  const StorageOpId a = device_.last_op_id();
-  sim_.Run();
-  EXPECT_FALSE(device_.CancelOp(a));
-  EXPECT_FALSE(device_.CancelOp(9999));
-  // Double-cancel of a queued op: second attempt also returns false.
-  device_.SubmitWrite(MiB(10), nullptr);
-  device_.SubmitWrite(MiB(10), nullptr);
-  const StorageOpId queued = device_.last_op_id();
-  EXPECT_TRUE(device_.CancelOp(queued));
-  EXPECT_FALSE(device_.CancelOp(queued));
-  sim_.Run();
-}
-
 TEST(StorageDeviceDeathTest, OverReleaseAborts) {
   Simulator sim;
   StorageDevice device(&sim, StorageMedium::Hdd(), "x");

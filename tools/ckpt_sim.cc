@@ -15,7 +15,6 @@
 //   $ ckpt_sim --help
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -31,22 +30,6 @@
 using namespace ckpt;
 
 namespace {
-
-// Same CKPT_OBS / CKPT_OBS_DIR contract as the bench binaries: opt-in
-// export keeps the default run byte-identical on stdout. Single-run mode
-// only; sweeps stay recording-free.
-bool ObsEnabled() {
-  const char* v = std::getenv("CKPT_OBS");
-  return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
-
-std::string ObsPath(const std::string& filename) {
-  const char* dir = std::getenv("CKPT_OBS_DIR");
-  if (dir == nullptr || *dir == '\0') return filename;
-  std::string path(dir);
-  if (path.back() != '/') path += '/';
-  return path + filename;
-}
 
 struct Flags {
   std::string policy = "adaptive";
@@ -351,6 +334,7 @@ int main(int argc, char** argv) {
       Usage(argv[0]);
       return 2;
     }
+    // CKPT_OBS export covers single runs only; sweeps stay recording-free.
     Observability obs;
     Observability* obs_ptr = ObsEnabled() ? &obs : nullptr;
     std::fputs(RunCell(flags, config, obs_ptr).c_str(), stdout);
