@@ -15,7 +15,10 @@
 # whose crash and I/O-failure unwinds erase node-bucket entries and release
 # image reservations by hand, and the YARN AM, DAG and MapReduce suites:
 # the ApplicationMaster's lifecycle keeps raw task pointers in engine and
-# network callbacks and erases its waiting and container-map entries.
+# network callbacks and erases its waiting and container-map entries. The
+# scheduler's golden-result matrix and the feasibility-index tests run
+# there too: per-task placement stamps and the index's two per-leaf stale
+# lists are state that crash unwinds touch.
 #
 # A further lane rebuilds the threaded pieces under ThreadSanitizer and runs
 # the thread-pool tests plus the parallel-sweep determinism check
@@ -123,7 +126,8 @@ if [[ -z "${CKPT_SANITIZE:-}" ]]; then
   asan_tests=(test_audit_log test_obs_tracer test_obs_export test_packed_ring
     test_json test_waste_ledger test_cluster_scheduler test_yarn_integration
     test_dfs test_fault test_failure_injection test_interference
-    test_yarn_am test_dag test_dag_shapes test_mapreduce)
+    test_yarn_am test_dag test_dag_shapes test_mapreduce
+    test_scheduler_golden test_feasibility_index)
   cmake -B "$asan_dir" -S "$repo_root" -DCKPT_SANITIZE=address,undefined
   cmake --build "$asan_dir" -j "$(nproc)" \
     --target "${asan_tests[@]}" bench_fig3_trace_sim bench_fig8_yarn

@@ -47,18 +47,6 @@ Resources Cluster::TotalUsed() const {
   return total;
 }
 
-Node* Cluster::FindFit(const Resources& r) {
-  if (nodes_.empty()) return nullptr;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    const size_t idx = (rr_cursor_ + i) % nodes_.size();
-    if (r.FitsIn(nodes_[idx]->Available())) {
-      rr_cursor_ = (idx + 1) % nodes_.size();
-      return nodes_[idx].get();
-    }
-  }
-  return nullptr;
-}
-
 double Cluster::TotalEnergyKwh() {
   double total = 0.0;
   for (auto& n : nodes_) {

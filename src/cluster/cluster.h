@@ -25,10 +25,6 @@ class Cluster {
   Resources TotalCapacity() const;
   Resources TotalUsed() const;
 
-  // First node that can fit `r`, or nullptr. Scans round-robin from the
-  // last hit so load spreads across the cluster.
-  Node* FindFit(const Resources& r);
-
   // Total energy across nodes after syncing meters to the current time.
   double TotalEnergyKwh();
   SimDuration TotalBusyCoreTime();
@@ -36,7 +32,6 @@ class Cluster {
  private:
   Simulator* sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  size_t rr_cursor_ = 0;
 };
 
 }  // namespace ckpt

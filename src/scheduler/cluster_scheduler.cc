@@ -57,9 +57,19 @@ struct ClusterScheduler::RtTask {
   // Position in tasks_ creation order; failure-handling indexes iterate by
   // it so they visit tasks in the same order as a linear scan of tasks_.
   std::int64_t create_idx = 0;
+  // spec->id, and spec->priority below: the pending order compares these
+  // without a load through spec.
+  std::int64_t id = 0;
 
-  enum class State { kPending, kRunning, kDumping, kRestoring, kFinished };
+  // The one-byte fields share a word with `attempt`, keeping the record at
+  // 224 bytes (see the static_assert in the constructor).
+  enum class State : std::uint8_t {
+    kPending, kRunning, kDumping, kRestoring, kFinished
+  };
   State state = State::kPending;
+  std::int8_t priority = 0;
+  bool has_image = false;      // image_node / stored_bytes are meaningful
+  bool periodic_dump = false;  // the current kDumping is a Young/Daly dump
   int attempt = 0;  // bumped on every transition; stale events check it
 
   SimTime submit_time = 0;
@@ -68,7 +78,6 @@ struct ClusterScheduler::RtTask {
 
   NodeId node;  // holder of resources in kRunning/kDumping/kRestoring
 
-  bool has_image = false;
   NodeId image_node;
   Bytes stored_bytes = 0;  // on image_node's device (base + layers)
 
@@ -92,13 +101,16 @@ struct ClusterScheduler::RtTask {
   int releases_in_flight = 0;
   // Resubmission backoff: not schedulable before this instant.
   SimTime eligible_at = 0;
+  // release_epoch_ at this task's last failed placement (0: none). Every
+  // path back into pending detaches the task from a node first, which
+  // moves the epoch, so a stamp never outlives the pending stay it was
+  // made in.
+  std::uint64_t place_fail_epoch = 0;
 
-  // Interference accounting and periodic checkpointing: when the current
-  // kDumping/kRestoring phase froze the cores (actual-duration charging),
-  // whether that dump is an in-place Young/Daly dump, and the dump
-  // scheduler's admission ticket for it (-1 when none).
+  // Interference accounting: when the current kDumping/kRestoring phase
+  // froze the cores (actual-duration charging), and the dump scheduler's
+  // admission ticket for the dump (-1 when none).
   SimTime frozen_at = -1;
-  bool periodic_dump = false;
   std::int64_t dump_ticket = -1;
 
   // VictimCheckpointOverhead memo, valid while (now, attempt, epoch) all
@@ -117,10 +129,9 @@ bool ClusterScheduler::ByTaskIndex::operator()(const RtTask* a,
 
 bool ClusterScheduler::PendingLess::operator()(const RtTask* a,
                                                const RtTask* b) const {
-  if (a->spec->priority != b->spec->priority)
-    return a->spec->priority > b->spec->priority;
+  if (a->priority != b->priority) return a->priority > b->priority;
   if (a->submit_time != b->submit_time) return a->submit_time < b->submit_time;
-  return a->spec->id.value() < b->spec->id.value();
+  return a->id < b->id;
 }
 
 // --- Construction -----------------------------------------------------------
@@ -128,6 +139,9 @@ bool ClusterScheduler::PendingLess::operator()(const RtTask* a,
 ClusterScheduler::ClusterScheduler(Simulator* sim, Cluster* cluster,
                                    SchedulerConfig config)
     : sim_(sim), cluster_(cluster), config_(config), rng_(config.seed) {
+  // Task records are most of a large run's memory: new per-task state must
+  // fit the record's padding.
+  static_assert(sizeof(RtTask) == 224);
   CKPT_CHECK(sim != nullptr);
   CKPT_CHECK(cluster != nullptr);
   CKPT_CHECK_GT(cluster->size(), 0);
@@ -150,9 +164,13 @@ ClusterScheduler::ClusterScheduler(Simulator* sim, Cluster* cluster,
   if (config_.use_feasibility_index) {
     const size_t n = running_.size();
     feas_index_.Reset(n);
-    index_leaf_stale_.assign(n, 1);
-    index_stale_list_.reserve(n);
-    for (size_t i = 0; i < n; ++i) index_stale_list_.push_back(i);
+    index_leaf_stale_.assign(n, kPlaceStale | kPreemptStale);
+    index_place_stale_list_.reserve(n);
+    index_preempt_stale_list_.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      index_place_stale_list_.push_back(i);
+      index_preempt_stale_list_.push_back(i);
+    }
   }
   if (!config_.fault.empty()) {
     fault_ = std::make_unique<FaultInjector>(sim_, config_.fault, config_.obs);
@@ -183,10 +201,9 @@ ClusterScheduler::ClusterScheduler(Simulator* sim, Cluster* cluster,
     SelfProfile& prof = config_.obs->self_profile();
     prof_run_ = prof.slot("scheduler.run");
     prof_pass_ = prof.slot("scheduler.pass");
+    // Sampled sites (see SampledWallTimer): self.calls counts every call,
+    // self.wall_seconds scales one timed call in 64.
     prof_preempt_ = prof.slot("scheduler.preempt_scan");
-    // Count-only event-loop sites (too hot for a clock read per call; a
-    // bare increment keeps them free). self.calls says how often each site
-    // runs per event, self.wall_seconds stays 0 for them.
     prof_place_ = prof.slot("scheduler.try_place");
     prof_index_flush_ = prof.slot("scheduler.index_flush");
     prof_waste_charge_ = prof.slot("scheduler.waste_charge");
@@ -481,6 +498,8 @@ void ClusterScheduler::OnJobArrival(RtJob* job) {
   for (const TaskSpec& spec : job->spec.tasks) {
     RtTask* task = task_arena_->New();
     task->spec = &spec;
+    task->id = spec.id.value();
+    task->priority = static_cast<std::int8_t>(spec.priority);
     task->job = job;
     task->create_idx = static_cast<std::int64_t>(tasks_.size());
     task->submit_time = sim_->Now();
@@ -520,27 +539,39 @@ void ClusterScheduler::RunSchedulePass() {
   // The preemption failure cache is scoped to one pass: between passes,
   // completions and dump finishes can grow some node's releasable set.
   preempt_fail_valid_ = false;
+  const SimTime now = sim_->Now();
   int scanned = 0;
   auto it = pending_.begin();
+  // Only a placement changes the head (a preemption re-queues victims
+  // below the head's class), and every placement restarts the scan.
+  int head_priority = 0;
+  auto restart = [&] {
+    it = pending_.begin();
+    if (it != pending_.end()) head_priority = (*it)->priority;
+  };
+  restart();
   while (it != pending_.end() && scanned < kMaxBackfillScan) {
     RtTask* task = *it;
     ++scanned;
+    // In resubmit backoff: may neither place nor preempt.
+    if (task->eligible_at > now) {
+      ++it;
+      continue;
+    }
     if (TryPlace(task)) {
       // Placement erased `task` from pending_; restart the scan (the new
       // head may now fit or be entitled to preempt).
-      it = pending_.begin();
+      restart();
       continue;
     }
     // The whole top-priority class may trigger preemption (the RM asks
     // victims to vacate for every unsatisfied top-priority container, not
     // just one); lower classes only backfill.
-    const bool top_class =
-        task->spec->priority == (*pending_.begin())->spec->priority;
-    if (top_class && config_.policy != PreemptionPolicy::kWait &&
-        task->eligible_at <= sim_->Now() &&
+    if (task->priority == head_priority &&
+        config_.policy != PreemptionPolicy::kWait &&
         task->releases_in_flight == 0 && TryPreemptFor(task)) {
       if (TryPlace(task)) {  // kill-released resources are free already
-        it = pending_.begin();
+        restart();
         continue;
       }
     }
@@ -568,21 +599,32 @@ void ClusterScheduler::TouchNode(NodeId node) {
   InvalidateAvailSummary();
   if (!config_.use_feasibility_index) return;
   const size_t i = static_cast<size_t>(node.value());
-  if (!index_leaf_stale_[i]) {
-    index_leaf_stale_[i] = 1;
-    index_stale_list_.push_back(i);
+  std::uint8_t& stale = index_leaf_stale_[i];
+  if (!(stale & kPlaceStale)) index_place_stale_list_.push_back(i);
+  if (!(stale & kPreemptStale)) index_preempt_stale_list_.push_back(i);
+  stale = kPlaceStale | kPreemptStale;
+}
+
+void ClusterScheduler::FlushPlaceIndex() {
+  for (const size_t i : index_place_stale_list_) {
+    index_leaf_stale_[i] &= ~kPlaceStale;
+    feas_index_.UpdatePlace(
+        i, cluster_->node(NodeId(static_cast<std::int64_t>(i))).Available());
   }
+  index_place_stale_list_.clear();
 }
 
 void ClusterScheduler::FlushFeasibilityIndex() {
-  if (prof_index_flush_ != nullptr) ++prof_index_flush_->calls;
+  SampledWallTimer timer(prof_index_flush_);
   index_leaves_recomputed_ +=
-      static_cast<std::int64_t>(index_stale_list_.size());
-  for (const size_t i : index_stale_list_) {
-    index_leaf_stale_[i] = 0;
+      static_cast<std::int64_t>(index_preempt_stale_list_.size());
+  // A full update also rewrites the placement half, with the value a
+  // pending placement refresh would write; that refresh is then a no-op.
+  for (const size_t i : index_preempt_stale_list_) {
+    index_leaf_stale_[i] &= ~kPreemptStale;
     feas_index_.Update(i, ComputeNodeAgg(i));
   }
-  index_stale_list_.clear();
+  index_preempt_stale_list_.clear();
 }
 
 FeasibilityAgg ClusterScheduler::ComputeNodeAgg(size_t node_index) {
@@ -627,7 +669,7 @@ bool ClusterScheduler::MightFitAnywhere(const Resources& demand) {
 
 Node* ClusterScheduler::ProbeFitCached(const Resources& demand) {
   if (config_.use_feasibility_index) {
-    FlushFeasibilityIndex();
+    FlushPlaceIndex();
     // The root aggregate is the conservative fit summary: reject in O(1).
     if (!demand.FitsIn(feas_index_.Root().place)) return nullptr;
     const size_t hit = feas_index_.FindPlace(
@@ -647,8 +689,16 @@ Node* ClusterScheduler::ProbeFitCached(const Resources& demand) {
 }
 
 bool ClusterScheduler::TryPlace(RtTask* task) {
-  if (prof_place_ != nullptr) ++prof_place_->calls;
-  if (task->eligible_at > sim_->Now()) return false;  // backoff pending
+  // Its outcome is a function of every node's Available() and the task's
+  // image node alone, and neither has changed since it last failed.
+  if (task->place_fail_epoch == release_epoch_) return false;
+  SampledWallTimer timer(prof_place_);
+  if (PlaceNow(task)) return true;
+  task->place_fail_epoch = release_epoch_;
+  return false;
+}
+
+bool ClusterScheduler::PlaceNow(RtTask* task) {
   const Resources& demand = task->spec->demand;
 
   if (!task->has_image) {
@@ -735,13 +785,16 @@ bool ClusterScheduler::TryPlace(RtTask* task) {
       return true;
     }
     case RestorePolicy::kAdaptive: {
-      compute_cost();
-      const RestoreChoice choice =
-          DecideRestore(true, local_overhead, remote_overhead);
-      if (choice == RestoreChoice::kLocal && local_fits) {
-        audit_restore(image_node, false);
-        BeginRestore(task, image_node, false);
-        return true;
+      // Algorithm 2's comparison matters only when the image node has room;
+      // otherwise any node with room serves, so skip costing it.
+      if (local_fits) {
+        compute_cost();
+        if (DecideRestore(true, local_overhead, remote_overhead) ==
+            RestoreChoice::kLocal) {
+          audit_restore(image_node, false);
+          BeginRestore(task, image_node, false);
+          return true;
+        }
       }
       // Local loses (or cannot fit right now): any node with room; if that
       // happens to be the image node the restore is local after all.
@@ -895,6 +948,7 @@ void ClusterScheduler::DetachFromNode(RtTask* task) {
     node.Release(task->spec->demand);
   }
   TouchNode(task->node);
+  BumpReleaseEpoch();
   auto& bucket = RunningOn(task->node);
   bucket.erase(std::find(bucket.begin(), bucket.end(), task));
 }
@@ -1043,7 +1097,7 @@ PreemptAction ClusterScheduler::DecideVictimAction(RtTask* victim) const {
 void ClusterScheduler::ChargeWaste(WasteCause cause, double amount,
                                    const RtTask* task) {
   if (config_.obs == nullptr) return;
-  if (prof_waste_charge_ != nullptr) ++prof_waste_charge_->calls;
+  SampledWallTimer timer(prof_waste_charge_);
   config_.obs->waste().Add(cause, amount, task->job->spec.id.value(),
                            task->node.valid() ? task->node.value() : -1);
 }
@@ -1070,10 +1124,9 @@ void ClusterScheduler::RecordServicePreempt(
 }
 
 bool ClusterScheduler::TryPreemptFor(RtTask* task) {
-  // Count-only: most scans exit via the dominance cache in well under the
-  // cost of two clock reads, so timing each one would dominate the slot it
-  // measures. Wall attribution stays with the enclosing scheduler.pass.
-  if (prof_preempt_ != nullptr) ++prof_preempt_->calls;
+  // Sampled: most scans exit via the dominance cache in well under the cost
+  // of two clock reads, so timing each one would dominate the slot.
+  SampledWallTimer timer(prof_preempt_);
   const Resources& demand = task->spec->demand;
   const int priority = task->spec->priority;
 
@@ -1200,12 +1253,21 @@ bool ClusterScheduler::TryPreemptFor(RtTask* task) {
       // VictimSloPenalty is exactly 0 for batch tasks (and whenever no
       // services were submitted), so the order is byte-identical to the
       // plain checkpoint-cost sort without services. With services, a
-      // replica serving a traffic peak sorts behind idle batch work.
-      std::sort(victim_candidates_.begin(), victim_candidates_.end(),
-                [this](RtTask* a, RtTask* b) {
-                  return VictimCheckpointOverhead(a) + VictimSloPenalty(a) <
-                         VictimCheckpointOverhead(b) + VictimSloPenalty(b);
-                });
+      // replica serving a traffic peak sorts behind idle batch work. Keys
+      // are computed once per candidate. std::sort's moves depend only on
+      // the comparisons' outcomes, so sorting (key, task) pairs on the key
+      // gives the permutation a sort of the tasks on that key gives.
+      victim_keys_.clear();
+      for (RtTask* victim : victim_candidates_) {
+        victim_keys_.emplace_back(
+            VictimCheckpointOverhead(victim) + VictimSloPenalty(victim),
+            victim);
+      }
+      std::sort(victim_keys_.begin(), victim_keys_.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (size_t i = 0; i < victim_keys_.size(); ++i) {
+        victim_candidates_[i] = victim_keys_[i].second;
+      }
       break;
     case VictimOrder::kLowestPriority:
       std::sort(victim_candidates_.begin(), victim_candidates_.end(),
@@ -1595,6 +1657,7 @@ void ClusterScheduler::OnNodeFailure(NodeId node_id, SimDuration down_for) {
     sim_->ScheduleAfter(down_for, [this, node_id] {
       cluster_->node(node_id).SetOnline(true);
       TouchNode(node_id);
+      BumpReleaseEpoch();
       TrySchedule();
     });
   }
@@ -1602,6 +1665,11 @@ void ClusterScheduler::OnNodeFailure(NodeId node_id, SimDuration down_for) {
 }
 
 void ClusterScheduler::EvacuateImage(RtTask* task, NodeId failed) {
+  // Whether the image moves or is lost, the task may now place where it
+  // could not (image-bound restores, or any node once the image is gone).
+  // Only a crash that detaches nothing makes this bump the only one; see
+  // StorageNodeAlwaysLocal in tests/test_scheduler_golden.cc.
+  BumpReleaseEpoch();
   if (config_.checkpoint_to_dfs && cluster_->size() > 1) {
     // A DFS replica survives on another node: rebind the image's
     // accounting to an online host.

@@ -15,6 +15,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "checkpoint/dump_scheduler.h"
@@ -261,7 +262,11 @@ class ClusterScheduler {
   void OnStreamArrival();
   void TrySchedule();
   void RunSchedulePass();
+  // Place an eligible pending task, unless it failed under the current
+  // release epoch; a failure stamps the task with that epoch.
   bool TryPlace(RtTask* task);
+  // The placement itself: a fresh start, or Algorithm 2 for an image.
+  bool PlaceNow(RtTask* task);
   // First-fit probe with the cached cluster-wide free-resource summary as a
   // fast reject; advances place_cursor_ on success like the raw probe.
   Node* ProbeFitCached(const Resources& demand);
@@ -269,13 +274,23 @@ class ClusterScheduler {
   bool MightFitAnywhere(const Resources& demand);
   // Any change to some node's Available() invalidates the summary.
   void InvalidateAvailSummary() { avail_summary_valid_ = false; }
-  // Invalidate the summary AND mark `node`'s feasibility-index leaf stale.
-  // Must be called on every change to the node's Available(), its online
-  // state, or the set/state of tasks running on it.
+  // Invalidate the summary AND mark both halves of `node`'s
+  // feasibility-index leaf stale. Must be called on every change to the
+  // node's Available(), its online state, or the set/state of tasks running
+  // on it.
   void TouchNode(NodeId node);
-  // Recompute stale index leaves; queries call this first.
+  // Refresh stale leaves' placement half from Available() alone; placement
+  // probes call this first.
+  void FlushPlaceIndex();
+  // Recompute stale leaves in full, walking each node's running tasks;
+  // preemption queries call this first.
   void FlushFeasibilityIndex();
   FeasibilityAgg ComputeNodeAgg(size_t node_index);
+  // A failed placement of an eligible task can succeed only after some
+  // node's Available() grows (a task detaches, a node recovers) or the
+  // task's image moves; each of those bumps the epoch, re-arming every
+  // stamped task.
+  void BumpReleaseEpoch() { ++release_epoch_; }
   // Any change that can affect VictimCheckpointOverhead's inputs (device
   // backlogs, image state) bumps the epoch, invalidating memoized costs.
   void BumpOverheadEpoch() { ++overhead_epoch_; }
@@ -445,16 +460,26 @@ class ClusterScheduler {
   Resources preempt_fail_demand_{};
   int preempt_fail_priority_ = 0;
 
+  // See BumpReleaseEpoch; starts above the tasks' unstamped 0.
+  std::uint64_t release_epoch_ = 1;
+
   // O(log n) feasibility index (see feasibility_index.h). Leaves go stale
-  // via TouchNode and are recomputed lazily before each query.
+  // via TouchNode; each half is refreshed lazily before a query that reads
+  // it. index_leaf_stale_ holds kPlaceStale | kPreemptStale bits per leaf,
+  // and each half has its own list of stale leaves.
+  static constexpr std::uint8_t kPlaceStale = 1;
+  static constexpr std::uint8_t kPreemptStale = 2;
   FeasibilityIndex feas_index_;
-  std::vector<char> index_leaf_stale_;
-  std::vector<size_t> index_stale_list_;
+  std::vector<std::uint8_t> index_leaf_stale_;
+  std::vector<size_t> index_place_stale_list_;
+  std::vector<size_t> index_preempt_stale_list_;
 
   // Scratch buffers for TryPreemptFor, reused across nodes/attempts so the
   // hot path performs no per-attempt allocations once warmed up.
   std::vector<RtTask*> preempt_local_scratch_;
   std::vector<RtTask*> victim_candidates_;
+  // (cost key, candidate) pairs for the cost-aware victim sort.
+  std::vector<std::pair<SimDuration, RtTask*>> victim_keys_;
 
   // Scratch args and candidate lists for TryPreemptFor's preempt_scan
   // audit record; reassigned in place, so steady-state scans reuse their
@@ -462,17 +487,18 @@ class ClusterScheduler {
   TraceArgs preempt_args_;
   std::vector<TraceArgs> preempt_candidates_;
 
-  // Feasibility-index work counter (leaves recomputed by flushes); cheap
-  // enough to keep always-on, exported and audited only under obs.
+  // Feasibility-index work counter (leaves recomputed in full, i.e. walks
+  // over a node's running tasks); cheap enough to keep always-on, exported
+  // and audited only under obs.
   std::int64_t index_leaves_recomputed_ = 0;
 
   // Self-profile slots, resolved once at construction; null without obs,
-  // making every ScopedWallTimer a no-op.
+  // making every timer a no-op.
   SelfProfile::Slot* prof_run_ = nullptr;
   SelfProfile::Slot* prof_pass_ = nullptr;
+  // Per-site slots inside and around the pass, too hot for a clock read
+  // per call: SampledWallTimer counts every call and times 1 in 64.
   SelfProfile::Slot* prof_preempt_ = nullptr;
-  // Count-only per-site slots (no timer — the sites are per-event hot):
-  // self.calls reports how often each site ran, wall stays 0.
   SelfProfile::Slot* prof_place_ = nullptr;
   SelfProfile::Slot* prof_index_flush_ = nullptr;
   SelfProfile::Slot* prof_waste_charge_ = nullptr;

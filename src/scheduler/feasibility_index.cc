@@ -1,5 +1,7 @@
 #include "scheduler/feasibility_index.h"
 
+#include <algorithm>
+
 namespace ckpt {
 
 namespace {
@@ -40,6 +42,21 @@ void FeasibilityIndex::Update(size_t i, const FeasibilityAgg& agg) {
     // its stored value, all higher ancestors would too.
     if (SameAgg(tree_[pos], merged)) return;
     tree_[pos] = merged;
+    if (pos == 1) break;
+  }
+}
+
+void FeasibilityIndex::UpdatePlace(size_t i, const Resources& place) {
+  size_t pos = cap_ + i;
+  if (SameRes(tree_[pos].place, place)) return;
+  tree_[pos].place = place;
+  for (pos /= 2; pos >= 1; pos /= 2) {
+    const Resources& l = tree_[2 * pos].place;
+    const Resources& r = tree_[2 * pos + 1].place;
+    const Resources merged{std::max(l.cpus, r.cpus),
+                           std::max(l.memory, r.memory)};
+    if (SameRes(tree_[pos].place, merged)) return;
+    tree_[pos].place = merged;
     if (pos == 1) break;
   }
 }

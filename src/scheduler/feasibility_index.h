@@ -66,6 +66,12 @@ class FeasibilityIndex {
   // Overwrite leaf `i`'s aggregates and refresh its path to the root.
   void Update(size_t i, const FeasibilityAgg& agg);
 
+  // Overwrite only leaf `i`'s placement aggregate and refresh that family
+  // along its path; the preempt family keeps whatever it held. Lets a
+  // caller refresh the cheap half before a placement query and defer the
+  // preempt half until a preemption query reads it.
+  void UpdatePlace(size_t i, const Resources& place);
+
   // Cluster-wide componentwise maxima (the root aggregate). With fresh
   // leaves, Root().place equals the scheduler's conservative fit summary.
   const FeasibilityAgg& Root() const { return tree_[1]; }

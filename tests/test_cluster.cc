@@ -83,28 +83,6 @@ TEST_F(NodeTest, IdleNodeStillBurnsIdlePower) {
   EXPECT_NEAR(node_.EnergyKwh(), 0.2, 1e-3);  // 100 W for 2 h
 }
 
-TEST(ClusterTest, FindFitSpreadsRoundRobin) {
-  Simulator sim;
-  Cluster cluster(&sim);
-  cluster.AddNodes(3, {4.0, GiB(8)}, StorageMedium::Hdd());
-  Node* a = cluster.FindFit({4.0, GiB(8)});
-  ASSERT_NE(a, nullptr);
-  ASSERT_TRUE(a->Allocate({4.0, GiB(8)}));
-  Node* b = cluster.FindFit({4.0, GiB(8)});
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a->id(), b->id());
-}
-
-TEST(ClusterTest, FindFitNullWhenFull) {
-  Simulator sim;
-  Cluster cluster(&sim);
-  cluster.AddNodes(2, {1.0, GiB(1)}, StorageMedium::Hdd());
-  for (Node* node : cluster.nodes()) {
-    ASSERT_TRUE(node->Allocate({1.0, GiB(1)}));
-  }
-  EXPECT_EQ(cluster.FindFit({0.5, 0}), nullptr);
-}
-
 TEST(ClusterTest, CapacityTotals) {
   Simulator sim;
   Cluster cluster(&sim);

@@ -97,6 +97,50 @@ TEST(FeasibilityIndexProperty, MatchesLinearScanUnderRandomMutations) {
   }
 }
 
+// The scheduler refreshes a leaf's placement half alone before placement
+// probes and the whole leaf before preemption queries; the two families
+// must stay exact under any interleaving of the two kinds of update.
+TEST(FeasibilityIndexProperty, PlaceOnlyUpdatesKeepBothFamiliesExact) {
+  for (const size_t n : {1u, 5u, 33u, 100u}) {
+    Rng rng(2000 + n);
+    FeasibilityIndex index;
+    index.Reset(n);
+    std::vector<FeasibilityAgg> leaves(n);
+    for (size_t i = 0; i < n; ++i) {
+      leaves[i] = RandomAgg(rng);
+      index.Update(i, leaves[i]);
+    }
+    for (int step = 0; step < 2000; ++step) {
+      const size_t leaf = static_cast<size_t>(rng.UniformInt(0, n - 1));
+      if (rng.Bernoulli(0.5)) {
+        leaves[leaf].place = RandomAgg(rng).place;
+        index.UpdatePlace(leaf, leaves[leaf].place);
+      } else {
+        leaves[leaf] = RandomAgg(rng);
+        index.Update(leaf, leaves[leaf]);
+      }
+      const size_t cursor = static_cast<size_t>(rng.UniformInt(0, n - 1));
+      const Resources demand{static_cast<double>(rng.UniformInt(1, 12)),
+                             GiB(rng.UniformInt(1, 48))};
+      const int priority = static_cast<int>(rng.UniformInt(0, 12)) - 1;
+      size_t got;
+      if (priority < 0) {
+        got = index.FindPlace(cursor, demand, [&](size_t i) {
+          return demand.FitsIn(leaves[i].place);
+        });
+      } else {
+        got = index.FindPreempt(
+            cursor, static_cast<size_t>(priority), demand, [&](size_t i) {
+              return demand.FitsIn(
+                  leaves[i].preempt[static_cast<size_t>(priority)]);
+            });
+      }
+      ASSERT_EQ(got, LinearFind(leaves, cursor, demand, priority))
+          << "n=" << n << " step=" << step << " priority=" << priority;
+    }
+  }
+}
+
 TEST(FeasibilityIndexProperty, CrashedLeavesAreNeverReturned) {
   Rng rng(7);
   const size_t n = 50;
