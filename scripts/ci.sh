@@ -16,9 +16,10 @@
 # image reservations by hand, and the YARN AM, DAG and MapReduce suites:
 # the ApplicationMaster's lifecycle keeps raw task pointers in engine and
 # network callbacks and erases its waiting and container-map entries. The
-# scheduler's golden-result matrix and the feasibility-index tests run
-# there too: per-task placement stamps and the index's two per-leaf stale
-# lists are state that crash unwinds touch.
+# scheduler's golden-result matrix, the feasibility-index tests and the
+# pending-queue property test run there too: crash unwinds and preemptions
+# requeue tasks into the pending queue's chunks while a pass holds a
+# position in them, and mark the index's per-leaf stale lists.
 #
 # A further lane rebuilds the threaded pieces under ThreadSanitizer and runs
 # the thread-pool tests plus the parallel-sweep determinism check
@@ -119,15 +120,15 @@ python3 "$repo_root/benchmark/run.py" --smoke
 # ASan+UBSan lane: the recording paths (tracer spans and instants, audit
 # records with candidate lists, their exports and owning copies) plus the
 # schedulers and DFS that feed them, the checkpoint lifecycles' crash and
-# I/O-failure unwinds (scheduler and ApplicationMaster), and two traced
-# bench runs.
+# I/O-failure unwinds (scheduler and ApplicationMaster), the pending
+# queue's chunk splits and drains, and two traced bench runs.
 if [[ -z "${CKPT_SANITIZE:-}" ]]; then
   asan_dir="$build_dir-asan"
   asan_tests=(test_audit_log test_obs_tracer test_obs_export test_packed_ring
     test_json test_waste_ledger test_cluster_scheduler test_yarn_integration
     test_dfs test_fault test_failure_injection test_interference
     test_yarn_am test_dag test_dag_shapes test_mapreduce
-    test_scheduler_golden test_feasibility_index)
+    test_scheduler_golden test_feasibility_index test_pending_queue)
   cmake -B "$asan_dir" -S "$repo_root" -DCKPT_SANITIZE=address,undefined
   cmake --build "$asan_dir" -j "$(nproc)" \
     --target "${asan_tests[@]}" bench_fig3_trace_sim bench_fig8_yarn

@@ -45,10 +45,6 @@ class Rng {
     return std::lognormal_distribution<double>(mu, sigma)(engine_);
   }
 
-  double Normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
-  }
-
   // Derive an independent child stream; children with different salts are
   // decorrelated from each other and the parent.
   Rng Fork(std::uint64_t salt) {

@@ -57,17 +57,14 @@ struct ClusterScheduler::RtTask {
   // Position in tasks_ creation order; failure-handling indexes iterate by
   // it so they visit tasks in the same order as a linear scan of tasks_.
   std::int64_t create_idx = 0;
-  // spec->id, and spec->priority below: the pending order compares these
-  // without a load through spec.
-  std::int64_t id = 0;
 
   // The one-byte fields share a word with `attempt`, keeping the record at
-  // 224 bytes (see the static_assert in the constructor).
+  // 200 bytes (see the static_assert in the constructor). A pending task's
+  // order key and backoff end live only in its pending_ entry.
   enum class State : std::uint8_t {
     kPending, kRunning, kDumping, kRestoring, kFinished
   };
   State state = State::kPending;
-  std::int8_t priority = 0;
   bool has_image = false;      // image_node / stored_bytes are meaningful
   bool periodic_dump = false;  // the current kDumping is a Young/Daly dump
   int attempt = 0;  // bumped on every transition; stale events check it
@@ -99,13 +96,6 @@ struct ClusterScheduler::RtTask {
   // Dumps in flight that were initiated to make room for this task; while
   // nonzero the task does not trigger further preemption.
   int releases_in_flight = 0;
-  // Resubmission backoff: not schedulable before this instant.
-  SimTime eligible_at = 0;
-  // release_epoch_ at this task's last failed placement (0: none). Every
-  // path back into pending detaches the task from a node first, which
-  // moves the epoch, so a stamp never outlives the pending stay it was
-  // made in.
-  std::uint64_t place_fail_epoch = 0;
 
   // Interference accounting: when the current kDumping/kRestoring phase
   // froze the cores (actual-duration charging), and the dump scheduler's
@@ -127,13 +117,6 @@ bool ClusterScheduler::ByTaskIndex::operator()(const RtTask* a,
   return a->create_idx < b->create_idx;
 }
 
-bool ClusterScheduler::PendingLess::operator()(const RtTask* a,
-                                               const RtTask* b) const {
-  if (a->priority != b->priority) return a->priority > b->priority;
-  if (a->submit_time != b->submit_time) return a->submit_time < b->submit_time;
-  return a->id < b->id;
-}
-
 // --- Construction -----------------------------------------------------------
 
 ClusterScheduler::ClusterScheduler(Simulator* sim, Cluster* cluster,
@@ -141,7 +124,7 @@ ClusterScheduler::ClusterScheduler(Simulator* sim, Cluster* cluster,
     : sim_(sim), cluster_(cluster), config_(config), rng_(config.seed) {
   // Task records are most of a large run's memory: new per-task state must
   // fit the record's padding.
-  static_assert(sizeof(RtTask) == 224);
+  static_assert(sizeof(RtTask) == 200);
   CKPT_CHECK(sim != nullptr);
   CKPT_CHECK(cluster != nullptr);
   CKPT_CHECK_GT(cluster->size(), 0);
@@ -498,8 +481,6 @@ void ClusterScheduler::OnJobArrival(RtJob* job) {
   for (const TaskSpec& spec : job->spec.tasks) {
     RtTask* task = task_arena_->New();
     task->spec = &spec;
-    task->id = spec.id.value();
-    task->priority = static_cast<std::int8_t>(spec.priority);
     task->job = job;
     task->create_idx = static_cast<std::int64_t>(tasks_.size());
     task->submit_time = sim_->Now();
@@ -517,13 +498,21 @@ void ClusterScheduler::OnJobArrival(RtJob* job) {
   TrySchedule();
 }
 
-void ClusterScheduler::AddPending(RtTask* task) {
+namespace {
+PendingKey PendingKeyOf(const TaskSpec& spec, SimTime submit_time) {
+  return PendingKey{spec.priority, submit_time, spec.id.value()};
+}
+}  // namespace
+
+void ClusterScheduler::AddPending(RtTask* task, SimTime eligible_at) {
   task->state = RtTask::State::kPending;
-  CKPT_CHECK(pending_.insert(task).second);
+  CKPT_CHECK(pending_.Insert(
+      {PendingKeyOf(*task->spec, task->submit_time), eligible_at,
+       task->spec->demand, task}));
 }
 
 void ClusterScheduler::RemovePending(RtTask* task) {
-  CKPT_CHECK(pending_.erase(task) == 1);
+  CKPT_CHECK(pending_.Erase(PendingKeyOf(*task->spec, task->submit_time)));
 }
 
 void ClusterScheduler::TrySchedule() {
@@ -540,25 +529,30 @@ void ClusterScheduler::RunSchedulePass() {
   // completions and dump finishes can grow some node's releasable set.
   preempt_fail_valid_ = false;
   const SimTime now = sim_->Now();
+  const bool may_preempt = config_.policy != PreemptionPolicy::kWait;
   int scanned = 0;
-  auto it = pending_.begin();
+  PendingQueue<RtTask>::Pos pos;
   // Only a placement changes the head (a preemption re-queues victims
   // below the head's class), and every placement restarts the scan.
   int head_priority = 0;
   auto restart = [&] {
-    it = pending_.begin();
-    if (it != pending_.end()) head_priority = (*it)->priority;
+    pos = pending_.Begin();
+    if (const auto* head = pending_.At(pos)) head_priority = head->key.priority;
   };
   restart();
-  while (it != pending_.end() && scanned < kMaxBackfillScan) {
-    RtTask* task = *it;
+  // Each visit first reads only the entry: most tasks are rejected there,
+  // their records untouched.
+  while (scanned < kMaxBackfillScan) {
+    const auto* entry = pending_.At(pos);
+    if (entry == nullptr) break;
     ++scanned;
     // In resubmit backoff: may neither place nor preempt.
-    if (task->eligible_at > now) {
-      ++it;
+    if (entry->eligible_at > now) {
+      pending_.Advance(pos);
       continue;
     }
-    if (TryPlace(task)) {
+    RtTask* task = entry->task;
+    if (PlacementMayFit(entry->demand) && TryPlace(task)) {
       // Placement erased `task` from pending_; restart the scan (the new
       // head may now fit or be entitled to preempt).
       restart();
@@ -567,15 +561,25 @@ void ClusterScheduler::RunSchedulePass() {
     // The whole top-priority class may trigger preemption (the RM asks
     // victims to vacate for every unsatisfied top-priority container, not
     // just one); lower classes only backfill.
-    if (task->priority == head_priority &&
-        config_.policy != PreemptionPolicy::kWait &&
-        task->releases_in_flight == 0 && TryPreemptFor(task)) {
-      if (TryPlace(task)) {  // kill-released resources are free already
-        restart();
+    if (entry->key.priority == head_priority && may_preempt &&
+        !PreemptFailureCovers(entry->key.priority, entry->demand) &&
+        task->releases_in_flight == 0) {
+      // Killed victims are queued while the search runs, which moves
+      // entries: keep what the rest of this visit reads.
+      const PendingKey key = entry->key;
+      const Resources demand = entry->demand;
+      if (TryPreemptFor(task)) {
+        // Kill-released resources are free already.
+        if (PlacementMayFit(demand) && TryPlace(task)) {
+          restart();
+          continue;
+        }
+        // Continue after `task`, visiting any victim queued behind it.
+        pos = pending_.UpperBound(key);
         continue;
       }
     }
-    ++it;
+    pending_.Advance(pos);
   }
 }
 
@@ -688,17 +692,17 @@ Node* ClusterScheduler::ProbeFitCached(const Resources& demand) {
   return ProbeFit(*cluster_, demand, place_cursor_);
 }
 
-bool ClusterScheduler::TryPlace(RtTask* task) {
-  // Its outcome is a function of every node's Available() and the task's
-  // image node alone, and neither has changed since it last failed.
-  if (task->place_fail_epoch == release_epoch_) return false;
-  SampledWallTimer timer(prof_place_);
-  if (PlaceNow(task)) return true;
-  task->place_fail_epoch = release_epoch_;
-  return false;
+bool ClusterScheduler::PlacementMayFit(const Resources& demand) {
+  if (!config_.use_feasibility_index) return true;
+  // The root is the componentwise max of every node's Available(), the
+  // image node's included, so every placement TryPlace could make — a
+  // fresh start, a local or a remote restore — needs the demand to fit it.
+  FlushPlaceIndex();
+  return demand.FitsIn(feas_index_.Root().place);
 }
 
-bool ClusterScheduler::PlaceNow(RtTask* task) {
+bool ClusterScheduler::TryPlace(RtTask* task) {
+  SampledWallTimer timer(prof_place_);
   const Resources& demand = task->spec->demand;
 
   if (!task->has_image) {
@@ -917,8 +921,7 @@ void ClusterScheduler::OnRestoreFailed(RtTask* task) {
     task->progress.RollBack();
     task->restore_failures = 0;
   }
-  ApplyResubmitBackoff(task);
-  AddPending(task);
+  AddPending(task, ApplyResubmitBackoff());
   TrySchedule();
 }
 
@@ -948,7 +951,6 @@ void ClusterScheduler::DetachFromNode(RtTask* task) {
     node.Release(task->spec->demand);
   }
   TouchNode(task->node);
-  BumpReleaseEpoch();
   auto& bucket = RunningOn(task->node);
   bucket.erase(std::find(bucket.begin(), bucket.end(), task));
 }
@@ -1123,9 +1125,22 @@ void ClusterScheduler::RecordServicePreempt(
        TraceArg::Str("action", ActionName(action))});
 }
 
+bool ClusterScheduler::PreemptFailureCovers(int priority,
+                                            const Resources& demand) const {
+  // Failure dominance: a failed search has no side effects (the cursor and
+  // RNG only move on success), and within one scheduling pass a node's
+  // releasable set at a fixed priority never grows (placements allocate; a
+  // newly placed lower-priority task adds back at most what it consumed).
+  // So once a demand has failed, any demand that dominates it at the same
+  // priority must fail too — skip the O(nodes x running) scan.
+  return preempt_fail_valid_ && priority == preempt_fail_priority_ &&
+         demand.cpus >= preempt_fail_demand_.cpus &&
+         demand.memory >= preempt_fail_demand_.memory;
+}
+
 bool ClusterScheduler::TryPreemptFor(RtTask* task) {
-  // Sampled: most scans exit via the dominance cache in well under the cost
-  // of two clock reads, so timing each one would dominate the slot.
+  // Sampled: hundreds of thousands of searches per run, many short next to
+  // two clock reads.
   SampledWallTimer timer(prof_preempt_);
   const Resources& demand = task->spec->demand;
   const int priority = task->spec->priority;
@@ -1136,18 +1151,6 @@ bool ClusterScheduler::TryPreemptFor(RtTask* task) {
   const bool image_bound =
       task->has_image && (!config_.checkpoint_to_dfs ||
                           config_.restore_policy == RestorePolicy::kAlwaysLocal);
-
-  // Failure dominance: a failed search has no side effects (the cursor and
-  // RNG only move on success), and within one scheduling pass a node's
-  // releasable set at a fixed priority never grows (placements allocate; a
-  // newly placed lower-priority task adds back at most what it consumed).
-  // So once a demand has failed, any demand that dominates it at the same
-  // priority must fail too — skip the O(nodes x running) scan.
-  if (preempt_fail_valid_ && priority == preempt_fail_priority_ &&
-      demand.cpus >= preempt_fail_demand_.cpus &&
-      demand.memory >= preempt_fail_demand_.memory) {
-    return false;
-  }
 
   // Find a node whose free resources plus lower-priority running work cover
   // the demand. The scan rotates so preemption pressure spreads across the
@@ -1209,8 +1212,9 @@ bool ClusterScheduler::TryPreemptFor(RtTask* task) {
     }
   }
   // Decision-level audit envelope; only filled when obs is attached.
-  // Dominance-cache skips above leave no record (they repeat a failure
-  // already audited this pass); every real scan lands here. The args and
+  // Searches the pass skipped by failure dominance leave no record (they
+  // repeat a failure already audited this pass); every real scan lands
+  // here. The args and
   // candidate lists are member scratch whose capacity is reused from scan
   // to scan; the audit log copies them out.
   Observability* obs = config_.obs;
@@ -1366,16 +1370,16 @@ void ClusterScheduler::KillVictim(RtTask* victim) {
   result_.kills++;
   if (!victim->has_image) result_.restarts_from_scratch++;
   DetachFromNode(victim);
-  ApplyResubmitBackoff(victim);
-  AddPending(victim);
+  AddPending(victim, ApplyResubmitBackoff());
 }
 
-void ClusterScheduler::ApplyResubmitBackoff(RtTask* task) {
-  if (config_.resubmit_delay <= 0) return;
-  task->eligible_at = sim_->Now() + config_.resubmit_delay;
+SimTime ClusterScheduler::ApplyResubmitBackoff() {
+  if (config_.resubmit_delay <= 0) return sim_->Now();
+  const SimTime eligible_at = sim_->Now() + config_.resubmit_delay;
   // Wake the scheduler when the task becomes eligible; nothing else may be
   // pending at that instant.
-  sim_->ScheduleAt(task->eligible_at, [this] { TrySchedule(); });
+  sim_->ScheduleAt(eligible_at, [this] { TrySchedule(); });
+  return eligible_at;
 }
 
 void ClusterScheduler::PreemptVictim(RtTask* victim, PreemptAction action) {
@@ -1657,7 +1661,6 @@ void ClusterScheduler::OnNodeFailure(NodeId node_id, SimDuration down_for) {
     sim_->ScheduleAfter(down_for, [this, node_id] {
       cluster_->node(node_id).SetOnline(true);
       TouchNode(node_id);
-      BumpReleaseEpoch();
       TrySchedule();
     });
   }
@@ -1665,11 +1668,6 @@ void ClusterScheduler::OnNodeFailure(NodeId node_id, SimDuration down_for) {
 }
 
 void ClusterScheduler::EvacuateImage(RtTask* task, NodeId failed) {
-  // Whether the image moves or is lost, the task may now place where it
-  // could not (image-bound restores, or any node once the image is gone).
-  // Only a crash that detaches nothing makes this bump the only one; see
-  // StorageNodeAlwaysLocal in tests/test_scheduler_golden.cc.
-  BumpReleaseEpoch();
   if (config_.checkpoint_to_dfs && cluster_->size() > 1) {
     // A DFS replica survives on another node: rebind the image's
     // accounting to an online host.
@@ -1795,8 +1793,7 @@ void ClusterScheduler::EndDump(RtTask* task) {
   task->attempt++;
   BumpOverheadEpoch();
   DetachFromNode(task);
-  ApplyResubmitBackoff(task);
-  AddPending(task);
+  AddPending(task, ApplyResubmitBackoff());
   ReleaseBeneficiary(task);
   TrySchedule();
 }

@@ -28,6 +28,7 @@
 #include "metrics/stats.h"
 #include "obs/self_profile.h"
 #include "scheduler/feasibility_index.h"
+#include "scheduler/pending_queue.h"
 #include "scheduler/policy.h"
 #include "sim/simulator.h"
 #include "storage/medium.h"
@@ -253,20 +254,21 @@ class ClusterScheduler {
  private:
   struct RtTask;
   struct RtJob;
-  struct PendingLess {
-    bool operator()(const RtTask* a, const RtTask* b) const;
-  };
 
   void OnJobArrival(RtJob* job);
   // Dispatch the buffered streamed job, then pull/schedule the next one.
   void OnStreamArrival();
   void TrySchedule();
   void RunSchedulePass();
-  // Place an eligible pending task, unless it failed under the current
-  // release epoch; a failure stamps the task with that epoch.
+  // False when no node's Available() fits `demand`, read from the
+  // feasibility index's root; with the index off, true (TryPlace decides).
+  bool PlacementMayFit(const Resources& demand);
+  // True when this pass's failed victim search proves that a search for
+  // `demand` at `priority` fails too (see preempt_fail_valid_).
+  bool PreemptFailureCovers(int priority, const Resources& demand) const;
+  // Place an eligible pending task: a fresh start, or Algorithm 2 for an
+  // image.
   bool TryPlace(RtTask* task);
-  // The placement itself: a fresh start, or Algorithm 2 for an image.
-  bool PlaceNow(RtTask* task);
   // First-fit probe with the cached cluster-wide free-resource summary as a
   // fast reject; advances place_cursor_ on success like the raw probe.
   Node* ProbeFitCached(const Resources& demand);
@@ -286,11 +288,6 @@ class ClusterScheduler {
   // preemption queries call this first.
   void FlushFeasibilityIndex();
   FeasibilityAgg ComputeNodeAgg(size_t node_index);
-  // A failed placement of an eligible task can succeed only after some
-  // node's Available() grows (a task detaches, a node recovers) or the
-  // task's image moves; each of those bumps the epoch, re-arming every
-  // stamped task.
-  void BumpReleaseEpoch() { ++release_epoch_; }
   // Any change that can affect VictimCheckpointOverhead's inputs (device
   // backlogs, image state) bumps the epoch, invalidating memoized costs.
   void BumpOverheadEpoch() { ++overhead_epoch_; }
@@ -301,7 +298,9 @@ class ClusterScheduler {
   void OnTaskComplete(RtTask* task, int attempt);
   void PreemptVictim(RtTask* victim, PreemptAction action);
   void KillVictim(RtTask* victim);
-  void ApplyResubmitBackoff(RtTask* task);
+  // Arm the resubmit backoff of a task being requeued now; returns when it
+  // may be scheduled again.
+  SimTime ApplyResubmitBackoff();
   void OnDumpComplete(RtTask* task, int attempt, bool incremental,
                       Bytes dump_bytes);
   void OnDumpFailed(RtTask* task, int attempt);
@@ -373,7 +372,8 @@ class ClusterScheduler {
   bool CanIncrement(const RtTask* victim) const;
   SimDuration VictimCheckpointOverhead(const RtTask* victim) const;
   Bytes DumpBytes(const RtTask* victim, bool incremental) const;
-  void AddPending(RtTask* task);
+  // Queue `task`, not schedulable before `eligible_at`.
+  void AddPending(RtTask* task, SimTime eligible_at = 0);
   void RemovePending(RtTask* task);
   void FinishJobIfDone(RtJob* job);
   void OnNodeFailure(NodeId node, SimDuration down_for);
@@ -419,7 +419,7 @@ class ClusterScheduler {
   std::vector<RtTask*> tasks_;
 
   // Pending tasks ordered by (priority desc, submit asc, id asc).
-  std::set<RtTask*, PendingLess> pending_;
+  PendingQueue<RtTask> pending_;
 
   // Running/dumping tasks per node for victim search; node ids are dense,
   // so a flat vector beats hashing on the hot path.
@@ -459,9 +459,6 @@ class ClusterScheduler {
   bool preempt_fail_valid_ = false;
   Resources preempt_fail_demand_{};
   int preempt_fail_priority_ = 0;
-
-  // See BumpReleaseEpoch; starts above the tasks' unstamped 0.
-  std::uint64_t release_epoch_ = 1;
 
   // O(log n) feasibility index (see feasibility_index.h). Leaves go stale
   // via TouchNode; each half is refreshed lazily before a query that reads

@@ -2,25 +2,28 @@
 // SimulationResult field must equal a value recorded from the scheduler
 // whose pass retried every pending task from the head on every pass.
 //
-// The pass now skips work it can prove will fail: a task in resubmit
-// backoff, a placement retried before any node's Available() grew or the
-// task's image moved (the release epoch), and Algorithm 2's restore costing
-// when the image node cannot fit. Each skip claims identical decisions, so
-// the recorded results are the oracle for all of them at once. The matrix
+// The pass now skips work it can prove will fail, reading only a task's
+// pending entry: a task in resubmit backoff, a placement whose demand does
+// not fit the feasibility index's root (the max of every node's
+// Available()), and a preemption attempt the pass's failure-dominance memo
+// covers. Placement also skips Algorithm 2's restore costing when the
+// image node cannot fit. Each skip claims identical decisions, so the
+// recorded results are the oracle for all of them at once. The matrix
 // crosses every preemption policy with the three ways an image can be
 // restored (the kWait row takes no images, so its three cells agree), and
-// every cell crashes two nodes mid-run and brings them back: a recovered
-// node is the one place where Available() grows without a task leaving a
-// node, so a pass that forgot to move the epoch there would leave the
-// re-stamped pending tasks waiting for some unrelated release.
+// every cell crashes two nodes mid-run and brings them back, so nodes go
+// offline and come back with pending tasks waiting for them.
 //
-// A task's image moving off a crashed node also moves the epoch. On equal
-// nodes no cell can tell that bump from the crash's own release: a pending
-// task stamped as failing on its image node needs that node full, so the
-// crash detaches some task there, which moves the epoch in the same event.
-// StorageNodeAlwaysLocal adds a node that takes evacuated images but is too
-// small to run any task. Its crash moves images while detaching nothing,
-// and always-local restores are bound to wherever their image is.
+// StorageNodeAlwaysLocal adds a node that takes evacuated images but is
+// too small to run any task. Its crash moves images while detaching
+// nothing, and always-local restores are bound to wherever their image is.
+//
+// The IndexOff cells run the linear reference scans that the feasibility
+// index replaces; there the pass does no root check, and TryPlace rejects
+// what the root would. They were recorded from the scheduler that still
+// skipped failed placements by a per-task release-epoch stamp, so they pin
+// that dropping the stamp changed no decision on that path either. Their
+// values equal KillDfs's and AdaptiveDfs's: the index moves no decision.
 //
 // On a mismatch the test prints the cell's actual line; recording a new
 // golden value means pasting it into kGolden below, and says why the
@@ -54,6 +57,8 @@ struct GoldenCell {
   bool services = false;
   // Node 0 takes evacuated images but is too small to run any task.
   bool storage_node = false;
+  // The plain linear scans instead of the feasibility index.
+  bool index_off = false;
 };
 
 void PrintTo(const GoldenCell& cell, std::ostream* os) { *os << cell.name; }
@@ -76,6 +81,7 @@ SimulationResult RunCell(const GoldenCell& cell) {
   }
   if (cell.latency_guard) config.protect_latency_class_at_least = 2;
   if (cell.resubmit_delay) config.resubmit_delay = Seconds(30);
+  if (cell.index_off) config.use_feasibility_index = false;
   if (cell.services) {
     config.interference.enabled = true;
     config.periodic_ckpt_mtbf = Hours(4);
@@ -584,6 +590,57 @@ const Golden kGolden[] = {
      "slo_s=0 slo_preempt_s=0 slo_organic_s=0 decisions=4189 "
      "node_failures=2 interrupted=28 images_lost=0 images_survived=28 "
      "dump_failures=0 restore_failures=0 failure_kills=0 faults=0"},
+    // The index-off cells, recorded from the scheduler with the
+    // release-epoch stamp.
+    {"KillDfsIndexOff",
+     "wasted_ch=50.319335857777787 lost_ch=50.319335857777787 "
+     "overhead_ch=0 busy_ch=820.12954863361108 "
+     "energy_kwh=19.248874703976828 job_rt0.n=63 "
+     "job_rt0.sum=1135133.0017150005 job_rt0.fnv=158d927bbb8af4c0 "
+     "task_rt0.n=1293 task_rt0.sum=25179998.025924031 "
+     "task_rt0.fnv=6a0f6044a28575c9 job_rt1.n=52 "
+     "job_rt1.sum=114399.412008 job_rt1.fnv=a265db1626c2a8b4 "
+     "task_rt1.n=979 task_rt1.sum=2706458.7702910001 "
+     "task_rt1.fnv=12c233f26bdfd8a0 job_rt2.n=5 "
+     "job_rt2.sum=20690.088052999999 job_rt2.fnv=95fa62ce7a767104 "
+     "task_rt2.n=93 task_rt2.sum=250940.39454200002 "
+     "task_rt2.fnv=a25a6c21f8b44b50 job_rt.n=120 "
+     "job_rt.sum=1270222.5017760005 job_rt.fnv=9956206457c420b4 "
+     "preemptions=373 kills=373 checkpoints=0 incremental=0 periodic=0 "
+     "periodic_failures=0 dumps_deferred=0 dump_defer_time=0 "
+     "local_restores=0 remote_restores=0 scratch_restarts=373 "
+     "capacity_kills=0 dump_time=0 restore_time=0 io_overhead=0 "
+     "peak_ckpt_bytes=0 ckpt_bytes_written=0 makespan=42953216918 "
+     "jobs=120 tasks=2365 replicas_retired=0 service_preemptions=0 "
+     "cold_starts=0 slo_s=0 slo_preempt_s=0 slo_organic_s=0 "
+     "decisions=3169 node_failures=2 interrupted=58 images_lost=0 "
+     "images_survived=0 dump_failures=0 restore_failures=0 "
+     "failure_kills=0 faults=0"},
+    {"AdaptiveDfsIndexOff",
+     "wasted_ch=12.045734368541625 lost_ch=11.033023747361113 "
+     "overhead_ch=1.0127106211805486 busy_ch=780.84323640472223 "
+     "energy_kwh=18.509736043634625 job_rt0.n=63 "
+     "job_rt0.sum=1052634.4522769998 job_rt0.fnv=3f15d7e0592461ea "
+     "task_rt0.n=1293 task_rt0.sum=23421944.653501019 "
+     "task_rt0.fnv=65f401437c5b245a job_rt1.n=52 "
+     "job_rt1.sum=106743.92019300001 job_rt1.fnv=1792846af9db0e04 "
+     "task_rt1.n=979 task_rt1.sum=2459006.5676329993 "
+     "task_rt1.fnv=e07bc1c409fb2726 job_rt2.n=5 "
+     "job_rt2.sum=16138.911178 job_rt2.fnv=f5d4351f2cf169a5 "
+     "task_rt2.n=93 task_rt2.sum=246489.58662399996 "
+     "task_rt2.fnv=7c49423d43a7e315 job_rt.n=120 "
+     "job_rt.sum=1175517.2836479999 job_rt.fnv=400b98718d24fcab "
+     "preemptions=870 kills=123 checkpoints=747 incremental=377 "
+     "periodic=0 periodic_failures=0 dumps_deferred=0 "
+     "dump_defer_time=0 local_restores=478 remote_restores=405 "
+     "scratch_restarts=5 capacity_kills=0 dump_time=2182672898 "
+     "restore_time=3838088807 io_overhead=0.023201312987000865 "
+     "peak_ckpt_bytes=139578333711 ckpt_bytes_written=272824724796 "
+     "makespan=41679641279 jobs=120 tasks=2365 replicas_retired=0 "
+     "service_preemptions=0 cold_starts=0 slo_s=0 slo_preempt_s=0 "
+     "slo_organic_s=0 decisions=4159 node_failures=2 interrupted=54 "
+     "images_lost=0 images_survived=35 dump_failures=0 "
+     "restore_failures=0 failure_kills=0 faults=0"},
 };
 
 const char* GoldenFor(const char* cell) {
@@ -643,7 +700,13 @@ INSTANTIATE_TEST_SUITE_P(
                    Images::kDfsAdaptive, false, false, /*services=*/true},
         GoldenCell{"StorageNodeAlwaysLocal", PreemptionPolicy::kCheckpoint,
                    Images::kDfsAlwaysLocal, false, false, false,
-                   /*storage_node=*/true}),
+                   /*storage_node=*/true},
+        GoldenCell{"KillDfsIndexOff", PreemptionPolicy::kKill,
+                   Images::kDfsAdaptive, false, false, false, false,
+                   /*index_off=*/true},
+        GoldenCell{"AdaptiveDfsIndexOff", PreemptionPolicy::kAdaptive,
+                   Images::kDfsAdaptive, false, false, false, false,
+                   /*index_off=*/true}),
     [](const ::testing::TestParamInfo<GoldenCell>& info) {
       return std::string(info.param.name);
     });
