@@ -8,6 +8,12 @@
 # The repository benchmark's smoke run (benchmark/run.py --smoke) must pass
 # every output check.
 #
+# scripts/check_unlinked.sh guards src/ against dead API: it fails when the
+# libraries define a ckpt:: function that no shipped binary (bench/,
+# tools/, examples/, benchmark/) links, outside its short allowlist of
+# test-inspection helpers. It builds into <build-dir>-unlinked and
+# <build-dir>-unlinked-bench.
+#
 # An ASan+UBSan lane rebuilds the observability tests and two traced
 # benches: the tracer and audit log keep string_view keys and copy string
 # values out of the caller's buffers, so lifetimes are checked by running.
@@ -43,6 +49,8 @@ cmake "${cmake_args[@]}"
 cmake --build "$build_dir" -j "$(nproc)"
 
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
+
+"$repo_root/scripts/check_unlinked.sh" "$build_dir"
 
 # Observability smoke test: a small fig8 run with tracing on.
 obs_dir="$(mktemp -d)"

@@ -22,29 +22,11 @@ Node& Cluster::node(NodeId id) {
   return *nodes_[static_cast<size_t>(id.value())];
 }
 
-const Node& Cluster::node(NodeId id) const {
-  CKPT_CHECK(id.valid());
-  CKPT_CHECK_LT(id.value(), static_cast<std::int64_t>(nodes_.size()));
-  return *nodes_[static_cast<size_t>(id.value())];
-}
-
 std::vector<Node*> Cluster::nodes() {
   std::vector<Node*> out;
   out.reserve(nodes_.size());
   for (auto& n : nodes_) out.push_back(n.get());
   return out;
-}
-
-Resources Cluster::TotalCapacity() const {
-  Resources total;
-  for (const auto& n : nodes_) total += n->capacity();
-  return total;
-}
-
-Resources Cluster::TotalUsed() const {
-  Resources total;
-  for (const auto& n : nodes_) total += n->used();
-  return total;
 }
 
 double Cluster::TotalEnergyKwh() {

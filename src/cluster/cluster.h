@@ -18,12 +18,8 @@ class Cluster {
                                PowerModel power = {});
 
   Node& node(NodeId id);
-  const Node& node(NodeId id) const;
   int size() const { return static_cast<int>(nodes_.size()); }
   std::vector<Node*> nodes();
-
-  Resources TotalCapacity() const;
-  Resources TotalUsed() const;
 
   // Total energy across nodes after syncing meters to the current time.
   double TotalEnergyKwh();

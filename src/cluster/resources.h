@@ -2,8 +2,6 @@
 // currency of both the trace-driven scheduler and the YARN layer.
 #pragma once
 
-#include <string>
-
 #include "common/logging.h"
 #include "common/units.h"
 
@@ -38,7 +36,6 @@ struct Resources {
   }
 
   bool IsZero() const { return cpus <= 1e-9 && memory == 0; }
-  std::string ToString() const;
 };
 
 }  // namespace ckpt

@@ -1,13 +1,11 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cctype>
 #include <cstring>
 
 namespace ckpt {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
 // Thread-local: parallel sweeps run one Simulator per worker thread, and
 // each registers its own clock without synchronization.
 thread_local std::function<std::int64_t()> g_clock;
@@ -49,29 +47,15 @@ bool ParseLogLevel(const char* value, LogLevel* out) {
   }
   return false;
 }
-
-// Applies CKPT_LOG_LEVEL exactly once, the first time the level is consulted
-// or explicitly set (so SetLogLevel overrides the environment, not the other
-// way around).
-void EnsureEnvApplied() {
-  static const bool applied = [] {
-    LogLevel level;
-    if (ParseLogLevel(std::getenv("CKPT_LOG_LEVEL"), &level)) {
-      g_level.store(level, std::memory_order_relaxed);
-    }
-    return true;
-  }();
-  (void)applied;
-}
 }  // namespace
 
 LogLevel GetLogLevel() {
-  EnsureEnvApplied();
-  return g_level.load(std::memory_order_relaxed);
-}
-void SetLogLevel(LogLevel level) {
-  EnsureEnvApplied();
-  g_level.store(level, std::memory_order_relaxed);
+  static const LogLevel level = [] {
+    LogLevel parsed = LogLevel::kWarn;
+    ParseLogLevel(std::getenv("CKPT_LOG_LEVEL"), &parsed);
+    return parsed;
+  }();
+  return level;
 }
 
 void SetLogClock(std::function<std::int64_t()> now_usec) {

@@ -18,10 +18,9 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 // Global log threshold; messages below it are dropped. Defaults to kWarn so
 // tests and benches stay quiet unless a caller opts in. The CKPT_LOG_LEVEL
 // environment variable (debug|info|warn|error|off, or the numeric value)
-// overrides the default the first time the level is consulted; explicit
-// SetLogLevel calls always win over the environment.
+// overrides the default; it is read once, the first time the level is
+// consulted.
 LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 // Optional simulated-time source. When registered, log lines are prefixed
 // with the clock's current value in seconds ("[  12.345678s]") so messages

@@ -44,14 +44,4 @@ std::string FormatBytes(Bytes b) {
   return buf;
 }
 
-std::string FormatBandwidth(Bandwidth bw) {
-  char buf[64];
-  if (bw < 1e9) {
-    std::snprintf(buf, sizeof(buf), "%.1fMB/s", bw / 1e6);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.2fGB/s", bw / 1e9);
-  }
-  return buf;
-}
-
 }  // namespace ckpt

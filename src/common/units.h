@@ -81,6 +81,5 @@ SimDuration TransferTime(Bytes size, Bandwidth bw);
 // Human-readable formatting for logs and reports.
 std::string FormatDuration(SimDuration d);
 std::string FormatBytes(Bytes b);
-std::string FormatBandwidth(Bandwidth bw);
 
 }  // namespace ckpt

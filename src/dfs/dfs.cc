@@ -456,40 +456,6 @@ SimDuration DfsCluster::EstimateWriteService(Bytes size, NodeId writer) const {
   return t;
 }
 
-SimDuration DfsCluster::EstimateRead(const std::string& path,
-                                     NodeId reader) const {
-  auto it = files_.find(path);
-  if (it == files_.end()) return 0;
-  SimDuration t = 0;
-  for (const BlockInfo& block : it->second.blocks) {
-    NodeId source = block.replicas.front();
-    bool local = false;
-    for (NodeId replica : block.replicas) {
-      if (replica == reader) {
-        source = replica;
-        local = true;
-        break;
-      }
-    }
-    if (!local) {
-      for (NodeId replica : block.replicas) {
-        if (DeviceFor(replica)->QueueDelay() <
-            DeviceFor(source)->QueueDelay()) {
-          source = replica;
-        }
-      }
-    }
-    StorageDevice* device = DeviceFor(source);
-    CKPT_CHECK(device != nullptr);
-    t += device->QueueDelay() + device->EstimateRead(Inflated(block.size));
-    if (source != reader) {
-      t += net_->EstimateTransfer(block.size);
-    }
-    t += config_.block_op_overhead;
-  }
-  return t;
-}
-
 SimDuration DfsCluster::EstimateReadServiceFrom(Bytes size, NodeId reader,
                                                 bool local) const {
   if (datanode_ids_.empty()) return 0;

@@ -120,10 +120,6 @@ class DfsCluster {
   // queue slot add the wait themselves).
   SimDuration EstimateWriteService(Bytes size, NodeId writer) const;
 
-  // Estimate for reading `path` from `reader`: local replicas cost a device
-  // read; remote blocks add the network transfer (size/bw_net).
-  SimDuration EstimateRead(const std::string& path, NodeId reader) const;
-
   // Estimate for reading `size` fresh bytes with/without a local replica;
   // used before the file exists.
   SimDuration EstimateReadFrom(Bytes size, NodeId reader, bool local) const;

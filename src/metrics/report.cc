@@ -42,16 +42,4 @@ std::string RenderTable(const std::vector<std::vector<std::string>>& rows) {
   return out.str();
 }
 
-std::string RenderSeries(const std::string& title, const std::string& x_label,
-                         const std::string& y_label,
-                         const std::vector<std::pair<double, double>>& series) {
-  std::ostringstream out;
-  out << title << "\n";
-  out << "  " << x_label << "\t" << y_label << "\n";
-  for (const auto& [x, y] : series) {
-    out << "  " << Fmt(x, 3) << "\t" << Fmt(y, 4) << "\n";
-  }
-  return out.str();
-}
-
 }  // namespace ckpt

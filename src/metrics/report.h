@@ -1,5 +1,5 @@
-// ASCII table/series printers shared by the bench harnesses so every
-// reproduced figure/table prints in a uniform format.
+// ASCII table printer shared by the bench harnesses so every reproduced
+// figure/table prints in a uniform format.
 #pragma once
 
 #include <string>
@@ -9,12 +9,6 @@ namespace ckpt {
 
 // Fixed-width table: first row is the header.
 std::string RenderTable(const std::vector<std::vector<std::string>>& rows);
-
-// Render a CDF or XY series as aligned "x<TAB>y" lines with a title.
-std::string RenderSeries(const std::string& title,
-                         const std::string& x_label,
-                         const std::string& y_label,
-                         const std::vector<std::pair<double, double>>& series);
 
 std::string Fmt(double v, int precision = 2);
 

@@ -1,7 +1,5 @@
 #include "metrics/stats.h"
 
-#include <cmath>
-
 namespace ckpt {
 
 void SummaryStats::Sort() const {
@@ -22,14 +20,6 @@ double SummaryStats::Max() const {
   return sorted_samples_.empty() ? 0.0 : sorted_samples_.back();
 }
 
-double SummaryStats::Stddev() const {
-  if (samples_.size() < 2) return 0.0;
-  const double mean = Mean();
-  double ss = 0.0;
-  for (double x : samples_) ss += (x - mean) * (x - mean);
-  return std::sqrt(ss / static_cast<double>(samples_.size() - 1));
-}
-
 double SummaryStats::Quantile(double p) const {
   CKPT_CHECK_GE(p, 0.0);
   CKPT_CHECK_LE(p, 1.0);
@@ -46,13 +36,6 @@ Cdf::Cdf(std::vector<double> samples) : samples_(std::move(samples)) {
   std::sort(samples_.begin(), samples_.end());
 }
 
-double Cdf::At(double x) const {
-  if (samples_.empty()) return 0.0;
-  const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-  return static_cast<double>(it - samples_.begin()) /
-         static_cast<double>(samples_.size());
-}
-
 double Cdf::Quantile(double p) const {
   CKPT_CHECK_GE(p, 0.0);
   CKPT_CHECK_LE(p, 1.0);
@@ -62,19 +45,6 @@ double Cdf::Quantile(double p) const {
   const size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = idx - static_cast<double>(lo);
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-std::vector<std::pair<double, double>> Cdf::Series(int points) const {
-  std::vector<std::pair<double, double>> out;
-  if (samples_.empty() || points < 2) return out;
-  const double lo = samples_.front();
-  const double hi = samples_.back();
-  out.reserve(static_cast<size_t>(points));
-  for (int i = 0; i < points; ++i) {
-    const double x = lo + (hi - lo) * i / (points - 1);
-    out.emplace_back(x, At(x));
-  }
-  return out;
 }
 
 }  // namespace ckpt

@@ -26,7 +26,6 @@ class SummaryStats {
   double Mean() const { return samples_.empty() ? 0.0 : sum_ / count(); }
   double Min() const;
   double Max() const;
-  double Stddev() const;
 
   // Exact quantile, p in [0, 1]; linear interpolation between order stats.
   double Quantile(double p) const;
@@ -43,21 +42,16 @@ class SummaryStats {
   double sum_ = 0.0;
 };
 
-// Empirical CDF over a sample set, evaluable at arbitrary x and printable as
-// the (x, F(x)) series the paper's CDF figures plot.
+// Empirical CDF over a sample set; the paper's CDF figures print its
+// quantiles.
 class Cdf {
  public:
   explicit Cdf(std::vector<double> samples);
 
-  // Fraction of samples <= x.
-  double At(double x) const;
   double Quantile(double p) const;
   std::int64_t count() const {
     return static_cast<std::int64_t>(samples_.size());
   }
-
-  // Evenly spaced series of `points` (x, F(x)) pairs across the range.
-  std::vector<std::pair<double, double>> Series(int points) const;
 
  private:
   std::vector<double> samples_;  // sorted

@@ -4,7 +4,6 @@
 
 #include "common/json.h"
 #include "common/logging.h"
-#include "metrics/report.h"
 
 namespace ckpt {
 
@@ -145,34 +144,6 @@ std::string MetricsRegistry::ToJson() const {
   }
   out += "]}";
   return out;
-}
-
-std::vector<std::vector<std::string>> MetricsRegistry::ToTableRows() const {
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back({"metric", "labels", "type", "value", "count", "mean", "p99"});
-  for (const auto& [key, series] : series_) {
-    std::vector<std::string> row{series.name, LabelString(series.labels)};
-    switch (series.kind) {
-      case Kind::kCounter:
-        row.insert(row.end(),
-                   {"counter", std::to_string(series.counter->value()), "", "",
-                    ""});
-        break;
-      case Kind::kGauge:
-        row.insert(row.end(),
-                   {"gauge", Fmt(series.gauge->value(), 3), "", "", ""});
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *series.histogram;
-        row.insert(row.end(),
-                   {"histogram", Fmt(h.sum(), 3), std::to_string(h.count()),
-                    Fmt(h.stats().Mean(), 4), Fmt(h.stats().Quantile(0.99), 4)});
-        break;
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
 }
 
 }  // namespace ckpt

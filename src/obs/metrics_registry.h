@@ -87,9 +87,6 @@ class MetricsRegistry {
   // Deterministic JSON object: {"metrics":[{...}, ...]} sorted by key.
   std::string ToJson() const;
 
-  // Rows for RenderTable: header + one row per series.
-  std::vector<std::vector<std::string>> ToTableRows() const;
-
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
   struct Series {

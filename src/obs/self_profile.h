@@ -9,7 +9,6 @@
 // is a no-op, so the off path stays one pointer test.
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -66,56 +65,6 @@ class ScopedWallTimer {
 
  private:
   SelfProfile::Slot* slot_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-// For sites too hot for two clock reads per call: counts every call, times
-// one call in kEvery and adds kEvery times its elapsed time, so
-// self.wall_seconds estimates the site's total at 1/kEvery of the clock
-// cost. A null slot is a no-op, as with ScopedWallTimer.
-//
-// A timed interval also spans one clock read (~40 ns on a virtualized
-// Xeon), as long as a typical call here; scaled by kEvery, that would
-// overstate the site by about half. Each sample subtracts the mean empty
-// interval, measured once per process.
-class SampledWallTimer {
- public:
-  static constexpr std::int64_t kEvery = 64;
-
-  explicit SampledWallTimer(SelfProfile::Slot* slot) {
-    if (slot == nullptr || slot->calls++ % kEvery != 0) return;
-    slot_ = slot;
-    start_ = std::chrono::steady_clock::now();
-  }
-  ~SampledWallTimer() {
-    if (slot_ == nullptr) return;
-    const double elapsed = Seconds(std::chrono::steady_clock::now() - start_);
-    slot_->wall_seconds +=
-        kEvery * std::max(0.0, elapsed - EmptyIntervalSeconds());
-  }
-
-  SampledWallTimer(const SampledWallTimer&) = delete;
-  SampledWallTimer& operator=(const SampledWallTimer&) = delete;
-
- private:
-  static double Seconds(std::chrono::steady_clock::duration d) {
-    return std::chrono::duration_cast<std::chrono::duration<double>>(d)
-        .count();
-  }
-  static double EmptyIntervalSeconds() {
-    static const double mean = [] {
-      constexpr int kPairs = 1024;
-      double total = 0;
-      for (int i = 0; i < kPairs; ++i) {
-        const auto start = std::chrono::steady_clock::now();
-        total += Seconds(std::chrono::steady_clock::now() - start);
-      }
-      return total / kPairs;
-    }();
-    return mean;
-  }
-
-  SelfProfile::Slot* slot_ = nullptr;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -54,9 +54,8 @@ struct ClusterScheduler::RtJob {
 struct ClusterScheduler::RtTask {
   const TaskSpec* spec = nullptr;
   RtJob* job = nullptr;
-  // Position in tasks_ creation order; failure-handling indexes iterate by
-  // it so they visit tasks in the same order as a linear scan of tasks_.
-  std::int64_t create_idx = 0;
+  // For an in-flight victim dump, the pending task it makes room for.
+  RtTask* beneficiary = nullptr;
 
   // The one-byte fields share a word with `attempt`, keeping the record at
   // 200 bytes (see the static_assert in the constructor). A pending task's
@@ -111,11 +110,6 @@ struct ClusterScheduler::RtTask {
   mutable std::uint64_t ovh_epoch = 0;
   mutable SimDuration ovh_value = 0;
 };
-
-bool ClusterScheduler::ByTaskIndex::operator()(const RtTask* a,
-                                               const RtTask* b) const {
-  return a->create_idx < b->create_idx;
-}
 
 // --- Construction -----------------------------------------------------------
 
@@ -184,8 +178,6 @@ ClusterScheduler::ClusterScheduler(Simulator* sim, Cluster* cluster,
     SelfProfile& prof = config_.obs->self_profile();
     prof_run_ = prof.slot("scheduler.run");
     prof_pass_ = prof.slot("scheduler.pass");
-    // Sampled sites (see SampledWallTimer): self.calls counts every call,
-    // self.wall_seconds scales one timed call in 64.
     prof_preempt_ = prof.slot("scheduler.preempt_scan");
     prof_place_ = prof.slot("scheduler.try_place");
     prof_index_flush_ = prof.slot("scheduler.index_flush");
@@ -482,7 +474,6 @@ void ClusterScheduler::OnJobArrival(RtJob* job) {
     RtTask* task = task_arena_->New();
     task->spec = &spec;
     task->job = job;
-    task->create_idx = static_cast<std::int64_t>(tasks_.size());
     task->submit_time = sim_->Now();
     if (job->service_idx >= 0) {
       task->service_idx = job->service_idx;
@@ -619,7 +610,7 @@ void ClusterScheduler::FlushPlaceIndex() {
 }
 
 void ClusterScheduler::FlushFeasibilityIndex() {
-  SampledWallTimer timer(prof_index_flush_);
+  ScopedWallTimer timer(prof_index_flush_);
   index_leaves_recomputed_ +=
       static_cast<std::int64_t>(index_preempt_stale_list_.size());
   // A full update also rewrites the placement half, with the value a
@@ -702,7 +693,7 @@ bool ClusterScheduler::PlacementMayFit(const Resources& demand) {
 }
 
 bool ClusterScheduler::TryPlace(RtTask* task) {
-  SampledWallTimer timer(prof_place_);
+  ScopedWallTimer timer(prof_place_);
   const Resources& demand = task->spec->demand;
 
   if (!task->has_image) {
@@ -1099,7 +1090,7 @@ PreemptAction ClusterScheduler::DecideVictimAction(RtTask* victim) const {
 void ClusterScheduler::ChargeWaste(WasteCause cause, double amount,
                                    const RtTask* task) {
   if (config_.obs == nullptr) return;
-  SampledWallTimer timer(prof_waste_charge_);
+  ScopedWallTimer timer(prof_waste_charge_);
   config_.obs->waste().Add(cause, amount, task->job->spec.id.value(),
                            task->node.valid() ? task->node.value() : -1);
 }
@@ -1139,9 +1130,7 @@ bool ClusterScheduler::PreemptFailureCovers(int priority,
 }
 
 bool ClusterScheduler::TryPreemptFor(RtTask* task) {
-  // Sampled: hundreds of thousands of searches per run, many short next to
-  // two clock reads.
-  SampledWallTimer timer(prof_preempt_);
+  ScopedWallTimer timer(prof_preempt_);
   const Resources& demand = task->spec->demand;
   const int priority = task->spec->priority;
 
@@ -1341,7 +1330,7 @@ bool ClusterScheduler::TryPreemptFor(RtTask* task) {
       // Remember whom this dump is for; until it completes the beneficiary
       // must not trigger further preemption.
       task->releases_in_flight++;
-      dump_beneficiary_[victim] = task;
+      victim->beneficiary = task;
     }
   }
   if (obs != nullptr) {
@@ -1520,14 +1509,12 @@ void ClusterScheduler::OnDumpComplete(RtTask* task, int attempt,
   }
   EndFreeze(task);
   // The reservation becomes the image.
-  UnindexPendingDump(task);
   task->progress.Commit();
   task->has_image = true;
   task->dump_failures = 0;
   task->pending_dump_bytes = 0;
   if (!incremental) task->image_node = task->node;
   task->stored_bytes += dump_bytes;
-  IndexImage(task);
   current_checkpoint_bytes_ += dump_bytes;
   result_.peak_checkpoint_bytes =
       std::max(result_.peak_checkpoint_bytes, current_checkpoint_bytes_);
@@ -1637,25 +1624,24 @@ void ClusterScheduler::OnNodeFailure(NodeId node_id, SimDuration down_for) {
     }
   }
 
-  // Incremental dumps in flight from other nodes *to* the failed image
-  // node: their reservation and their target are gone — unwind them like
-  // dumps on the failed node itself. The first loop already unwound (and
-  // unindexed) dumps running *on* the failed node, so the index now holds
-  // exactly the remote ones; snapshot it (the unwind mutates the set) —
-  // creation order matches the seed's full scan of tasks_.
-  const std::vector<RtTask*> doomed_dumps(dumps_to_node_[node_id].begin(),
-                                          dumps_to_node_[node_id].end());
-  for (RtTask* task : doomed_dumps) {
-    CKPT_CHECK(task->state == RtTask::State::kDumping);
-    AbandonDump(task);
+  // The first loop unwound the dumps running *on* the failed node. Still
+  // doomed: incremental dumps from other nodes *to* it, whose reservation
+  // and target are gone, and the images whose accounting device was on it.
+  // Unwinding those dumps moves no image, so one scan of tasks_ collects
+  // both lists, in creation order.
+  std::vector<RtTask*> doomed_dumps;
+  std::vector<RtTask*> doomed_images;
+  for (RtTask* task : tasks_) {
+    if (task->state == RtTask::State::kDumping &&
+        task->pending_dump_node == node_id) {
+      doomed_dumps.push_back(task);
+    }
+    if (task->has_image && task->image_node == node_id) {
+      doomed_images.push_back(task);
+    }
   }
-
-  // Checkpoint images whose accounting device was on the failed node.
-  const std::vector<RtTask*> doomed_images(images_on_node_[node_id].begin(),
-                                           images_on_node_[node_id].end());
-  for (RtTask* task : doomed_images) {
-    EvacuateImage(task, node_id);
-  }
+  for (RtTask* task : doomed_dumps) AbandonDump(task);
+  for (RtTask* task : doomed_images) EvacuateImage(task, node_id);
 
   if (down_for >= 0) {
     sim_->ScheduleAfter(down_for, [this, node_id] {
@@ -1675,9 +1661,7 @@ void ClusterScheduler::EvacuateImage(RtTask* task, NodeId failed) {
       if (!candidate->online() || candidate->id() == failed) continue;
       if (candidate->storage().Reserve(task->stored_bytes)) {
         cluster_->node(failed).storage().Release(task->stored_bytes);
-        UnindexImage(task);
         task->image_node = candidate->id();
-        IndexImage(task);
         BumpOverheadEpoch();
         result_.images_survived_failure++;
         return;
@@ -1695,7 +1679,6 @@ void ClusterScheduler::EvacuateImage(RtTask* task, NodeId failed) {
 
 void ClusterScheduler::ReleaseImage(RtTask* task) {
   if (!task->has_image) return;
-  UnindexImage(task);
   cluster_->node(task->image_node).storage().Release(task->stored_bytes);
   current_checkpoint_bytes_ -= task->stored_bytes;
   task->has_image = false;
@@ -1728,7 +1711,6 @@ bool ClusterScheduler::ReserveDump(RtTask* task, bool incremental,
   if (!cluster_->node(target).storage().Reserve(dump_bytes)) return false;
   task->pending_dump_bytes = dump_bytes;
   task->pending_dump_node = target;
-  IndexPendingDump(task);
   return true;
 }
 
@@ -1817,7 +1799,6 @@ void ClusterScheduler::AbandonDump(RtTask* task) {
 }
 
 void ClusterScheduler::ReleaseDumpReservation(RtTask* task) {
-  UnindexPendingDump(task);
   cluster_->node(task->pending_dump_node)
       .storage()
       .Release(task->pending_dump_bytes);
@@ -1872,27 +1853,10 @@ void ClusterScheduler::ForfeitUnsavedWork(RtTask* task, WasteCause cause) {
 }
 
 void ClusterScheduler::ReleaseBeneficiary(RtTask* task) {
-  auto it = dump_beneficiary_.find(task);
-  if (it == dump_beneficiary_.end()) return;
-  it->second->releases_in_flight--;
-  CKPT_CHECK_GE(it->second->releases_in_flight, 0);
-  dump_beneficiary_.erase(it);
-}
-
-void ClusterScheduler::IndexImage(RtTask* task) {
-  images_on_node_[task->image_node].insert(task);
-}
-
-void ClusterScheduler::UnindexImage(RtTask* task) {
-  images_on_node_[task->image_node].erase(task);
-}
-
-void ClusterScheduler::IndexPendingDump(RtTask* task) {
-  dumps_to_node_[task->pending_dump_node].insert(task);
-}
-
-void ClusterScheduler::UnindexPendingDump(RtTask* task) {
-  dumps_to_node_[task->pending_dump_node].erase(task);
+  if (task->beneficiary == nullptr) return;
+  task->beneficiary->releases_in_flight--;
+  CKPT_CHECK_GE(task->beneficiary->releases_in_flight, 0);
+  task->beneficiary = nullptr;
 }
 
 }  // namespace ckpt

@@ -12,9 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -382,12 +380,6 @@ class ClusterScheduler {
   std::vector<RtTask*>& RunningOn(NodeId node) {
     return running_[static_cast<size_t>(node.value())];
   }
-  // Failure-handling indexes (insertion keyed by task creation order so
-  // iteration matches the seed's linear scan over tasks_).
-  void IndexImage(RtTask* task);
-  void UnindexImage(RtTask* task);
-  void IndexPendingDump(RtTask* task);
-  void UnindexPendingDump(RtTask* task);
 
   Simulator* sim_;
   Cluster* cluster_;
@@ -414,7 +406,7 @@ class ClusterScheduler {
   JobSpec stream_next_;
   bool stream_has_next_ = false;
   // Task records live in a slab arena (pointer-stable, chunk-allocated);
-  // tasks_ keeps creation order for the failure-handling index iteration.
+  // tasks_ keeps creation order, the order crash handling visits them in.
   std::unique_ptr<SlabArena<RtTask>> task_arena_;
   std::vector<RtTask*> tasks_;
 
@@ -424,18 +416,6 @@ class ClusterScheduler {
   // Running/dumping tasks per node for victim search; node ids are dense,
   // so a flat vector beats hashing on the hot path.
   std::vector<std::vector<RtTask*>> running_;
-
-  // For each in-flight victim dump, the pending task it makes room for.
-  std::unordered_map<RtTask*, RtTask*> dump_beneficiary_;
-
-  // Failure-handling indexes, ordered by task creation index so failure
-  // handling walks tasks in the same order as the seed's full scans.
-  struct ByTaskIndex {
-    bool operator()(const RtTask* a, const RtTask* b) const;
-  };
-  using TaskIndexSet = std::set<RtTask*, ByTaskIndex>;
-  std::unordered_map<NodeId, TaskIndexSet> images_on_node_;
-  std::unordered_map<NodeId, TaskIndexSet> dumps_to_node_;
 
   SimulationResult result_;
   Bytes current_checkpoint_bytes_ = 0;
@@ -493,8 +473,6 @@ class ClusterScheduler {
   // making every timer a no-op.
   SelfProfile::Slot* prof_run_ = nullptr;
   SelfProfile::Slot* prof_pass_ = nullptr;
-  // Per-site slots inside and around the pass, too hot for a clock read
-  // per call: SampledWallTimer counts every call and times 1 in 64.
   SelfProfile::Slot* prof_preempt_ = nullptr;
   SelfProfile::Slot* prof_place_ = nullptr;
   SelfProfile::Slot* prof_index_flush_ = nullptr;

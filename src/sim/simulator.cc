@@ -20,14 +20,4 @@ std::int64_t Simulator::Run(SimTime until) {
   return processed;
 }
 
-bool Simulator::Step() {
-  if (queue_.empty()) return false;
-  EventNode* node = queue_.PopLive();
-  now_ = node->when;
-  ++events_processed_;
-  node->cb();
-  queue_.Recycle(node);
-  return true;
-}
-
 }  // namespace ckpt

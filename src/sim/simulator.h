@@ -57,9 +57,6 @@ class Simulator {
   // first). Returns the number of events processed.
   std::int64_t Run(SimTime until = kMaxTime);
 
-  // Process exactly one event if any is pending; returns false when idle.
-  bool Step();
-
   bool Empty() const { return queue_.empty(); }
   std::int64_t PendingEvents() const { return queue_.size(); }
   std::int64_t EventsProcessed() const { return events_processed_; }

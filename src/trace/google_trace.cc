@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "trace/workload_stream.h"
 
 namespace ckpt {
 namespace {
@@ -53,16 +52,16 @@ double ArrivalAmplitude(int priority) {
   return BandOf(priority) == PriorityBand::kFree ? 0.2 : 0.9;
 }
 
-// Sequential job generator behind both GenerateWorkloadSample (materialized)
-// and StreamWorkloadSample. Single source of truth for the draw sequence, so
-// the two paths cannot drift apart.
+// GenerateWorkloadSample's job generator. Each Next() draws one job from the
+// one Rng in generation order: priority, submit time, size, demand, duration,
+// then each task. That order fixes every seed's workload; the jobs are
+// sorted by submit time only afterwards.
 struct SampleJobGen {
   GoogleTraceGenerator gen;  // carries only config; cheap to copy
   Rng rng;
   int j = 0;
   std::int64_t next_task = 0;
 
-  std::int64_t TotalJobs() const { return gen.config().sample_jobs; }
   bool Done() const { return j >= gen.config().sample_jobs; }
 
   JobSpec Next() {
@@ -298,11 +297,6 @@ Workload GoogleTraceGenerator::GenerateWorkloadSample() {
   }
   workload.SortBySubmitTime();
   return workload;
-}
-
-std::unique_ptr<WorkloadStream> GoogleTraceGenerator::StreamWorkloadSample() {
-  return std::make_unique<SnapshotStream<SampleJobGen>>(
-      SampleJobGen{*this, Rng(config_.seed ^ 0xABCDEF)});
 }
 
 }  // namespace ckpt

@@ -2,28 +2,27 @@
 // Workload.
 //
 // A WorkloadStream yields JobSpecs in nondecreasing submit-time order, one
-// at a time, so the scheduler can register arrivals with lookahead 1 and
-// peak RSS no longer carries every task spec of the run up front. Streams
-// are byte-identical to their materialized counterparts: for each generator
-// (google_trace, facebook_workload, bench_scale's synthetic burst) the
-// stream replays the exact same RNG draw sequence the batch path consumes,
-// and emits jobs in the same (submit_time, generation index) order that
-// Workload::SortBySubmitTime's stable sort produces.
+// at a time, so ClusterScheduler::SubmitStream can register arrivals with
+// lookahead 1 and peak RSS no longer carries every task spec of the run up
+// front. The repository benchmark streams its 100k-node scale_burst
+// workload this way.
 //
-// SnapshotStream is the shared machinery: generators that produce jobs
-// sequentially from copyable state (an Rng plus counters) get streaming for
-// free. Pass 1 runs the whole generation once, discarding tasks but
-// recording each job's submit time plus a state snapshot every
-// `snapshot interval` jobs (mt19937_64 state is ~2.5 KiB, so the interval
-// adapts to keep at most ~8k snapshots). Pass 2 emits jobs in sorted order,
-// regenerating each one from the nearest snapshot — bounded lookahead
-// memory of O(jobs / interval) snapshots + O(1) materialized jobs, never
-// O(tasks).
+// SnapshotStream turns a generator that produces jobs sequentially from
+// copyable state (an Rng plus counters) into a stream. It replays the
+// generator's own RNG draw sequence and emits jobs in the (submit_time,
+// generation index) order that materializing them and calling
+// Workload::SortBySubmitTime's stable sort produces, so a streamed run sees
+// the same jobs as a materialized one. Pass 1 runs the whole generation
+// once, discarding tasks but recording each job's submit time plus a state
+// snapshot every `snapshot interval` jobs (mt19937_64 state is ~2.5 KiB, so
+// the interval adapts to keep at most ~8k snapshots). Pass 2 emits jobs in
+// sorted order, regenerating each one from the nearest snapshot — bounded
+// lookahead memory of O(jobs / interval) snapshots + O(1) materialized
+// jobs, never O(tasks).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -45,10 +44,6 @@ class WorkloadStream {
   virtual std::int64_t TotalJobs() const = 0;
   virtual std::int64_t TotalTasks() const = 0;
 };
-
-// Drain a stream into a Workload (tests and small callers). The result is
-// already submit-time sorted per the stream contract.
-Workload MaterializeStream(WorkloadStream* stream);
 
 // Streaming adapter over a sequential job generator.
 //

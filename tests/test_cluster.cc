@@ -83,15 +83,5 @@ TEST_F(NodeTest, IdleNodeStillBurnsIdlePower) {
   EXPECT_NEAR(node_.EnergyKwh(), 0.2, 1e-3);  // 100 W for 2 h
 }
 
-TEST(ClusterTest, CapacityTotals) {
-  Simulator sim;
-  Cluster cluster(&sim);
-  cluster.AddNodes(4, {16.0, GiB(32)}, StorageMedium::Nvm());
-  EXPECT_DOUBLE_EQ(cluster.TotalCapacity().cpus, 64.0);
-  EXPECT_EQ(cluster.TotalCapacity().memory, GiB(128));
-  cluster.node(NodeId(1)).Allocate({3.0, GiB(2)});
-  EXPECT_DOUBLE_EQ(cluster.TotalUsed().cpus, 3.0);
-}
-
 }  // namespace
 }  // namespace ckpt

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "obs/observability.h"
@@ -408,6 +408,19 @@ void ExpectResultEq(const SimulationResult& a, const SimulationResult& b) {
   }
 }
 
+// Replays a materialized workload's jobs in their stored (submit-time)
+// order from copyable state, as SnapshotStream requires.
+struct ReplayGen {
+  const Workload* workload;
+  size_t next = 0;
+
+  std::int64_t TotalJobs() const {
+    return static_cast<std::int64_t>(workload->jobs.size());
+  }
+  bool Done() const { return next >= workload->jobs.size(); }
+  JobSpec Next() { return workload->jobs[next++]; }
+};
+
 // A checkpoint-policy run with DFS images and two mid-run crashes (node 0
 // recovers, node 3 stays down), so images are lost, evacuated and restored
 // remotely. `streaming` submits through SubmitStream instead of Submit.
@@ -423,14 +436,12 @@ SimulationResult RunCrashScenario(bool streaming) {
   GoogleTraceConfig trace_config;
   trace_config.sample_jobs = 120;
   trace_config.seed = 11;
-  GoogleTraceGenerator gen(trace_config);
-  std::unique_ptr<WorkloadStream> stream;
-  Workload workload;
+  const Workload workload =
+      GoogleTraceGenerator(trace_config).GenerateWorkloadSample();
+  std::optional<SnapshotStream<ReplayGen>> stream;
   if (streaming) {
-    stream = gen.StreamWorkloadSample();
-    scheduler.SubmitStream(stream.get());
+    scheduler.SubmitStream(&stream.emplace(ReplayGen{&workload}));
   } else {
-    workload = gen.GenerateWorkloadSample();
     scheduler.Submit(workload);
   }
   scheduler.InjectNodeFailure(NodeId(0), Minutes(40), Minutes(15));
@@ -454,6 +465,48 @@ TEST(ClusterScheduler, StreamedRunAgreesWithSubmitOnTotals) {
   EXPECT_EQ(streamed.tasks_completed, submitted.tasks_completed);
   EXPECT_EQ(streamed.jobs_completed, submitted.jobs_completed);
   EXPECT_EQ(streamed.node_failures, submitted.node_failures);
+}
+
+// Every call at every self-profile site is timed, so nested sections add
+// up: an index flush runs inside a preemption search, placements and
+// searches one after another inside a pass, and passes and waste charges
+// inside the event loop.
+TEST(ClusterScheduler, SelfProfileSectionsNest) {
+  GoogleTraceConfig trace_config;
+  trace_config.sample_jobs = 120;
+  trace_config.seed = 11;
+  const Workload workload =
+      GoogleTraceGenerator(trace_config).GenerateWorkloadSample();
+  Simulator sim;
+  Cluster cluster(&sim);
+  cluster.AddNodes(3, Resources{16.0, GiB(64)}, StorageMedium::Ssd());
+  Observability obs;
+  SchedulerConfig config;
+  config.policy = PreemptionPolicy::kAdaptive;
+  config.medium = StorageMedium::Ssd();
+  config.obs = &obs;
+  ClusterScheduler scheduler(&sim, &cluster, config);
+  scheduler.Submit(workload);
+  const SimulationResult result = scheduler.Run();
+  ASSERT_GT(result.preemptions, 0);
+
+  const auto wall = [&obs](const char* section) {
+    const SelfProfile::Slot* slot = obs.self_profile().slot(section);
+    EXPECT_GT(slot->calls, 0) << section;
+    return slot->wall_seconds;
+  };
+  const double run = wall("scheduler.run");
+  const double pass = wall("scheduler.pass");
+  const double place = wall("scheduler.try_place");
+  const double scan = wall("scheduler.preempt_scan");
+  const double flush = wall("scheduler.index_flush");
+  const double waste = wall("scheduler.waste_charge");
+  // Each section sums per-call intervals in doubles; allow for rounding.
+  constexpr double kRounding = 1e-9;
+  EXPECT_LE(flush, scan + kRounding);
+  EXPECT_LE(place + scan, pass + kRounding);
+  EXPECT_LE(pass, run + kRounding);
+  EXPECT_LE(waste, run + kRounding);
 }
 
 // --- Checkpoint lifecycle under faults ---------------------------------------

@@ -128,16 +128,6 @@ TEST_F(DfsTest, RemoteReadSlowerThanLocal) {
   EXPECT_GT(remote_time, local_time);
 }
 
-TEST_F(DfsTest, EstimateReadAccountsForLocality) {
-  EXPECT_TRUE(WriteSync("/a", MiB(256), NodeId(0)));
-  NodeId remote;
-  for (int i = 0; i < 4; ++i) {
-    if (!dfs_->HasLocalReplica("/a", NodeId(i))) remote = NodeId(i);
-  }
-  ASSERT_TRUE(remote.valid());
-  EXPECT_GT(dfs_->EstimateRead("/a", remote), dfs_->EstimateRead("/a", NodeId(0)));
-}
-
 TEST_F(DfsTest, PeakStoredTracksHighWaterMark) {
   EXPECT_TRUE(WriteSync("/a", MiB(100), NodeId(0)));
   EXPECT_TRUE(WriteSync("/b", MiB(50), NodeId(1)));

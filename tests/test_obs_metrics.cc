@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "metrics/report.h"
 #include "obs/observability.h"
 
 namespace ckpt {
@@ -160,20 +159,6 @@ TEST(MetricsRegistry, JsonSnapshotIsDeterministic) {
   // a_count sorts before b_gauge sorts before c_hist.
   EXPECT_LT(json.find("a_count"), json.find("b_gauge"));
   EXPECT_LT(json.find("b_gauge"), json.find("c_hist"));
-}
-
-TEST(MetricsRegistry, TableRowsRenderable) {
-  MetricsRegistry reg;
-  reg.GetCounter("ckpt.dump.count", {{"node", "0"}})->Inc(3);
-  reg.GetHistogram("ckpt.dump.seconds", {{"node", "0"}}, {1.0, 10.0})
-      ->Observe(2.5);
-  const auto rows = reg.ToTableRows();
-  ASSERT_EQ(rows.size(), 3u);  // header + 2 series
-  EXPECT_EQ(rows[0][0], "metric");
-  // Must be consumable by the benches' table renderer.
-  const std::string table = RenderTable(rows);
-  EXPECT_NE(table.find("ckpt.dump.count"), std::string::npos);
-  EXPECT_NE(table.find("node=0"), std::string::npos);
 }
 
 TEST(Observability, NodeNaming) {

@@ -52,18 +52,6 @@ TEST(Simulator, RunUntilStopsAtBound) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(Simulator, StepProcessesOneEvent) {
-  Simulator sim;
-  int fired = 0;
-  sim.ScheduleAt(1, [&] { ++fired; });
-  sim.ScheduleAt(2, [&] { ++fired; });
-  EXPECT_TRUE(sim.Step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.Step());
-  EXPECT_FALSE(sim.Step());
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(Simulator, ScheduleAfterUsesCurrentTime) {
   Simulator sim;
   SimTime inner_fire_time = -1;

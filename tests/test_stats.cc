@@ -14,7 +14,6 @@ TEST(SummaryStats, BasicMoments) {
   EXPECT_DOUBLE_EQ(stats.Mean(), 3.0);
   EXPECT_DOUBLE_EQ(stats.Min(), 1.0);
   EXPECT_DOUBLE_EQ(stats.Max(), 5.0);
-  EXPECT_NEAR(stats.Stddev(), 1.5811, 1e-3);
 }
 
 TEST(SummaryStats, QuantilesInterpolate) {
@@ -40,7 +39,6 @@ TEST(SummaryStats, SingleSampleCollapsesAllQuantiles) {
   EXPECT_DOUBLE_EQ(stats.Quantile(0.5), 42.0);
   EXPECT_DOUBLE_EQ(stats.Quantile(0.95), 42.0);
   EXPECT_DOUBLE_EQ(stats.Quantile(0.99), 42.0);
-  EXPECT_DOUBLE_EQ(stats.Stddev(), 0.0);
 }
 
 TEST(SummaryStats, QuantilesMonotoneUnderSkew) {
@@ -66,15 +64,6 @@ TEST(SummaryStats, AddAfterQuantileStillCorrect) {
   EXPECT_DOUBLE_EQ(stats.Median(), 20.0);
 }
 
-TEST(Cdf, AtStepsThroughSamples) {
-  Cdf cdf({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(cdf.At(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(cdf.At(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(cdf.At(2.5), 0.5);
-  EXPECT_DOUBLE_EQ(cdf.At(4.0), 1.0);
-  EXPECT_DOUBLE_EQ(cdf.At(100.0), 1.0);
-}
-
 TEST(Cdf, QuantileInvertsAt) {
   Cdf cdf({10.0, 20.0, 30.0, 40.0, 50.0});
   EXPECT_DOUBLE_EQ(cdf.Quantile(0.0), 10.0);
@@ -83,33 +72,17 @@ TEST(Cdf, QuantileInvertsAt) {
 }
 
 TEST(Cdf, ShuffledInputSortsBeforeQuerying) {
-  // At/Quantile binary-search the sample vector, so construction must sort
+  // Quantile indexes the sorted sample vector, so construction must sort
   // regardless of input order: a shuffled and a sorted copy of the same
   // samples have to answer identically.
   const std::vector<double> shuffled{7.0, 1.0, 9.0, 3.0, 5.0};
   const std::vector<double> sorted{1.0, 3.0, 5.0, 7.0, 9.0};
   Cdf a(shuffled);
   Cdf b(sorted);
-  for (double x : {0.0, 1.0, 2.0, 4.9, 5.0, 8.0, 9.0, 10.0}) {
-    EXPECT_DOUBLE_EQ(a.At(x), b.At(x)) << "x=" << x;
-  }
   for (double q : {0.0, 0.2, 0.5, 0.8, 1.0}) {
     EXPECT_DOUBLE_EQ(a.Quantile(q), b.Quantile(q)) << "q=" << q;
   }
-  EXPECT_DOUBLE_EQ(a.At(1.0), 0.2);
   EXPECT_DOUBLE_EQ(a.Quantile(1.0), 9.0);
-}
-
-TEST(Cdf, SeriesSpansRangeAndIsMonotone) {
-  Cdf cdf({1.0, 5.0, 9.0, 2.0, 7.0});
-  const auto series = cdf.Series(10);
-  ASSERT_EQ(series.size(), 10u);
-  EXPECT_DOUBLE_EQ(series.front().first, 1.0);
-  EXPECT_DOUBLE_EQ(series.back().first, 9.0);
-  for (size_t i = 1; i < series.size(); ++i) {
-    EXPECT_GE(series[i].second, series[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(series.back().second, 1.0);
 }
 
 TEST(Report, TableAlignsColumns) {
@@ -124,13 +97,6 @@ TEST(Report, TableAlignsColumns) {
 TEST(Report, FmtPrecision) {
   EXPECT_EQ(Fmt(3.14159, 2), "3.14");
   EXPECT_EQ(Fmt(3.14159, 0), "3");
-}
-
-TEST(Report, SeriesRendersPairs) {
-  const std::string out =
-      RenderSeries("Fig X", "x", "y", {{1.0, 0.5}, {2.0, 1.0}});
-  EXPECT_NE(out.find("Fig X"), std::string::npos);
-  EXPECT_NE(out.find("1.000"), std::string::npos);
 }
 
 }  // namespace

@@ -68,10 +68,5 @@ TEST(Format, Bytes) {
   EXPECT_EQ(FormatBytes(GiB(5)), "5.00GiB");
 }
 
-TEST(Format, Bandwidth) {
-  EXPECT_EQ(FormatBandwidth(MBps(32)), "32.0MB/s");
-  EXPECT_EQ(FormatBandwidth(GBps(1.85)), "1.85GB/s");
-}
-
 }  // namespace
 }  // namespace ckpt

@@ -1,104 +1,21 @@
-// Streaming workload generation must reproduce the materialized paths
-// exactly: same jobs, same task ids, bit-identical doubles, same
-// (submit_time, generation index) emission order.
+// SnapshotStream must emit a generator's jobs in (submit_time, generation
+// index) order, replaying them from snapshots taken every few jobs.
 #include "trace/workload_stream.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <vector>
 
-#include "trace/facebook_workload.h"
-#include "trace/google_trace.h"
+#include "common/rng.h"
+#include "common/units.h"
 #include "trace/workload.h"
 
 namespace ckpt {
 namespace {
 
-void ExpectTaskEq(const TaskSpec& a, const TaskSpec& b) {
-  EXPECT_EQ(a.id.value(), b.id.value());
-  EXPECT_EQ(a.job.value(), b.job.value());
-  EXPECT_EQ(a.duration, b.duration);
-  EXPECT_EQ(a.demand.cpus, b.demand.cpus);  // bit-exact, not near
-  EXPECT_EQ(a.demand.memory, b.demand.memory);
-  EXPECT_EQ(a.priority, b.priority);
-  EXPECT_EQ(a.latency_class, b.latency_class);
-  EXPECT_EQ(a.memory_write_rate, b.memory_write_rate);
-}
-
-void ExpectWorkloadEq(const Workload& a, const Workload& b) {
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (size_t j = 0; j < a.jobs.size(); ++j) {
-    SCOPED_TRACE("job " + std::to_string(j));
-    EXPECT_EQ(a.jobs[j].id.value(), b.jobs[j].id.value());
-    EXPECT_EQ(a.jobs[j].submit_time, b.jobs[j].submit_time);
-    EXPECT_EQ(a.jobs[j].priority, b.jobs[j].priority);
-    ASSERT_EQ(a.jobs[j].tasks.size(), b.jobs[j].tasks.size());
-    for (size_t t = 0; t < a.jobs[j].tasks.size(); ++t) {
-      ExpectTaskEq(a.jobs[j].tasks[t], b.jobs[j].tasks[t]);
-    }
-  }
-}
-
-TEST(WorkloadStream, GoogleStreamMatchesMaterialized) {
-  GoogleTraceConfig config;
-  config.sample_jobs = 600;
-  config.seed = 77;
-  GoogleTraceGenerator gen(config);
-  const Workload batch = gen.GenerateWorkloadSample();
-  auto stream = gen.StreamWorkloadSample();
-  EXPECT_EQ(stream->TotalJobs(), static_cast<std::int64_t>(batch.jobs.size()));
-  EXPECT_EQ(stream->TotalTasks(), batch.TotalTasks());
-  const Workload streamed = MaterializeStream(stream.get());
-  ExpectWorkloadEq(batch, streamed);
-}
-
-TEST(WorkloadStream, GoogleStreamSurvivesSmallSnapshotBudget) {
-  // Nothing in the stream depends on the snapshot interval; the default
-  // budget already forces replay for any jobs > 8192, but the contract is
-  // clearest when each replay discards many jobs.
-  GoogleTraceConfig config;
-  config.sample_jobs = 300;
-  config.seed = 3;
-  GoogleTraceGenerator gen(config);
-  const Workload batch = gen.GenerateWorkloadSample();
-  const Workload streamed = MaterializeStream(gen.StreamWorkloadSample().get());
-  ExpectWorkloadEq(batch, streamed);
-}
-
-TEST(WorkloadStream, FacebookStreamMatchesMaterialized) {
-  FacebookWorkloadConfig config;
-  config.total_jobs = 48;
-  config.total_tasks = 5000;
-  config.seed = 19;
-  const Workload batch = GenerateFacebookWorkload(config);
-  auto stream = StreamFacebookWorkload(config);
-  EXPECT_EQ(stream->TotalJobs(), static_cast<std::int64_t>(batch.jobs.size()));
-  EXPECT_EQ(stream->TotalTasks(), batch.TotalTasks());
-  const Workload streamed = MaterializeStream(stream.get());
-  ExpectWorkloadEq(batch, streamed);
-}
-
-TEST(WorkloadStream, EmissionIsSortedBySubmitTime) {
-  GoogleTraceConfig config;
-  config.sample_jobs = 400;
-  auto stream = GoogleTraceGenerator(config).StreamWorkloadSample();
-  JobSpec job;
-  SimTime last = 0;
-  std::int64_t jobs = 0;
-  std::int64_t tasks = 0;
-  while (stream->Next(&job)) {
-    EXPECT_GE(job.submit_time, last);
-    last = job.submit_time;
-    ++jobs;
-    tasks += static_cast<std::int64_t>(job.tasks.size());
-  }
-  EXPECT_EQ(jobs, stream->TotalJobs());
-  EXPECT_EQ(tasks, stream->TotalTasks());
-}
-
-// Toy generator to exercise SnapshotStream's replay machinery directly:
+// Toy generator to exercise SnapshotStream's replay machinery:
 // interval > 1, stable tie-breaking by generation index.
 struct ToyGen {
   std::int64_t total = 0;
@@ -136,6 +53,88 @@ TEST(SnapshotStream, ReplaysAcrossSnapshotIntervalsWithStableTies) {
     }
     last = job.submit_time;
     last_id_at_time = job.id.value();
+  }
+}
+
+TEST(SnapshotStream, EmptyGeneratorEmitsNothing) {
+  SnapshotStream<ToyGen> stream(ToyGen{0});
+  EXPECT_EQ(stream.TotalJobs(), 0);
+  EXPECT_EQ(stream.TotalTasks(), 0);
+  JobSpec job;
+  EXPECT_FALSE(stream.Next(&job));
+}
+
+// Every draw comes from the generator's Rng, so a replay reproduces a job
+// only if the snapshot restores that state: random task counts, durations
+// and demands, and whole-second submit times with many ties.
+struct RngGen {
+  std::int64_t total = 0;
+  std::int64_t i = 0;
+  Rng rng{5};
+
+  std::int64_t TotalJobs() const { return total; }
+  bool Done() const { return i >= total; }
+  JobSpec Next() {
+    JobSpec job;
+    job.id = JobId(i);
+    job.submit_time = Seconds(static_cast<double>(rng.UniformInt(0, 20)));
+    const std::int64_t tasks = rng.UniformInt(1, 4);
+    for (std::int64_t t = 0; t < tasks; ++t) {
+      TaskSpec task;
+      task.id = TaskId(i * 4 + t);
+      task.job = job.id;
+      task.duration = Seconds(rng.Uniform(1.0, 600.0));
+      task.demand = Resources{rng.Uniform(0.5, 8.0), GiB(rng.Uniform(1, 16))};
+      task.memory_write_rate = rng.Uniform(0.0, 0.02);
+      job.tasks.push_back(task);
+    }
+    ++i;
+    return job;
+  }
+};
+
+std::vector<JobSpec> Drain(WorkloadStream* stream) {
+  std::vector<JobSpec> jobs;
+  JobSpec job;
+  while (stream->Next(&job)) jobs.push_back(job);
+  return jobs;
+}
+
+void ExpectJobsEq(const std::vector<JobSpec>& a,
+                  const std::vector<JobSpec>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t j = 0; j < a.size(); ++j) {
+    SCOPED_TRACE("job " + std::to_string(j));
+    EXPECT_EQ(a[j].id.value(), b[j].id.value());
+    EXPECT_EQ(a[j].submit_time, b[j].submit_time);
+    ASSERT_EQ(a[j].tasks.size(), b[j].tasks.size());
+    for (size_t t = 0; t < a[j].tasks.size(); ++t) {
+      const TaskSpec& x = a[j].tasks[t];
+      const TaskSpec& y = b[j].tasks[t];
+      EXPECT_EQ(x.id.value(), y.id.value());
+      EXPECT_EQ(x.duration, y.duration);
+      EXPECT_EQ(x.demand.cpus, y.demand.cpus);  // bit-exact, not near
+      EXPECT_EQ(x.demand.memory, y.demand.memory);
+      EXPECT_EQ(x.memory_write_rate, y.memory_write_rate);
+    }
+  }
+}
+
+// The stream's contract: the jobs, in the order, that materializing the
+// generator and calling Workload::SortBySubmitTime produces. The snapshot
+// budget sets only how far each job replays: one snapshot (every job
+// replays from the first), a few, or one per job.
+TEST(SnapshotStream, MatchesMaterializedSortedWorkload) {
+  const RngGen gen{.total = 200};
+  Workload batch;
+  for (RngGen copy = gen; !copy.Done();) batch.jobs.push_back(copy.Next());
+  batch.SortBySubmitTime();
+  for (std::int64_t budget : {1, 9, 199, 8192}) {
+    SCOPED_TRACE("max_snapshots " + std::to_string(budget));
+    SnapshotStream<RngGen> stream(gen, budget);
+    EXPECT_EQ(stream.TotalJobs(), 200);
+    EXPECT_EQ(stream.TotalTasks(), batch.TotalTasks());
+    ExpectJobsEq(Drain(&stream), batch.jobs);
   }
 }
 

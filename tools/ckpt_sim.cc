@@ -16,6 +16,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,9 +46,11 @@ struct Flags {
   bool lazy = false;
   double resubmit_sec = 15.0;
   std::uint64_t seed = 2011;
-  int fail_node = -1;
-  double fail_at_min = -1;
-  double fail_down_min = 5;
+  // A crash needs both node and time; RunCell checks the node against the
+  // cell's cluster. The downtime defaults to 5 minutes.
+  std::optional<int> fail_node;
+  std::optional<double> fail_at_min;
+  std::optional<double> fail_down_min;
 
   // Shared-bandwidth interference model + cooperative dump scheduling +
   // periodic Young/Daly checkpointing (all off by default; outputs are
@@ -125,11 +128,13 @@ bool Parse(int argc, char** argv, Flags* flags) {
     } else if (ParseFlag(arg, "--parallel", &value)) {
       ok = ParsePositiveInt(value, &flags->parallel);
     } else if (ParseFlag(arg, "--fail-node", &value)) {
-      ok = ParseNumber(value, &flags->fail_node);
+      ok = ParseNumber(value, &flags->fail_node.emplace()) &&
+           *flags->fail_node >= 0;
     } else if (ParseFlag(arg, "--fail-at", &value)) {
-      ok = ParseFinite(value, &flags->fail_at_min);
+      ok = ParseFinite(value, &flags->fail_at_min.emplace()) &&
+           *flags->fail_at_min >= 0;
     } else if (ParseFlag(arg, "--fail-down", &value)) {
-      ok = ParseFinite(value, &flags->fail_down_min);
+      ok = ParseFinite(value, &flags->fail_down_min.emplace());
     } else if (ParseFlag(arg, "--periodic-mtbf-min", &value)) {
       ok = ParseFinite(value, &flags->periodic_mtbf_min) &&
            flags->periodic_mtbf_min >= 0;
@@ -153,6 +158,13 @@ bool Parse(int argc, char** argv, Flags* flags) {
       std::fprintf(stderr, "bad flag value: %s\n", arg);
       return false;
     }
+  }
+  if (flags->fail_node.has_value() != flags->fail_at_min.has_value() ||
+      (flags->fail_down_min.has_value() && !flags->fail_node.has_value())) {
+    std::fprintf(stderr,
+                 "--fail-node and --fail-at go together; --fail-down needs "
+                 "both\n");
+    return false;
   }
   return true;
 }
@@ -222,9 +234,11 @@ void Append(std::string* out, const char* fmt, ...) {
 
 // Run one fully-specified simulation cell and return its key=value report.
 // Self-contained (private Simulator/Cluster/workload), so cells may run on
-// worker threads.
+// worker threads. The cluster is sized from the workload, so only here can
+// a --fail-node outside it be found: then *error says so and the report is
+// empty.
 std::string RunCell(const Flags& flags, SchedulerConfig config,
-                    Observability* obs = nullptr) {
+                    std::string* error, Observability* obs = nullptr) {
   config.obs = obs;
   GoogleTraceConfig trace_config;
   trace_config.sample_jobs = flags.jobs;
@@ -242,17 +256,23 @@ std::string RunCell(const Flags& flags, SchedulerConfig config,
   const int nodes = std::max(
       1, static_cast<int>(core_seconds / ToSeconds(kDay) /
                           (flags.util * cores_per_node) + 0.999));
+  if (flags.fail_node.has_value() && *flags.fail_node >= nodes) {
+    *error = "--fail-node=" + std::to_string(*flags.fail_node) +
+             " is outside the cluster of " + std::to_string(nodes) +
+             " nodes (seed " + std::to_string(flags.seed) + ")";
+    return "";
+  }
 
   Simulator sim;
   Cluster cluster(&sim);
   cluster.AddNodes(nodes, Resources{cores_per_node, GiB(64)}, config.medium);
   ClusterScheduler scheduler(&sim, &cluster, config);
   scheduler.Submit(workload);
-  if (flags.fail_node >= 0 && flags.fail_at_min >= 0 &&
-      flags.fail_node < cluster.size()) {
-    scheduler.InjectNodeFailure(
-        NodeId(flags.fail_node), Minutes(flags.fail_at_min),
-        flags.fail_down_min < 0 ? -1 : Minutes(flags.fail_down_min));
+  if (flags.fail_node.has_value()) {
+    const double down_min = flags.fail_down_min.value_or(5);
+    scheduler.InjectNodeFailure(NodeId(*flags.fail_node),
+                                Minutes(*flags.fail_at_min),
+                                down_min < 0 ? -1 : Minutes(down_min));
   }
   const SimulationResult result = scheduler.Run();
 
@@ -337,7 +357,14 @@ int main(int argc, char** argv) {
     // CKPT_OBS export covers single runs only; sweeps stay recording-free.
     Observability obs;
     Observability* obs_ptr = ObsEnabled() ? &obs : nullptr;
-    std::fputs(RunCell(flags, config, obs_ptr).c_str(), stdout);
+    std::string error;
+    const std::string report = RunCell(flags, config, &error, obs_ptr);
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      Usage(argv[0]);
+      return 2;
+    }
+    std::fputs(report.c_str(), stdout);
     if (obs_ptr != nullptr) {
       const std::string base = "ckpt_sim." + flags.policy;
       const std::string metrics_path = ObsPath(base + ".metrics.json");
@@ -387,13 +414,20 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> reports(cells.size());
+  std::vector<std::string> errors(cells.size());
   ParallelForIndexed(ClampSweepWorkers(flags.parallel),
                      static_cast<std::int64_t>(cells.size()),
                      [&](std::int64_t i) {
-                       const Cell& cell = cells[static_cast<size_t>(i)];
-                       reports[static_cast<size_t>(i)] =
-                           RunCell(cell.flags, cell.config);
+                       const auto c = static_cast<size_t>(i);
+                       reports[c] = RunCell(cells[c].flags, cells[c].config,
+                                            &errors[c]);
                      });
+  for (const std::string& error : errors) {
+    if (error.empty()) continue;
+    std::fprintf(stderr, "%s\n", error.c_str());
+    Usage(argv[0]);
+    return 2;
+  }
   for (size_t i = 0; i < reports.size(); ++i) {
     if (i > 0) std::fputs("\n", stdout);
     std::fputs(reports[i].c_str(), stdout);
