@@ -68,9 +68,11 @@ compare "bench_ext_failure (fault sweep)" \
 # Index lane: the O(log n) feasibility index must choose exactly the node
 # the linear scan chooses, so the scale bench's deterministic table is
 # byte-identical with the index on and off (only the header names the mode).
-"$build_dir/bench/bench_scale" --sizes=64,128 --index=on 2>/dev/null \
+# 1,025 nodes give an 11-level tree whose leaf count is not a power of two,
+# where the preempt bounds stay loose longest.
+"$build_dir/bench/bench_scale" --sizes=64,128,1025 --index=on 2>/dev/null \
   > "$work_dir/scale.on.txt"
-"$build_dir/bench/bench_scale" --sizes=64,128 --index=off 2>/dev/null \
+"$build_dir/bench/bench_scale" --sizes=64,128,1025 --index=off 2>/dev/null \
   | sed 's/index=off/index=on/' > "$work_dir/scale.off.txt"
 compare "bench_scale (feasibility index on vs off)" \
   "$work_dir/scale.on.txt" "$work_dir/scale.off.txt"

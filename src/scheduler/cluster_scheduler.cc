@@ -613,37 +613,29 @@ void ClusterScheduler::FlushFeasibilityIndex() {
   ScopedWallTimer timer(prof_index_flush_);
   index_leaves_recomputed_ +=
       static_cast<std::int64_t>(index_preempt_stale_list_.size());
-  // A full update also rewrites the placement half, with the value a
-  // pending placement refresh would write; that refresh is then a no-op.
+  // A leaf's preempt values are its Available() plus its releasable sums,
+  // which StartTask, ResumeFrozen and StopRunning keep current; refresh the
+  // Available() half, then publish each touched leaf's rise, if any.
+  FlushPlaceIndex();
   for (const size_t i : index_preempt_stale_list_) {
     index_leaf_stale_[i] &= ~kPreemptStale;
-    feas_index_.Update(i, ComputeNodeAgg(i));
+    feas_index_.RaisePreempt(i);
   }
   index_preempt_stale_list_.clear();
 }
 
-FeasibilityAgg ClusterScheduler::ComputeNodeAgg(size_t node_index) {
-  const NodeId id(static_cast<std::int64_t>(node_index));
-  FeasibilityAgg agg;
-  agg.place = cluster_->node(id).Available();
-  // Demand a preemption attempt could at most release, bucketed by the
-  // victim's raw priority. A demand at priority p can only release victims
-  // with priority strictly below p, so preempt[p] — Available() plus the
-  // cumulative demand of buckets < p — matches the scheduler's exact
-  // releasable sum for this node.
-  std::array<Resources, FeasibilityAgg::kPriorities> prio_demand{};
-  for (const RtTask* t : RunningOn(id)) {
-    if (t->state == RtTask::State::kRunning &&
-        t->spec->latency_class < config_.protect_latency_class_at_least) {
-      prio_demand[static_cast<size_t>(t->spec->priority)] += t->spec->demand;
-    }
+void ClusterScheduler::UpdateReleasable(const RtTask* task, bool add) {
+  if (!config_.use_feasibility_index ||
+      task->spec->latency_class >= config_.protect_latency_class_at_least) {
+    return;
   }
-  Resources cum = agg.place;
-  for (size_t p = 0; p < prio_demand.size(); ++p) {
-    agg.preempt[p] = cum;
-    cum += prio_demand[p];
+  const size_t leaf = static_cast<size_t>(task->node.value());
+  const size_t priority = static_cast<size_t>(task->spec->priority);
+  if (add) {
+    feas_index_.AddReleasable(leaf, priority, task->spec->demand);
+  } else {
+    feas_index_.RemoveReleasable(leaf, priority, task->spec->demand);
   }
-  return agg;
 }
 
 bool ClusterScheduler::MightFitAnywhere(const Resources& demand) {
@@ -810,6 +802,7 @@ void ClusterScheduler::StartTask(RtTask* task, Node* node) {
   RemovePending(task);
   task->state = RtTask::State::kRunning;
   task->node = node->id();
+  UpdateReleasable(task, /*add=*/true);
   task->progress.Start(sim_->Now());
   task->attempt++;
   RunningOn(node->id()).push_back(task);
@@ -927,6 +920,7 @@ void ClusterScheduler::OnRestoreDone(RtTask* task, int attempt) {
 
 void ClusterScheduler::StopRunning(RtTask* task) {
   CKPT_CHECK(task->state == RtTask::State::kRunning);
+  UpdateReleasable(task, /*add=*/false);
   task->progress.Stop(sim_->Now());
   // Every exit from kRunning (preempt, dump freeze, crash, retirement)
   // takes the replica's capacity out of the latency model.
@@ -944,6 +938,11 @@ void ClusterScheduler::DetachFromNode(RtTask* task) {
   TouchNode(task->node);
   auto& bucket = RunningOn(task->node);
   bucket.erase(std::find(bucket.begin(), bucket.end(), task));
+  // An idle node has nothing to release: nonzero sums here mean a task
+  // entered or left kRunning without UpdateReleasable.
+  if (bucket.empty() && config_.use_feasibility_index) {
+    feas_index_.ClearReleasable(static_cast<size_t>(task->node.value()));
+  }
 }
 
 void ClusterScheduler::OnTaskComplete(RtTask* task, int attempt) {
@@ -1728,8 +1727,9 @@ void ClusterScheduler::FreezeForDump(RtTask* task, bool incremental,
   task->state = RtTask::State::kDumping;
   Node& node = cluster_->node(task->node);
   node.Suspend(task->spec->demand);
-  // Available() is unchanged, but the task left kRunning: tighten the
-  // node's releasable aggregate in the feasibility index.
+  // Available() is unchanged, and StopRunning already lowered the leaf's
+  // releasable sums; the touch queues the leaf for the next
+  // preemption-side flush, as every change to a node's task set does.
   TouchNode(task->node);
   if (task->periodic_dump) {
     result_.periodic_checkpoints++;
@@ -1829,9 +1829,10 @@ void ClusterScheduler::EndFreeze(RtTask* task) {
 void ClusterScheduler::ResumeFrozen(RtTask* task) {
   cluster_->node(task->node).Resume(task->spec->demand);
   // Available() is unchanged, but the task re-enters kRunning and so grows
-  // the node's releasable set: its feasibility-index leaf must refresh.
+  // the node's releasable set: the leaf's rise must reach the index.
   TouchNode(task->node);
   task->state = RtTask::State::kRunning;
+  UpdateReleasable(task, /*add=*/true);
   task->progress.Start(sim_->Now());
   task->attempt++;
   // Checkpoint-resumed service replicas come back warm — the asymmetry the

@@ -282,10 +282,14 @@ class ClusterScheduler {
   // Refresh stale leaves' placement half from Available() alone; placement
   // probes call this first.
   void FlushPlaceIndex();
-  // Recompute stale leaves in full, walking each node's running tasks;
-  // preemption queries call this first.
+  // Refresh stale leaves' placement half, then raise the preempt bounds
+  // above each leaf touched since the last such flush; preemption queries
+  // call this first.
   void FlushFeasibilityIndex();
-  FeasibilityAgg ComputeNodeAgg(size_t node_index);
+  // Add (or remove) `task`'s demand to its node's releasable sums in the
+  // index, unless the latency guard protects it. Called on every entry to
+  // and exit from kRunning.
+  void UpdateReleasable(const RtTask* task, bool add);
   // Any change that can affect VictimCheckpointOverhead's inputs (device
   // backlogs, image state) bumps the epoch, invalidating memoized costs.
   void BumpOverheadEpoch() { ++overhead_epoch_; }
@@ -440,10 +444,12 @@ class ClusterScheduler {
   Resources preempt_fail_demand_{};
   int preempt_fail_priority_ = 0;
 
-  // O(log n) feasibility index (see feasibility_index.h). Leaves go stale
-  // via TouchNode; each half is refreshed lazily before a query that reads
-  // it. index_leaf_stale_ holds kPlaceStale | kPreemptStale bits per leaf,
-  // and each half has its own list of stale leaves.
+  // O(log n) feasibility index (see feasibility_index.h). Each leaf's
+  // releasable sums change with its node's kRunning tasks; its Available()
+  // and the preempt bounds above it go stale via TouchNode and are
+  // refreshed lazily before a query that reads them. index_leaf_stale_
+  // holds kPlaceStale | kPreemptStale bits per leaf, and each half has its
+  // own list of stale leaves.
   static constexpr std::uint8_t kPlaceStale = 1;
   static constexpr std::uint8_t kPreemptStale = 2;
   FeasibilityIndex feas_index_;
@@ -464,9 +470,9 @@ class ClusterScheduler {
   TraceArgs preempt_args_;
   std::vector<TraceArgs> preempt_candidates_;
 
-  // Feasibility-index work counter (leaves recomputed in full, i.e. walks
-  // over a node's running tasks); cheap enough to keep always-on, exported
-  // and audited only under obs.
+  // Feasibility-index work counter (leaves refreshed at preemption-side
+  // flushes); cheap enough to keep always-on, exported and audited only
+  // under obs.
   std::int64_t index_leaves_recomputed_ = 0;
 
   // Self-profile slots, resolved once at construction; null without obs,

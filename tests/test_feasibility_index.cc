@@ -11,6 +11,8 @@
 //    mid-sweep node crashes and with node-pinned (image-bound) restores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -97,46 +99,195 @@ TEST(FeasibilityIndexProperty, MatchesLinearScanUnderRandomMutations) {
   }
 }
 
-// The scheduler refreshes a leaf's placement half alone before placement
-// probes and the whole leaf before preemption queries; the two families
-// must stay exact under any interleaving of the two kinds of update.
-TEST(FeasibilityIndexProperty, PlaceOnlyUpdatesKeepBothFamiliesExact) {
-  for (const size_t n : {1u, 5u, 33u, 100u}) {
-    Rng rng(2000 + n);
+// The scheduler's contract with the index: leaves are exact (Available()
+// plus the releasable demand below p, kept by AddReleasable and
+// RemoveReleasable), the place maxima above them are exact, and the
+// preempt aggregates above them are upper bounds that a flush
+// (RaisePreempt on every touched leaf) raises and a failing FindPreempt
+// tightens. A model of each node's Available() and running tasks drives
+// random interleavings of place updates, task starts and stops at random
+// priorities, whole-leaf overwrites, crashes, flushes and queries. After
+// every step each leaf must equal the model, and every internal node must
+// hold the exact place max and dominate the preempt values of each leaf
+// under it that has been flushed since it last changed. Every query must
+// return what a linear scan over the model returns, and a preemption search
+// that fails at every leaf on one component must leave the root rejecting
+// its demand.
+TEST(FeasibilityIndexProperty, UpperBoundsAnswerLikeExactLeaves) {
+  struct Task {
+    size_t priority;
+    Resources demand;
+  };
+  constexpr size_t kPriorities = FeasibilityAgg::kPriorities;
+  for (const size_t n : {1u, 2u, 3u, 5u, 17u, 33u, 64u, 100u}) {
+    Rng rng(3000 + n);
     FeasibilityIndex index;
     index.Reset(n);
-    std::vector<FeasibilityAgg> leaves(n);
+    std::vector<Resources> place(n);
+    std::vector<std::vector<Task>> running(n);
+    // Leaves touched since the last flush, as in the scheduler's list.
+    std::vector<bool> stale(n, false);
+
+    auto random_place = [&rng] {
+      return Resources{static_cast<double>(rng.UniformInt(0, 16)),
+                       GiB(rng.UniformInt(0, 64))};
+    };
+    auto exact = [&](size_t i, size_t p) {
+      Resources r = place[i];
+      for (const Task& t : running[i]) {
+        if (t.priority < p) r += t.demand;
+      }
+      return r;
+    };
+    auto random_task = [&rng] {
+      return Task{static_cast<size_t>(rng.UniformInt(0, 11)),
+                  Resources{static_cast<double>(rng.UniformInt(0, 4)),
+                            GiB(rng.UniformInt(0, 8))}};
+    };
+    auto start = [&](size_t i) {
+      const Task t = random_task();
+      running[i].push_back(t);
+      index.AddReleasable(i, t.priority, t.demand);
+    };
+    auto stop = [&](size_t i, size_t k) {
+      const Task t = running[i][k];
+      running[i].erase(running[i].begin() + static_cast<std::ptrdiff_t>(k));
+      index.RemoveReleasable(i, t.priority, t.demand);
+      if (running[i].empty()) index.ClearReleasable(i);
+    };
+    auto flush = [&] {
+      for (size_t i = 0; i < n; ++i) {
+        if (stale[i]) index.RaisePreempt(i);
+        stale[i] = false;
+      }
+    };
+    auto linear = [&](size_t cursor, const Resources& demand, int priority) {
+      for (size_t k = 0; k < n; ++k) {
+        const size_t at = (cursor + k) % n;
+        const Resources have =
+            priority < 0 ? place[at] : exact(at, static_cast<size_t>(priority));
+        if (demand.FitsIn(have)) return at;
+      }
+      return FeasibilityIndex::npos;
+    };
+    auto find_preempt = [&](size_t cursor, size_t p, const Resources& demand) {
+      flush();  // the scheduler flushes before every preemption query
+      return index.FindPreempt(cursor, p, demand, [&](size_t i) {
+        return demand.FitsIn(exact(i, p));
+      });
+    };
+    auto check_tree = [&](int step) {
+      const size_t cap = index.capacity();
+      for (size_t i = 0; i < n; ++i) {
+        const FeasibilityAgg& leaf = index.At(cap + i);
+        ASSERT_EQ(leaf.place, place[i]) << "leaf " << i << " step " << step;
+        for (size_t p = 0; p < kPriorities; ++p) {
+          ASSERT_EQ(leaf.place + leaf.preempt[p], exact(i, p))
+              << "leaf " << i << " p " << p << " step " << step;
+        }
+      }
+      for (size_t pos = cap - 1; pos >= 1; --pos) {
+        const Resources& l = index.At(2 * pos).place;
+        const Resources& r = index.At(2 * pos + 1).place;
+        ASSERT_EQ(index.At(pos).place,
+                  (Resources{std::max(l.cpus, r.cpus),
+                             std::max(l.memory, r.memory)}))
+            << "node " << pos << " step " << step;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        if (stale[i]) continue;
+        for (size_t pos = (cap + i) / 2; pos >= 1; pos /= 2) {
+          for (size_t p = 0; p < kPriorities; ++p) {
+            const Resources& bound = index.At(pos).preempt[p];
+            const Resources have = exact(i, p);
+            ASSERT_GE(bound.cpus, have.cpus)
+                << "node " << pos << " leaf " << i << " p " << p << " step "
+                << step;
+            ASSERT_GE(bound.memory, have.memory)
+                << "node " << pos << " leaf " << i << " p " << p << " step "
+                << step;
+          }
+        }
+      }
+    };
+
     for (size_t i = 0; i < n; ++i) {
-      leaves[i] = RandomAgg(rng);
-      index.Update(i, leaves[i]);
+      place[i] = random_place();
+      index.UpdatePlace(i, place[i]);
+      for (int k = rng.UniformInt(0, 3); k > 0; --k) start(i);
+      stale[i] = true;
     }
-    for (int step = 0; step < 2000; ++step) {
+    flush();
+    for (int step = 0; step < 3000; ++step) {
       const size_t leaf = static_cast<size_t>(rng.UniformInt(0, n - 1));
-      if (rng.Bernoulli(0.5)) {
-        leaves[leaf].place = RandomAgg(rng).place;
-        index.UpdatePlace(leaf, leaves[leaf].place);
-      } else {
-        leaves[leaf] = RandomAgg(rng);
-        index.Update(leaf, leaves[leaf]);
+      const int op = static_cast<int>(rng.UniformInt(0, 99));
+      if (op < 20) {  // Available() moves: an allocation or a release
+        place[leaf] = random_place();
+        index.UpdatePlace(leaf, place[leaf]);
+        stale[leaf] = true;
+      } else if (op < 35) {  // a task enters kRunning
+        start(leaf);
+        stale[leaf] = true;
+      } else if (op < 50) {  // a task leaves kRunning
+        if (!running[leaf].empty()) {
+          stop(leaf, static_cast<size_t>(rng.UniformInt(
+                         0, static_cast<std::int64_t>(running[leaf].size()) -
+                                1)));
+        }
+        stale[leaf] = true;
+      } else if (op < 55) {  // crash: offline, every task stopped
+        place[leaf] = Resources{};
+        index.UpdatePlace(leaf, place[leaf]);
+        while (!running[leaf].empty()) stop(leaf, running[leaf].size() - 1);
+        stale[leaf] = true;
+      } else if (op < 60) {  // whole-leaf overwrite, as Update promises
+        place[leaf] = random_place();
+        running[leaf].clear();
+        for (int k = rng.UniformInt(0, 3); k > 0; --k) {
+          running[leaf].push_back(random_task());
+        }
+        FeasibilityAgg agg;
+        agg.place = place[leaf];
+        for (size_t p = 0; p < kPriorities; ++p) agg.preempt[p] = exact(leaf, p);
+        index.Update(leaf, agg);
+        stale[leaf] = false;
+      } else if (op < 65) {
+        flush();
+      } else if (op < 90) {  // a query against the linear scan
+        const size_t cursor = static_cast<size_t>(rng.UniformInt(0, n - 1));
+        const Resources demand{static_cast<double>(rng.UniformInt(1, 12)),
+                               GiB(rng.UniformInt(1, 48))};
+        const int priority = static_cast<int>(rng.UniformInt(0, 12)) - 1;
+        size_t got;
+        if (priority < 0) {
+          got = index.FindPlace(cursor, demand, [&](size_t i) {
+            return demand.FitsIn(place[i]);
+          });
+        } else {
+          got = find_preempt(cursor, static_cast<size_t>(priority), demand);
+        }
+        ASSERT_EQ(got, linear(cursor, demand, priority))
+            << "n=" << n << " step=" << step << " cursor=" << cursor
+            << " priority=" << priority;
+      } else {  // a demand every leaf fails on one component only
+        const size_t p = static_cast<size_t>(rng.UniformInt(0, 11));
+        Resources lo = exact(0, p);
+        Resources hi = lo;
+        for (size_t i = 1; i < n; ++i) {
+          const Resources have = exact(i, p);
+          lo = {std::min(lo.cpus, have.cpus), std::min(lo.memory, have.memory)};
+          hi = {std::max(hi.cpus, have.cpus), std::max(hi.memory, have.memory)};
+        }
+        const Resources demand = rng.Bernoulli(0.5)
+                                     ? Resources{hi.cpus + 1, lo.memory}
+                                     : Resources{lo.cpus, hi.memory + 1};
+        const size_t cursor = static_cast<size_t>(rng.UniformInt(0, n - 1));
+        ASSERT_EQ(find_preempt(cursor, p, demand), FeasibilityIndex::npos);
+        ASSERT_FALSE(demand.FitsIn(index.Root().preempt[p]))
+            << "n=" << n << " step=" << step << " p=" << p;
       }
-      const size_t cursor = static_cast<size_t>(rng.UniformInt(0, n - 1));
-      const Resources demand{static_cast<double>(rng.UniformInt(1, 12)),
-                             GiB(rng.UniformInt(1, 48))};
-      const int priority = static_cast<int>(rng.UniformInt(0, 12)) - 1;
-      size_t got;
-      if (priority < 0) {
-        got = index.FindPlace(cursor, demand, [&](size_t i) {
-          return demand.FitsIn(leaves[i].place);
-        });
-      } else {
-        got = index.FindPreempt(
-            cursor, static_cast<size_t>(priority), demand, [&](size_t i) {
-              return demand.FitsIn(
-                  leaves[i].preempt[static_cast<size_t>(priority)]);
-            });
-      }
-      ASSERT_EQ(got, LinearFind(leaves, cursor, demand, priority))
-          << "n=" << n << " step=" << step << " priority=" << priority;
+      check_tree(step);
+      if (HasFatalFailure()) return;
     }
   }
 }
@@ -182,6 +333,25 @@ TEST(FeasibilityIndexEdge, EmptyAndSingleLeaf) {
   const Resources too_big{4.0, GiB(1)};
   EXPECT_EQ(index.FindPlace(0, too_big, [](size_t) { return true; }),
             FeasibilityIndex::npos);
+}
+
+// The scheduler calls ClearReleasable when a node's last task detaches:
+// float residue of the cpus sums is dropped, and demand still counted on
+// an idle leaf (a kRunning transition that skipped its update) aborts.
+TEST(FeasibilityIndexDeathTest, ClearReleasableChecksIdleLeaves) {
+  FeasibilityIndex index;
+  index.Reset(2);
+  const FeasibilityAgg& leaf = index.At(index.capacity());
+  index.AddReleasable(0, 3, Resources{0.1, GiB(1)});
+  index.AddReleasable(0, 3, Resources{0.2, 0});
+  index.RemoveReleasable(0, 3, Resources{0.1, GiB(1)});
+  index.RemoveReleasable(0, 3, Resources{0.2, 0});
+  EXPECT_NE(leaf.preempt[4].cpus, 0.0);  // (0.1 + 0.2) - 0.1 - 0.2
+  index.ClearReleasable(0);
+  for (const Resources& sum : leaf.preempt) EXPECT_EQ(sum, Resources{});
+
+  index.AddReleasable(1, 0, Resources{1.0, GiB(1)});
+  EXPECT_DEATH(index.ClearReleasable(1), "left on idle leaf 1");
 }
 
 // --- Scheduler-level equivalence -------------------------------------------

@@ -641,6 +641,32 @@ const Golden kGolden[] = {
      "slo_organic_s=0 decisions=4159 node_failures=2 interrupted=54 "
      "images_lost=0 images_survived=35 dump_failures=0 "
      "restore_failures=0 failure_kills=0 faults=0"},
+    // Kill policy with a 30 s resubmit delay, recorded from the scheduler
+    // before the preemption side of the index kept releasable sums: killed
+    // victims must wait out their backoff.
+    {"KillResubmitDelay",
+     "wasted_ch=52.011219041041642 lost_ch=52.011219041041642 "
+     "overhead_ch=0 busy_ch=821.82143181944446 "
+     "energy_kwh=19.281474136388542 job_rt0.n=63 "
+     "job_rt0.sum=1136475.789318 job_rt0.fnv=882e4721a60b6bcb "
+     "task_rt0.n=1293 task_rt0.sum=25215962.812924016 "
+     "task_rt0.fnv=bf85cd7e09397612 job_rt1.n=52 job_rt1.sum=115360.367122 "
+     "job_rt1.fnv=4dc20281b1b3a1ec task_rt1.n=979 "
+     "task_rt1.sum=2732671.6565789981 task_rt1.fnv=97b84b75b6f34f6b "
+     "job_rt2.n=5 job_rt2.sum=20574.618926000003 "
+     "job_rt2.fnv=9317ef1e2f65f597 task_rt2.n=93 "
+     "task_rt2.sum=250154.28849600005 task_rt2.fnv=ea02542e11c817c6 "
+     "job_rt.n=120 job_rt.sum=1272410.7753659997 "
+     "job_rt.fnv=cb9931fc21527df4 preemptions=368 kills=368 checkpoints=0 "
+     "incremental=0 periodic=0 periodic_failures=0 dumps_deferred=0 "
+     "dump_defer_time=0 local_restores=0 remote_restores=0 "
+     "scratch_restarts=368 capacity_kills=0 dump_time=0 restore_time=0 "
+     "io_overhead=0 peak_ckpt_bytes=0 ckpt_bytes_written=0 "
+     "makespan=43011355832 jobs=120 tasks=2365 replicas_retired=0 "
+     "service_preemptions=0 cold_starts=0 slo_s=0 slo_preempt_s=0 "
+     "slo_organic_s=0 decisions=3162 node_failures=2 interrupted=61 "
+     "images_lost=0 images_survived=0 dump_failures=0 restore_failures=0 "
+     "failure_kills=0 faults=0"},
 };
 
 const char* GoldenFor(const char* cell) {
@@ -706,7 +732,9 @@ INSTANTIATE_TEST_SUITE_P(
                    /*index_off=*/true},
         GoldenCell{"AdaptiveDfsIndexOff", PreemptionPolicy::kAdaptive,
                    Images::kDfsAdaptive, false, false, false, false,
-                   /*index_off=*/true}),
+                   /*index_off=*/true},
+        GoldenCell{"KillResubmitDelay", PreemptionPolicy::kKill,
+                   Images::kDfsAdaptive, false, /*resubmit_delay=*/true}),
     [](const ::testing::TestParamInfo<GoldenCell>& info) {
       return std::string(info.param.name);
     });
