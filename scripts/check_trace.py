@@ -17,6 +17,10 @@ documented in docs/OBSERVABILITY.md instead: one object per line with
 strictly increasing integer `seq`, non-decreasing non-negative `t`, a
 known `kind` with its required args keys, an object `args`, and (when
 present) a `candidates` array of objects. --require matches kinds there.
+An `rm_preempt_dispatch` record must also add up: `dispatched` equals its
+dispatched rows, and `considered` equals the dispatched and `app_gone`
+rows, plus the `victims` of its `vacating_cap` rows (one per node, each
+naming its `node` and at least one victim), plus `quota_filled`.
 
 With --summary the files are not validated. Instead the script prints,
 from Python's json module, what `ckpt-report` prints for the same files:
@@ -47,7 +51,7 @@ AUDIT_KINDS = {
     "restore_decision": ("task", "job", "image_node", "chosen_node",
                          "remote", "restore_policy"),
     "capacity_fallback": ("task", "job", "image_node", "reason"),
-    "rm_preempt_dispatch": ("considered", "dispatched"),
+    "rm_preempt_dispatch": ("considered", "dispatched", "quota_filled"),
     "am_decision": ("task", "job", "node", "unsaved_progress_s", "action",
                     "policy"),
 }
@@ -107,6 +111,40 @@ def check_events(path, events):
     return counts
 
 
+def check_dispatch(where, args, candidates):
+    """An rm_preempt_dispatch record accounts for every ranked victim once:
+    dispatched, app gone, passed over at a node's vacating cap, or left
+    after the quota filled."""
+    dispatched = app_gone = capped = 0
+    capped_nodes = set()
+    for row in candidates:
+        action, reason = row.get("action"), row.get("reason")
+        if (action, reason) == ("dispatched", "selected"):
+            dispatched += 1
+        elif (action, reason) == ("skipped", "app_gone"):
+            app_gone += 1
+        elif (action, reason) == ("skipped", "vacating_cap"):
+            node, victims = row.get("node"), row.get("victims")
+            if not is_number(node):
+                fail(f"{where}: vacating_cap row without a node: {row}")
+            if not is_number(victims) or victims < 1:
+                fail(f"{where}: vacating_cap row needs victims >= 1: {row}")
+            if node in capped_nodes:
+                fail(f"{where}: node {node} has two vacating_cap rows")
+            capped_nodes.add(node)
+            capped += victims
+        else:
+            fail(f"{where}: unexpected dispatch row {action!r}/{reason!r}")
+    if args["dispatched"] != dispatched:
+        fail(f"{where}: dispatched {args['dispatched']} but {dispatched} "
+             f"dispatched rows")
+    accounted = dispatched + app_gone + capped + args["quota_filled"]
+    if args["considered"] != accounted:
+        fail(f"{where}: considered {args['considered']} != {dispatched} "
+             f"dispatched + {app_gone} app_gone + {capped} capped + "
+             f"{args['quota_filled']} quota_filled")
+
+
 def check_audit(path, requirements):
     counts = collections.Counter()
     last_seq = -1
@@ -150,6 +188,8 @@ def check_audit(path, requirements):
             if not isinstance(candidates, list) or any(
                     not isinstance(c, dict) for c in candidates):
                 fail(f"{where}: candidates must be an array of objects")
+            if kind == "rm_preempt_dispatch":
+                check_dispatch(where, args, candidates)
             counts[kind] += 1
     for name, min_count in requirements:
         if counts[name] < min_count:

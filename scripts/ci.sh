@@ -3,7 +3,9 @@
 # a short fig8 bench run with CKPT_OBS=1 must produce Chrome traces that
 # scripts/check_trace.py accepts, including ckpt.dump spans, and decision
 # audit streams carrying am_decision and rm_preempt_dispatch records (the
-# Algorithm-1 cost terms; decisions are recorded only there).
+# Algorithm-1 cost terms; decisions are recorded only there). A default-size
+# traced fig8 run, whose RM passes victims over at the per-node vacating
+# cap, must write dispatch records that account for every ranked victim.
 #
 # The repository benchmark's smoke run (benchmark/run.py --smoke) must pass
 # every output check.
@@ -52,19 +54,26 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 
 "$repo_root/scripts/check_unlinked.sh" "$build_dir"
 
-# Observability smoke test: a small fig8 run with tracing on.
+# Observability smoke test: a small fig8 run with tracing on, and a
+# default-size one, the only fig8 run whose RM passes victims over at the
+# per-node vacating cap.
 obs_dir="$(mktemp -d)"
 trap 'rm -rf "$obs_dir"' EXIT
 CKPT_OBS=1 CKPT_OBS_DIR="$obs_dir" "$build_dir/bench/bench_fig8_yarn" 600 \
   > "$obs_dir/stdout.txt"
+mkdir "$obs_dir/fig8_default"
+CKPT_OBS=1 CKPT_OBS_DIR="$obs_dir/fig8_default" \
+  "$build_dir/bench/bench_fig8_yarn" > "$obs_dir/fig8_default/stdout.txt"
 
 # Every policy row must audit the AM's Algorithm-1 decisions and the RM's
-# preemption dispatches. Every trace must pass the schema checks, and the
+# preemption dispatches, and each dispatch record must account for every
+# victim it ranked. Every trace must pass the schema checks, and the
 # checkpoint rows' traces must contain dump and restore spans (the Kill row
 # never dumps).
 python3 "$repo_root/scripts/check_trace.py" \
   --require am_decision --require rm_preempt_dispatch \
-  "$obs_dir"/bench_fig8_yarn.*.audit.jsonl
+  "$obs_dir"/bench_fig8_yarn.*.audit.jsonl \
+  "$obs_dir"/fig8_default/bench_fig8_yarn.*.audit.jsonl
 python3 "$repo_root/scripts/check_trace.py" \
   "$obs_dir"/bench_fig8_yarn.Kill.trace.json
 python3 "$repo_root/scripts/check_trace.py" \

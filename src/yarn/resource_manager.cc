@@ -39,6 +39,7 @@ ResourceManager::ResourceManager(Simulator* sim,
       total_slots_ * config_.production_guarantee + 0.5);
   guaranteed_slots_[0] = total_slots_ - guaranteed_slots_[1];
   vacating_.assign(node_by_id_.size(), 0);
+  cap_row_.assign(node_by_id_.size(), kNoRow);
 }
 
 NodeManager* ResourceManager::NodeOf(NodeId node) const {
@@ -350,21 +351,26 @@ void ResourceManager::RankVictims() {
 }
 
 void ResourceManager::DispatchPreempts(std::int64_t count) {
-  // Audit envelope: which ranked victims the monitor examined this round
-  // and why each was dispatched or passed over.
+  // Audit envelope: what the monitor decided about the ranked victims it
+  // walked before the quota filled. Each dispatched victim and each victim
+  // whose app is gone is a row; the victims a node's vacating cap passed
+  // over are one row for that node, where the first of them ranked.
   Observability* obs = config_.obs;
   // Candidate lists are member scratch whose capacity is reused from round
   // to round; the audit log copies them out.
-  size_t cand_used = 0;
+  size_t rows = 0;
   std::int64_t dispatched = 0;
+  auto next_row = [&]() -> TraceArgs& {
+    if (dispatch_candidates_.size() <= rows) {
+      dispatch_candidates_.emplace_back();
+    }
+    return dispatch_candidates_[rows++];
+  };
   auto audit_victim = [&](const Victim& v, const char* action,
                           const char* reason) {
     if (obs == nullptr) return;
     const Container* victim = v.container;
-    if (dispatch_candidates_.size() <= cand_used) {
-      dispatch_candidates_.emplace_back();
-    }
-    dispatch_candidates_[cand_used++] = {
+    next_row() = {
         TraceArg::Num("container", static_cast<double>(victim->id.value())),
         TraceArg::Num("app", static_cast<double>(victim->app.value())),
         TraceArg::Num("node", static_cast<double>(victim->node.value())),
@@ -372,21 +378,32 @@ void ResourceManager::DispatchPreempts(std::int64_t count) {
         TraceArg::Num("cost_s", ToSeconds(v.cost)),
         TraceArg::Str("action", action), TraceArg::Str("reason", reason)};
   };
-
-  for (const Victim& v : victims_) {
-    const Container* victim = v.container;
-    if (count <= 0) {
-      if (obs == nullptr) break;  // the seed's early exit
-      audit_victim(v, "skipped", "quota_filled");
-      continue;
+  constexpr size_t kCapVictimsArg = 1;  // `victims` in a vacating_cap row
+  auto audit_capped = [&](size_t node) {
+    if (obs == nullptr) return;
+    std::int32_t& row = cap_row_[node];
+    if (row == kNoRow) {
+      row = static_cast<std::int32_t>(rows);
+      next_row() = {TraceArg::Num("node", static_cast<double>(node)),
+                    TraceArg::Num("victims", 0),
+                    TraceArg::Str("action", "skipped"),
+                    TraceArg::Str("reason", "vacating_cap")};
     }
+    dispatch_candidates_[static_cast<size_t>(row)][kCapVictimsArg].num += 1;
+  };
+
+  size_t walked = 0;
+  for (const Victim& v : victims_) {
+    if (count <= 0) break;
+    ++walked;
+    const Container* victim = v.container;
     // Per-node cap on concurrent vacating containers: checkpoints on a node
     // are sequential, so asking more victims than that to dump at once only
     // freezes work that could still be executing.
+    const auto node = static_cast<size_t>(victim->node.value());
     if (config_.policy != PreemptionPolicy::kKill &&
-        vacating_[static_cast<size_t>(victim->node.value())] >=
-            kMaxVacatingPerNode) {
-      audit_victim(v, "skipped", "vacating_cap");
+        vacating_[node] >= kMaxVacatingPerNode) {
+      audit_capped(node);
       continue;
     }
     auto app_it = apps_.find(victim->app);
@@ -400,11 +417,10 @@ void ResourceManager::DispatchPreempts(std::int64_t count) {
     ++preempt_events_;
     --count;
     if (obs != nullptr) {
-      const size_t ni = static_cast<size_t>(victim->node.value());
-      if (preempt_event_counters_.size() <= ni) {
-        preempt_event_counters_.resize(ni + 1);
+      if (preempt_event_counters_.size() <= node) {
+        preempt_event_counters_.resize(node + 1);
       }
-      Counter*& events = preempt_event_counters_[ni];
+      Counter*& events = preempt_event_counters_[node];
       if (events == nullptr) {
         events = obs->metrics().GetCounter(
             "rm.preempt_events",
@@ -424,12 +440,20 @@ void ResourceManager::DispatchPreempts(std::int64_t count) {
     sim_->ScheduleAfter(kRpcLatency,
                         [client, cid] { client->OnPreemptContainer(cid); });
   }
-  if (obs != nullptr && cand_used > 0) {
+  if (obs != nullptr && !victims_.empty()) {
     obs->audit().Event(
         "rm_preempt_dispatch", "rm", sim_->Now(),
-        {TraceArg::Num("considered", static_cast<double>(cand_used)),
-         TraceArg::Num("dispatched", static_cast<double>(dispatched))},
-        {dispatch_candidates_.data(), cand_used});
+        {TraceArg::Num("considered", static_cast<double>(victims_.size())),
+         TraceArg::Num("dispatched", static_cast<double>(dispatched)),
+         TraceArg::Num("quota_filled",
+                       static_cast<double>(victims_.size() - walked))},
+        {dispatch_candidates_.data(), rows});
+    for (size_t r = 0; r < rows; ++r) {
+      const TraceArg& first = dispatch_candidates_[r].front();
+      if (first.key == "node") {
+        cap_row_[static_cast<size_t>(first.num)] = kNoRow;
+      }
+    }
   }
 }
 

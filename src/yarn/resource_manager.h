@@ -85,6 +85,7 @@ class ResourceManager {
   const Container* FindContainer(ContainerId id) const;
   int live_containers() const { return static_cast<int>(live_.size()); }
   int pending_asks() const { return static_cast<int>(asks_.size()); }
+  std::int64_t containers_allocated() const { return next_container_; }
   std::int64_t preempt_events_sent() const { return preempt_events_; }
 
  private:
@@ -162,9 +163,12 @@ class ResourceManager {
   bool schedule_scheduled_ = false;
   size_t place_cursor_ = 0;
 
-  // Per-dispatch audit candidate lists (reassigned in place) and
-  // lazily-resolved metric handles; indexed by dense node id.
+  // Per-dispatch audit candidate lists (reassigned in place), the row of
+  // each node's vacating-cap skips in the current dispatch (kNoRow when it
+  // has none) and lazily-resolved metric handles; indexed by dense node id.
+  static constexpr std::int32_t kNoRow = -1;
   std::vector<TraceArgs> dispatch_candidates_;
+  std::vector<std::int32_t> cap_row_;
   std::vector<Counter*> preempt_event_counters_;
   Histogram* dump_queue_delay_hist_ = nullptr;
 };

@@ -184,6 +184,11 @@ YarnResult YarnCluster::RunWorkload(const Workload& workload) {
         ->Set(result.lost_work_core_hours);
     m.GetGauge("sched.overhead_core_hours")->Set(result.overhead_core_hours);
     m.GetGauge("sched.goodput_core_hours")->Set(result.goodput_core_hours);
+    // As ClusterScheduler counts them: each start (allocation) plus each
+    // victim asked to vacate.
+    m.GetGauge("sched.decisions")
+        ->Set(static_cast<double>(rm_->containers_allocated() +
+                                  rm_->preempt_events_sent()));
     config_.obs->FinalizeRun();
   }
   return result;

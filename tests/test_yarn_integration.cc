@@ -136,6 +136,15 @@ TEST(YarnIntegration, ObservabilityMatchesResultCounters) {
   }
   EXPECT_EQ(am_decisions, decision_count);
   EXPECT_EQ(dispatched, yarn.rm().preempt_events_sent());
+
+  // The RM's decisions, counted as ClusterScheduler counts its own: each
+  // container allocated plus each preemption notice sent.
+  const std::int64_t allocations =
+      obs.metrics().GetCounter("rm.allocations")->value();
+  ASSERT_GT(allocations, 0);
+  EXPECT_EQ(obs.metrics().GetGauge("sched.decisions")->value(),
+            static_cast<double>(allocations +
+                                yarn.rm().preempt_events_sent()));
 }
 
 TEST(YarnIntegration, ObservabilityDoesNotPerturbSimulation) {

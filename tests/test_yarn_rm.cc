@@ -7,10 +7,12 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "obs/observability.h"
 
 namespace ckpt {
 namespace {
@@ -532,6 +534,143 @@ TEST(RmCapacity, MonitorReclaimsMinOfDeficitUnsatisfiedSurplus) {
     rig.sim.Run();
     EXPECT_EQ(rm.preempt_events_sent(), 2);
   }
+}
+
+// Preemption rounds on a full 2-node adaptive rig: eight priority-1
+// containers, then one round per entry of `asks`, each adding that many
+// priority-9 asks; the low AM never releases. Equal-cost victims rank by
+// id, and allocation alternates nodes, so the ranking alternates nodes too.
+struct DispatchRound {
+  std::vector<ContainerId> preempted;
+  std::int64_t sent = 0;
+};
+
+DispatchRound RunDispatchRounds(const std::vector<int>& asks,
+                                Observability* obs) {
+  YarnConfig config;
+  config.policy = PreemptionPolicy::kAdaptive;
+  config.obs = obs;
+  Rig rig(config, 2);
+  FakeAm low, high;
+  rig.rm->RequestContainers(rig.rm->RegisterApp(&low, 1), 8);
+  rig.sim.Run();
+  const AppId high_app = rig.rm->RegisterApp(&high, 9);
+  for (int count : asks) {
+    rig.rm->RequestContainers(high_app, count);
+    rig.sim.Run();
+  }
+  return {low.preempted, rig.rm->preempt_events_sent()};
+}
+
+std::vector<AuditRecord> DispatchRecords(const Observability& obs) {
+  std::vector<AuditRecord> records;
+  for (std::size_t i = 0; i < obs.audit().size(); ++i) {
+    AuditRecord record = obs.audit().record(i);
+    if (record.kind == "rm_preempt_dispatch") {
+      records.push_back(std::move(record));
+    }
+  }
+  return records;
+}
+
+const TraceArg& Arg(const TraceArgs& args, std::string_view key) {
+  for (const TraceArg& arg : args) {
+    if (arg.key == key) return arg;
+  }
+  ADD_FAILURE() << "no arg " << key;
+  static const TraceArg kMissing{};
+  return kMissing;
+}
+
+// Quota 8, cap 2 per node: four victims are dispatched and the other four
+// are passed over at the cap, which the audit records as one row per node.
+TEST(RmDispatchAudit, OneRowPerCappedNode) {
+  Observability obs;
+  const DispatchRound traced = RunDispatchRounds({8}, &obs);
+  const DispatchRound plain = RunDispatchRounds({8}, nullptr);
+  EXPECT_EQ(traced.preempted, plain.preempted);
+  EXPECT_EQ(traced.sent, plain.sent);
+  EXPECT_EQ(plain.sent, 4);
+
+  const std::vector<AuditRecord> records = DispatchRecords(obs);
+  ASSERT_EQ(records.size(), 1u);
+  const AuditRecord& record = records[0];
+  EXPECT_EQ(Arg(record.args, "considered").num, 8);
+  EXPECT_EQ(Arg(record.args, "dispatched").num, 4);
+  EXPECT_EQ(Arg(record.args, "quota_filled").num, 0);
+  // Rows in rank order: each node's two dispatched victims rank before
+  // the first victim its cap passed over.
+  ASSERT_EQ(record.candidates.size(), 6u);
+  std::vector<ContainerId> dispatched;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const TraceArgs& row = record.candidates[i];
+    EXPECT_EQ(Arg(row, "action").str, "dispatched");
+    EXPECT_EQ(Arg(row, "reason").str, "selected");
+    dispatched.emplace_back(
+        static_cast<std::int64_t>(Arg(row, "container").num));
+  }
+  EXPECT_EQ(dispatched, plain.preempted);
+  std::set<double> capped_nodes;
+  for (std::size_t i = 4; i < 6; ++i) {
+    const TraceArgs& row = record.candidates[i];
+    EXPECT_EQ(row.size(), 4u);
+    EXPECT_EQ(Arg(row, "action").str, "skipped");
+    EXPECT_EQ(Arg(row, "reason").str, "vacating_cap");
+    EXPECT_EQ(Arg(row, "victims").num, 2);
+    capped_nodes.insert(Arg(row, "node").num);
+  }
+  EXPECT_EQ(capped_nodes, (std::set<double>{0, 1}));
+}
+
+// Quota 1: the walk stops after the first victim, and the seven it did
+// not reach are counted, not listed.
+TEST(RmDispatchAudit, QuotaFilledCountsTheVictimsLeft) {
+  Observability obs;
+  const DispatchRound traced = RunDispatchRounds({1}, &obs);
+  const DispatchRound plain = RunDispatchRounds({1}, nullptr);
+  EXPECT_EQ(traced.preempted, plain.preempted);
+  EXPECT_EQ(traced.sent, plain.sent);
+  EXPECT_EQ(plain.sent, 1);
+
+  const std::vector<AuditRecord> records = DispatchRecords(obs);
+  ASSERT_EQ(records.size(), 1u);
+  const AuditRecord& record = records[0];
+  EXPECT_EQ(Arg(record.args, "considered").num, 8);
+  EXPECT_EQ(Arg(record.args, "dispatched").num, 1);
+  EXPECT_EQ(Arg(record.args, "quota_filled").num, 7);
+  ASSERT_EQ(record.candidates.size(), 1u);
+  const TraceArgs& row = record.candidates[0];
+  EXPECT_EQ(Arg(row, "action").str, "dispatched");
+  EXPECT_EQ(Arg(row, "reason").str, "selected");
+  ASSERT_EQ(plain.preempted.size(), 1u);
+  EXPECT_EQ(Arg(row, "container").num,
+            static_cast<double>(plain.preempted[0].value()));
+}
+
+// A second round with every node still at its cap writes fresh per-node
+// rows: the first round's rows do not carry over.
+TEST(RmDispatchAudit, CapRowsStartAfreshEachRound) {
+  Observability obs;
+  const DispatchRound traced = RunDispatchRounds({8, 1}, &obs);
+  const DispatchRound plain = RunDispatchRounds({8, 1}, nullptr);
+  EXPECT_EQ(traced.preempted, plain.preempted);
+  EXPECT_EQ(plain.sent, 4);
+
+  const std::vector<AuditRecord> records = DispatchRecords(obs);
+  ASSERT_EQ(records.size(), 2u);
+  const AuditRecord& record = records[1];
+  // The four victims not yet asked to vacate, all on capped nodes.
+  EXPECT_EQ(Arg(record.args, "considered").num, 4);
+  EXPECT_EQ(Arg(record.args, "dispatched").num, 0);
+  EXPECT_EQ(Arg(record.args, "quota_filled").num, 0);
+  ASSERT_EQ(record.candidates.size(), 2u);
+  std::set<double> capped_nodes;
+  for (const TraceArgs& row : record.candidates) {
+    EXPECT_EQ(Arg(row, "reason").str, "vacating_cap");
+    EXPECT_EQ(Arg(row, "victims").num, 2);
+    capped_nodes.insert(Arg(row, "node").num);
+  }
+  EXPECT_EQ(capped_nodes, (std::set<double>{0, 1}));
 }
 
 }  // namespace
