@@ -64,7 +64,7 @@ int main() {
   sim.Run();
 
   std::printf("stored image:     %s (base + layers, replicated x%d)\n",
-              FormatBytes(store.StoredSize(proc.image_path)).c_str(),
+              FormatBytes(store.StoredSize(proc.image_id)).c_str(),
               dfs_config.replication);
 
   // 4. Remote restore on node 2 — possible because the image is in the DFS.
@@ -75,10 +75,11 @@ int main() {
   });
   sim.Run();
 
-  // 5. Cleanup.
+  // 5. Cleanup. Discard resets the process's image id, so keep a copy.
+  const ImageId image = proc.image_id;
   engine.Discard(proc);
   std::printf("discarded:        image exists afterwards = %d\n",
-              store.Exists(proc.image_path));
+              store.Exists(image));
 
   std::printf(
       "\nengine stats: %lld dumps (%lld incremental), %lld restores, "

@@ -15,7 +15,10 @@
 # Observability lanes (CKPT_OBS=1 vs without, stdout only):
 #   * ClusterScheduler: ckpt-sim --jobs=60 under kill, checkpoint and
 #     adaptive, plus adaptive with --interference --dump-policy=aware
-#     --periodic-mtbf-min=240 (the DumpScheduler path)
+#     --periodic-mtbf-min=240 (the DumpScheduler path); the other victim
+#     orders under adaptive: --victims=lowest-priority, and --victims=random
+#     with --interference --dump-policy=staggered, the latter also at
+#     --jobs=200
 #   * YARN (the RM/AM/NM front-end): bench_fig8_yarn and
 #     bench_fig10_yarn_adaptive
 #
@@ -110,8 +113,10 @@ compare "bench_services sweep (1 vs 8 workers)" \
 # Observability lanes: recording decisions, traces and the audit log must
 # not change a single stdout byte. ckpt-sim covers ClusterScheduler,
 # including the DumpScheduler path (interference + aware admission +
-# periodic dumps); the YARN benches cover the ResourceManager's preemption
-# monitor, the AMs and the node managers.
+# periodic dumps) and every victim order: a traced scan costs candidates a
+# plain one never costs, most of all under the random order. The YARN
+# benches cover the ResourceManager's preemption monitor, the AMs and the
+# node managers.
 obs_lane() {
   local dir="$work_dir/obs.$1"
   shift
@@ -125,6 +130,15 @@ obs_lane sim_checkpoint tools/ckpt-sim --jobs=60 --policy=checkpoint
 obs_lane sim_adaptive tools/ckpt-sim --jobs=60 --policy=adaptive
 obs_lane sim_interference tools/ckpt-sim --jobs=60 --policy=adaptive \
   --interference --dump-policy=aware --periodic-mtbf-min=240
+obs_lane sim_lowest_priority tools/ckpt-sim --jobs=60 --policy=adaptive \
+  --victims=lowest-priority
+obs_lane sim_random_staggered tools/ckpt-sim --jobs=60 --policy=adaptive \
+  --victims=random --interference --dump-policy=staggered
+# At 200 jobs the traced random-order run costs ~9x the victims the plain
+# run does; a cost cache that misses a deferred dump admission's effect on
+# the queue term diverges here but not at 60 jobs.
+obs_lane sim_random_staggered_200 tools/ckpt-sim --jobs=200 \
+  --policy=adaptive --victims=random --interference --dump-policy=staggered
 obs_lane fig8 bench/bench_fig8_yarn 600
 obs_lane fig10 bench/bench_fig10_yarn_adaptive
 

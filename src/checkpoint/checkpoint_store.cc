@@ -22,11 +22,6 @@ ImageId CheckpointStore::Intern(const std::string& path) {
   return it->second;
 }
 
-ImageId CheckpointStore::Find(const std::string& path) const {
-  auto it = intern_.find(path);
-  return it == intern_.end() ? ImageId() : it->second;
-}
-
 const std::string& CheckpointStore::PathOf(ImageId image) const {
   CKPT_CHECK(image.valid());
   CKPT_CHECK_LT(static_cast<size_t>(image.value()), paths_.size());

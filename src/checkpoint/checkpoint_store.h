@@ -8,8 +8,7 @@
 // Image paths are interned once, when the image is created, into dense
 // ImageId integers; all per-image bookkeeping is keyed by those ids, so the
 // hot dump/restore path never hashes a path string. The reverse table
-// (PathOf) keeps log and trace formatting unchanged. String-keyed overloads
-// remain for cold callers (tests, examples, demos).
+// (PathOf) keeps log and trace formatting unchanged.
 #pragma once
 
 #include <functional>
@@ -38,8 +37,6 @@ class CheckpointStore {
   // Get-or-create the dense id for `path`. Ids are handed out in interning
   // order and never reused, so they index plain vectors in the backends.
   ImageId Intern(const std::string& path);
-  // The id `path` was interned under, or an invalid id if it never was.
-  ImageId Find(const std::string& path) const;
   // Reverse lookup for logging/tracing; `image` must have been interned.
   const std::string& PathOf(ImageId image) const;
 
@@ -75,48 +72,6 @@ class CheckpointStore {
   virtual SimDuration EstimateLoadBytesService(Bytes size, NodeId node,
                                                bool local) const = 0;
 
-  // --- String-keyed convenience overloads (cold paths) ----------------------
-  // Save interns; the others look up and mirror the backends' behaviour for
-  // unknown paths (failure / absent / -1).
-  void Save(const std::string& path, Bytes size, NodeId node,
-            std::function<void(bool ok)> done) {
-    Save(Intern(path), size, node, std::move(done));
-  }
-  void Append(const std::string& path, Bytes size, NodeId node,
-              std::function<void(bool ok)> done) {
-    const ImageId image = Find(path);
-    if (!image.valid()) {
-      done(false);
-      return;
-    }
-    Append(image, size, node, std::move(done));
-  }
-  void Load(const std::string& path, NodeId node,
-            std::function<void(bool ok)> done) {
-    const ImageId image = Find(path);
-    if (!image.valid()) {
-      done(false);
-      return;
-    }
-    Load(image, node, std::move(done));
-  }
-  bool Remove(const std::string& path) {
-    const ImageId image = Find(path);
-    return image.valid() && Remove(image);
-  }
-  bool Exists(const std::string& path) const {
-    const ImageId image = Find(path);
-    return image.valid() && Exists(image);
-  }
-  Bytes StoredSize(const std::string& path) const {
-    const ImageId image = Find(path);
-    return image.valid() ? StoredSize(image) : -1;
-  }
-  bool IsLocalTo(const std::string& path, NodeId node) const {
-    const ImageId image = Find(path);
-    return image.valid() && IsLocalTo(image, node);
-  }
-
  protected:
   void RecordStoreOp(const char* op, const char* backend, Bytes bytes);
 
@@ -131,14 +86,6 @@ class CheckpointStore {
 class LocalStore final : public CheckpointStore {
  public:
   void AddNode(NodeId node, StorageDevice* device);
-
-  using CheckpointStore::Append;
-  using CheckpointStore::Exists;
-  using CheckpointStore::IsLocalTo;
-  using CheckpointStore::Load;
-  using CheckpointStore::Remove;
-  using CheckpointStore::Save;
-  using CheckpointStore::StoredSize;
 
   void Save(ImageId image, Bytes size, NodeId node,
             std::function<void(bool)> done) override;
@@ -177,14 +124,6 @@ class LocalStore final : public CheckpointStore {
 class DfsStore final : public CheckpointStore {
  public:
   explicit DfsStore(DfsCluster* dfs);
-
-  using CheckpointStore::Append;
-  using CheckpointStore::Exists;
-  using CheckpointStore::IsLocalTo;
-  using CheckpointStore::Load;
-  using CheckpointStore::Remove;
-  using CheckpointStore::Save;
-  using CheckpointStore::StoredSize;
 
   void Save(ImageId image, Bytes size, NodeId node,
             std::function<void(bool)> done) override;

@@ -58,8 +58,9 @@ struct ClusterScheduler::RtTask {
   RtTask* beneficiary = nullptr;
 
   // The one-byte fields share a word with `attempt`, keeping the record at
-  // 200 bytes (see the static_assert in the constructor). A pending task's
-  // order key and backoff end live only in its pending_ entry.
+  // 144 bytes (see the static_assert in the constructor). A pending task's
+  // order key and backoff end live only in its pending_ entry; its submit
+  // time is its job's, since every arrival fires at the job's submit_time.
   enum class State : std::uint8_t {
     kPending, kRunning, kDumping, kRestoring, kFinished
   };
@@ -68,8 +69,6 @@ struct ClusterScheduler::RtTask {
   bool periodic_dump = false;  // the current kDumping is a Young/Daly dump
   int attempt = 0;  // bumped on every transition; stale events check it
 
-  SimTime submit_time = 0;
-  SimTime finish_time = -1;
   TaskProgress progress;  // running exactly while kRunning
 
   NodeId node;  // holder of resources in kRunning/kDumping/kRestoring
@@ -83,13 +82,11 @@ struct ClusterScheduler::RtTask {
   NodeId pending_dump_node;
 
   // Service replica identity (-1/-1 for batch tasks): a replica runs until
-  // the absolute `service_end` instant instead of accumulating a fixed
+  // its service's absolute `end` instant instead of accumulating a fixed
   // amount of work, and reports up/down transitions to the ServiceManager.
   int service_idx = -1;
   int replica_idx = -1;
-  SimTime service_end = 0;
 
-  int preempt_count = 0;
   int dump_failures = 0;     // consecutive; reset on a successful dump
   int restore_failures = 0;  // consecutive; reset on a successful restore
   // Dumps in flight that were initiated to make room for this task; while
@@ -101,14 +98,6 @@ struct ClusterScheduler::RtTask {
   // admission ticket for the dump (-1 when none).
   SimTime frozen_at = -1;
   std::int64_t dump_ticket = -1;
-
-  // VictimCheckpointOverhead memo, valid while (now, attempt, epoch) all
-  // match; the epoch covers inputs the attempt counter does not (device
-  // backlogs, image state of other tasks).
-  mutable SimTime ovh_time = -1;
-  mutable int ovh_attempt = -1;
-  mutable std::uint64_t ovh_epoch = 0;
-  mutable SimDuration ovh_value = 0;
 };
 
 // --- Construction -----------------------------------------------------------
@@ -118,7 +107,7 @@ ClusterScheduler::ClusterScheduler(Simulator* sim, Cluster* cluster,
     : sim_(sim), cluster_(cluster), config_(config), rng_(config.seed) {
   // Task records are most of a large run's memory: new per-task state must
   // fit the record's padding.
-  static_assert(sizeof(RtTask) == 200);
+  static_assert(sizeof(RtTask) == 144);
   CKPT_CHECK(sim != nullptr);
   CKPT_CHECK(cluster != nullptr);
   CKPT_CHECK_GT(cluster->size(), 0);
@@ -262,7 +251,7 @@ void ClusterScheduler::SubmitServices(const std::vector<ServiceSpec>& services) 
       task.id = TaskId(spec.id * 1000 + r);
       task.job = job->spec.id;
       // The nominal duration equals the full residency span; the actual
-      // completion is scheduled against the absolute service_end instant,
+      // completion is scheduled against the service's absolute end instant,
       // so preempted replicas do not serve extra time to "catch up".
       task.duration = spec.end - spec.start;
       task.demand = spec.demand;
@@ -474,11 +463,9 @@ void ClusterScheduler::OnJobArrival(RtJob* job) {
     RtTask* task = task_arena_->New();
     task->spec = &spec;
     task->job = job;
-    task->submit_time = sim_->Now();
     if (job->service_idx >= 0) {
       task->service_idx = job->service_idx;
       task->replica_idx = replica;
-      task->service_end = services_->spec(job->service_idx).end;
     }
     ++replica;
     AddPending(task);
@@ -490,20 +477,20 @@ void ClusterScheduler::OnJobArrival(RtJob* job) {
 }
 
 namespace {
-PendingKey PendingKeyOf(const TaskSpec& spec, SimTime submit_time) {
-  return PendingKey{spec.priority, submit_time, spec.id.value()};
+PendingKey PendingKeyOf(const TaskSpec& spec, const JobSpec& job) {
+  return PendingKey{spec.priority, job.submit_time, spec.id.value()};
 }
 }  // namespace
 
 void ClusterScheduler::AddPending(RtTask* task, SimTime eligible_at) {
   task->state = RtTask::State::kPending;
   CKPT_CHECK(pending_.Insert(
-      {PendingKeyOf(*task->spec, task->submit_time), eligible_at,
+      {PendingKeyOf(*task->spec, task->job->spec), eligible_at,
        task->spec->demand, task}));
 }
 
 void ClusterScheduler::RemovePending(RtTask* task) {
-  CKPT_CHECK(pending_.Erase(PendingKeyOf(*task->spec, task->submit_time)));
+  CKPT_CHECK(pending_.Erase(PendingKeyOf(*task->spec, task->job->spec)));
 }
 
 void ClusterScheduler::TrySchedule() {
@@ -878,7 +865,6 @@ void ClusterScheduler::BeginRestore(RtTask* task, Node* node, bool remote) {
   } else {
     src.SubmitRead(bytes, std::move(finish));
   }
-  BumpOverheadEpoch();  // the read grew the image node's device backlog
 }
 
 void ClusterScheduler::OnRestoreFailed(RtTask* task) {
@@ -890,7 +876,6 @@ void ClusterScheduler::OnRestoreFailed(RtTask* task) {
   task->attempt++;
   EndFreeze(task);  // the failed attempt still froze the container
   DetachFromNode(task);
-  BumpOverheadEpoch();
   if (task->restore_failures >= kMaxCheckpointFailures) {
     // The image keeps failing to load (Algorithm 1's fallback mirror on the
     // restore side): give up on it and restart from scratch, so a permanent
@@ -954,7 +939,6 @@ void ClusterScheduler::OnTaskComplete(RtTask* task, int attempt) {
     CKPT_CHECK_GE(task->progress.work_done, task->spec->duration);
   }
   task->state = RtTask::State::kFinished;
-  task->finish_time = sim_->Now();
   task->attempt++;
 
   DetachFromNode(task);
@@ -969,7 +953,7 @@ void ClusterScheduler::OnTaskComplete(RtTask* task, int attempt) {
     result_.tasks_completed++;
     const auto band = static_cast<size_t>(BandOf(task->spec->priority));
     result_.task_response_by_band[band].Add(
-        ToSeconds(task->finish_time - task->submit_time));
+        ToSeconds(sim_->Now() - task->job->spec.submit_time));
   }
 
   task->job->tasks_left--;
@@ -1029,14 +1013,9 @@ bool ClusterScheduler::CanIncrement(const RtTask* victim) const {
 
 SimDuration ClusterScheduler::VictimCheckpointOverhead(
     const RtTask* victim) const {
-  // Pure in (now, the victim's attempt, the overhead epoch): the cost-aware
-  // victim sort and the adaptive policy evaluate the same victim repeatedly
-  // at one instant, so memoize per task.
-  const SimTime now = sim_->Now();
-  if (victim->ovh_time == now && victim->ovh_attempt == victim->attempt &&
-      victim->ovh_epoch == overhead_epoch_) {
-    return victim->ovh_value;
-  }
+  // Recomputed on every call from constant-time reads (the victim, its
+  // node's device backlog, the ingest domain and the dump scheduler), so it
+  // always reflects their current state.
   const bool incremental = CanIncrement(victim);
   CheckpointCost cost;
   cost.dump_bytes = DumpBytes(victim, incremental);
@@ -1061,12 +1040,7 @@ SimDuration ClusterScheduler::VictimCheckpointOverhead(
       cost.admit_delay = dump_scheduler_->EstimateAdmitDelay();
     }
   }
-  const SimDuration overhead = EstimateCheckpointOverhead(cost);
-  victim->ovh_time = now;
-  victim->ovh_attempt = victim->attempt;
-  victim->ovh_epoch = overhead_epoch_;
-  victim->ovh_value = overhead;
-  return overhead;
+  return EstimateCheckpointOverhead(cost);
 }
 
 PreemptAction ClusterScheduler::DecideVictimAction(RtTask* victim) const {
@@ -1374,7 +1348,6 @@ void ClusterScheduler::PreemptVictim(RtTask* victim, PreemptAction action) {
   CKPT_CHECK(victim->state == RtTask::State::kRunning);
   result_.preemptions++;
   result_.sched_decisions++;
-  victim->preempt_count++;
   if (IsService(victim)) {
     result_.service_preemptions++;
     // Audit before StopRunning: the cost probe must see the victim's
@@ -1461,15 +1434,12 @@ void ClusterScheduler::LaunchDump(RtTask* victim, int attempt,
     } else {
       device.SubmitWrite(dump_bytes, std::move(finish));
     }
-    BumpOverheadEpoch();  // the dump grew the node's device backlog
   };
 
   if (dump_scheduler_ == nullptr) {
     submit();
     return;
   }
-  // A deferred request lengthens EstimateAdmitDelay for every later victim.
-  BumpOverheadEpoch();
   *ticket = dump_scheduler_->Request(
       victim->node.value(), victim->spec->id.value(), dump_bytes,
       [this, victim, attempt, ticket, submit = std::move(submit)]() mutable {
@@ -1591,7 +1561,6 @@ void ClusterScheduler::OnNodeFailure(NodeId node_id, SimDuration down_for) {
   result_.node_failures++;
   node.SetOnline(false);
   TouchNode(node_id);
-  BumpOverheadEpoch();
 
   // Interrupt every task holding resources on the node. Copy the bucket:
   // the handlers below mutate it.
@@ -1661,7 +1630,6 @@ void ClusterScheduler::EvacuateImage(RtTask* task, NodeId failed) {
       if (candidate->storage().Reserve(task->stored_bytes)) {
         cluster_->node(failed).storage().Release(task->stored_bytes);
         task->image_node = candidate->id();
-        BumpOverheadEpoch();
         result_.images_survived_failure++;
         return;
       }
@@ -1683,7 +1651,6 @@ void ClusterScheduler::ReleaseImage(RtTask* task) {
   task->has_image = false;
   task->stored_bytes = 0;
   task->progress.saved_work = 0;
-  BumpOverheadEpoch();  // CanIncrement and restore sizes changed
 }
 
 // --- Checkpoint lifecycle steps ----------------------------------------------
@@ -1691,7 +1658,7 @@ void ClusterScheduler::ReleaseImage(RtTask* task) {
 SimDuration ClusterScheduler::RemainingRun(const RtTask* task) const {
   // A service replica completes at its absolute retirement instant; a batch
   // task after its remaining work.
-  return IsService(task) ? task->service_end - sim_->Now()
+  return IsService(task) ? services_->spec(task->service_idx).end - sim_->Now()
                          : task->spec->duration - task->progress.work_done;
 }
 
@@ -1768,12 +1735,10 @@ void ClusterScheduler::EndDump(RtTask* task) {
   if (task->periodic_dump) {
     task->periodic_dump = false;
     ResumeFrozen(task);
-    BumpOverheadEpoch();
     ScheduleRun(task);
     return;
   }
   task->attempt++;
-  BumpOverheadEpoch();
   DetachFromNode(task);
   AddPending(task, ApplyResubmitBackoff());
   ReleaseBeneficiary(task);

@@ -290,9 +290,6 @@ class ClusterScheduler {
   // index, unless the latency guard protects it. Called on every entry to
   // and exit from kRunning.
   void UpdateReleasable(const RtTask* task, bool add);
-  // Any change that can affect VictimCheckpointOverhead's inputs (device
-  // backlogs, image state) bumps the epoch, invalidating memoized costs.
-  void BumpOverheadEpoch() { ++overhead_epoch_; }
   bool TryPreemptFor(RtTask* task);
   void StartTask(RtTask* task, Node* node);
   void BeginRestore(RtTask* task, Node* node, bool remote);
@@ -432,9 +429,6 @@ class ClusterScheduler {
   // for demands that cannot fit anywhere skip the node scan.
   bool avail_summary_valid_ = false;
   Resources avail_summary_{};
-
-  // Memoization epoch for VictimCheckpointOverhead (see BumpOverheadEpoch).
-  std::uint64_t overhead_epoch_ = 0;
 
   // Within one scheduling pass, the smallest demand (with its priority) for
   // which victim search failed. While no victim has been released, any

@@ -230,10 +230,12 @@ void ResourceManager::ScheduleLoop() {
     }
   }
   if (obs != nullptr) {
-    obs->metrics().GetCounter("rm.schedule_loops")->Inc();
-    obs->metrics()
-        .GetCounter("rm.allocations")
-        ->Inc(next_container_ - allocated_before);
+    if (schedule_loops_counter_ == nullptr) {
+      schedule_loops_counter_ = obs->metrics().GetCounter("rm.schedule_loops");
+      allocations_counter_ = obs->metrics().GetCounter("rm.allocations");
+    }
+    schedule_loops_counter_->Inc();
+    allocations_counter_->Inc(next_container_ - allocated_before);
   }
   if (traced) {
     obs->tracer().EndSpan(

@@ -171,6 +171,9 @@ class ResourceManager {
   std::vector<std::int32_t> cap_row_;
   std::vector<Counter*> preempt_event_counters_;
   Histogram* dump_queue_delay_hist_ = nullptr;
+  // ScheduleLoop's counters, resolved on its first loop with observability.
+  Counter* schedule_loops_counter_ = nullptr;
+  Counter* allocations_counter_ = nullptr;
 };
 
 }  // namespace ckpt

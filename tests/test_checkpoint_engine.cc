@@ -121,10 +121,10 @@ TEST_F(EngineTest, RestoreWithoutImageFails) {
 TEST_F(EngineTest, DiscardRemovesStoredImage) {
   ProcessState proc(TaskId(1), MiB(64), kMiB);
   ASSERT_TRUE(DumpSync(proc, NodeId(0), true).ok);
-  const std::string path = proc.image_path;
+  const ImageId image = proc.image_id;
   engine_->Discard(proc);
   EXPECT_FALSE(proc.has_image);
-  EXPECT_FALSE(store_->Exists(path));
+  EXPECT_FALSE(store_->Exists(image));
 }
 
 TEST_F(EngineTest, DumpTimeScalesWithMedia) {

@@ -18,9 +18,9 @@ class LocalStoreTest : public ::testing::Test {
     }
   }
 
-  bool SaveSync(const std::string& path, Bytes size, NodeId node) {
+  bool SaveSync(ImageId image, Bytes size, NodeId node) {
     bool ok = false;
-    store_.Save(path, size, node, [&](bool s) { ok = s; });
+    store_.Save(image, size, node, [&](bool s) { ok = s; });
     sim_.Run();
     return ok;
   }
@@ -31,64 +31,74 @@ class LocalStoreTest : public ::testing::Test {
 };
 
 TEST_F(LocalStoreTest, SaveThenLoadOnSameNode) {
-  ASSERT_TRUE(SaveSync("/img", MiB(64), NodeId(0)));
-  EXPECT_TRUE(store_.Exists("/img"));
-  EXPECT_EQ(store_.StoredSize("/img"), MiB(64));
+  const ImageId img = store_.Intern("/img");
+  ASSERT_TRUE(SaveSync(img, MiB(64), NodeId(0)));
+  EXPECT_TRUE(store_.Exists(img));
+  EXPECT_EQ(store_.StoredSize(img), MiB(64));
   bool ok = false;
-  store_.Load("/img", NodeId(0), [&](bool l) { ok = l; });
+  store_.Load(img, NodeId(0), [&](bool l) { ok = l; });
   sim_.Run();
   EXPECT_TRUE(ok);
 }
 
 TEST_F(LocalStoreTest, RemoteLoadFails) {
-  ASSERT_TRUE(SaveSync("/img", MiB(64), NodeId(0)));
+  const ImageId img = store_.Intern("/img");
+  ASSERT_TRUE(SaveSync(img, MiB(64), NodeId(0)));
   bool ok = true;
-  store_.Load("/img", NodeId(1), [&](bool l) { ok = l; });
+  store_.Load(img, NodeId(1), [&](bool l) { ok = l; });
   sim_.Run();
   EXPECT_FALSE(ok);  // CRIU's local-only limitation
   EXPECT_FALSE(store_.SupportsRemoteRestore());
 }
 
 TEST_F(LocalStoreTest, AppendGrowsImage) {
-  ASSERT_TRUE(SaveSync("/img", MiB(64), NodeId(0)));
+  const ImageId img = store_.Intern("/img");
+  ASSERT_TRUE(SaveSync(img, MiB(64), NodeId(0)));
   bool ok = false;
-  store_.Append("/img", MiB(8), NodeId(0), [&](bool a) { ok = a; });
+  store_.Append(img, MiB(8), NodeId(0), [&](bool a) { ok = a; });
   sim_.Run();
   EXPECT_TRUE(ok);
-  EXPECT_EQ(store_.StoredSize("/img"), MiB(72));
+  EXPECT_EQ(store_.StoredSize(img), MiB(72));
 }
 
 TEST_F(LocalStoreTest, AppendFromOtherNodeFails) {
-  ASSERT_TRUE(SaveSync("/img", MiB(64), NodeId(0)));
+  const ImageId img = store_.Intern("/img");
+  ASSERT_TRUE(SaveSync(img, MiB(64), NodeId(0)));
   bool ok = true;
-  store_.Append("/img", MiB(8), NodeId(1), [&](bool a) { ok = a; });
+  store_.Append(img, MiB(8), NodeId(1), [&](bool a) { ok = a; });
   sim_.Run();
   EXPECT_FALSE(ok);
 }
 
 TEST_F(LocalStoreTest, RemoveReleasesCapacity) {
-  ASSERT_TRUE(SaveSync("/img", GiB(1), NodeId(0)));
+  const ImageId img = store_.Intern("/img");
+  ASSERT_TRUE(SaveSync(img, GiB(1), NodeId(0)));
   EXPECT_EQ(devices_[0]->used(), GiB(1));
-  EXPECT_TRUE(store_.Remove("/img"));
+  EXPECT_TRUE(store_.Remove(img));
   EXPECT_EQ(devices_[0]->used(), 0);
-  EXPECT_FALSE(store_.Exists("/img"));
+  EXPECT_FALSE(store_.Exists(img));
 }
 
 TEST_F(LocalStoreTest, CapacityOverflowFailsSave) {
+  const ImageId image_a = store_.Intern("/a");
+  const ImageId image_b = store_.Intern("/b");
+  const ImageId image_c = store_.Intern("/c");
   // SSD preset is 120 GiB.
-  ASSERT_TRUE(SaveSync("/a", GiB(100), NodeId(0)));
-  EXPECT_FALSE(SaveSync("/b", GiB(30), NodeId(0)));
-  EXPECT_TRUE(SaveSync("/c", GiB(30), NodeId(1)));  // other node has room
+  ASSERT_TRUE(SaveSync(image_a, GiB(100), NodeId(0)));
+  EXPECT_FALSE(SaveSync(image_b, GiB(30), NodeId(0)));
+  EXPECT_TRUE(SaveSync(image_c, GiB(30), NodeId(1)));  // other node has room
 }
 
 TEST_F(LocalStoreTest, IsLocalToMatchesOwner) {
-  ASSERT_TRUE(SaveSync("/img", kMiB, NodeId(1)));
-  EXPECT_TRUE(store_.IsLocalTo("/img", NodeId(1)));
-  EXPECT_FALSE(store_.IsLocalTo("/img", NodeId(0)));
+  const ImageId img = store_.Intern("/img");
+  ASSERT_TRUE(SaveSync(img, kMiB, NodeId(1)));
+  EXPECT_TRUE(store_.IsLocalTo(img, NodeId(1)));
+  EXPECT_FALSE(store_.IsLocalTo(img, NodeId(0)));
 }
 
 TEST_F(LocalStoreTest, EstimateLoadRemoteIsUnreachable) {
-  ASSERT_TRUE(SaveSync("/img", kMiB, NodeId(0)));
+  const ImageId img = store_.Intern("/img");
+  ASSERT_TRUE(SaveSync(img, kMiB, NodeId(0)));
   EXPECT_LT(store_.EstimateLoadBytes(kMiB, NodeId(0), true), Seconds(1));
   EXPECT_GE(store_.EstimateLoadBytes(kMiB, NodeId(1), false),
             Simulator::kMaxTime);
@@ -110,9 +120,9 @@ class DfsStoreTest : public ::testing::Test {
     store_ = std::make_unique<DfsStore>(dfs_.get());
   }
 
-  bool SaveSync(const std::string& path, Bytes size, NodeId node) {
+  bool SaveSync(ImageId image, Bytes size, NodeId node) {
     bool ok = false;
-    store_->Save(path, size, node, [&](bool s) { ok = s; });
+    store_->Save(image, size, node, [&](bool s) { ok = s; });
     sim_.Run();
     return ok;
   }
@@ -125,66 +135,73 @@ class DfsStoreTest : public ::testing::Test {
 };
 
 TEST_F(DfsStoreTest, SupportsRemoteRestore) {
-  ASSERT_TRUE(SaveSync("/img", MiB(64), NodeId(0)));
+  const ImageId img = store_->Intern("/img");
+  ASSERT_TRUE(SaveSync(img, MiB(64), NodeId(0)));
   EXPECT_TRUE(store_->SupportsRemoteRestore());
   bool ok = false;
-  store_->Load("/img", NodeId(2), [&](bool l) { ok = l; });
+  store_->Load(img, NodeId(2), [&](bool l) { ok = l; });
   sim_.Run();
   EXPECT_TRUE(ok);
 }
 
 TEST_F(DfsStoreTest, AppendCreatesLayersFoldedIntoSizeAndLoad) {
-  ASSERT_TRUE(SaveSync("/img", MiB(100), NodeId(0)));
+  const ImageId img = store_->Intern("/img");
+  ASSERT_TRUE(SaveSync(img, MiB(100), NodeId(0)));
   bool ok = false;
-  store_->Append("/img", MiB(10), NodeId(0), [&](bool a) { ok = a; });
+  store_->Append(img, MiB(10), NodeId(0), [&](bool a) { ok = a; });
   sim_.Run();
   ASSERT_TRUE(ok);
-  store_->Append("/img", MiB(5), NodeId(1), [&](bool a) { ok = a; });
+  store_->Append(img, MiB(5), NodeId(1), [&](bool a) { ok = a; });
   sim_.Run();
   ASSERT_TRUE(ok);
-  EXPECT_EQ(store_->StoredSize("/img"), MiB(115));
+  EXPECT_EQ(store_->StoredSize(img), MiB(115));
 
   bool loaded = false;
-  store_->Load("/img", NodeId(0), [&](bool l) { loaded = l; });
+  store_->Load(img, NodeId(0), [&](bool l) { loaded = l; });
   sim_.Run();
   EXPECT_TRUE(loaded);
 }
 
 TEST_F(DfsStoreTest, LayerCountersAreIndependentPerImage) {
-  ASSERT_TRUE(SaveSync("/a", kMiB, NodeId(0)));
-  ASSERT_TRUE(SaveSync("/b", kMiB, NodeId(1)));
+  const ImageId image_a = store_->Intern("/a");
+  const ImageId image_b = store_->Intern("/b");
+  ASSERT_TRUE(SaveSync(image_a, kMiB, NodeId(0)));
+  ASSERT_TRUE(SaveSync(image_b, kMiB, NodeId(1)));
   bool ok = false;
-  store_->Append("/b", kMiB, NodeId(1), [&](bool a) { ok = a; });
+  store_->Append(image_b, kMiB, NodeId(1), [&](bool a) { ok = a; });
   sim_.Run();
   ASSERT_TRUE(ok);
-  store_->Append("/a", kMiB, NodeId(0), [&](bool a) { ok = a; });
+  store_->Append(image_a, kMiB, NodeId(0), [&](bool a) { ok = a; });
   sim_.Run();
   ASSERT_TRUE(ok);
-  EXPECT_EQ(store_->StoredSize("/a"), 2 * kMiB);
-  EXPECT_EQ(store_->StoredSize("/b"), 2 * kMiB);
+  EXPECT_EQ(store_->StoredSize(image_a), 2 * kMiB);
+  EXPECT_EQ(store_->StoredSize(image_b), 2 * kMiB);
 }
 
 TEST_F(DfsStoreTest, RemoveDeletesBaseAndLayers) {
-  ASSERT_TRUE(SaveSync("/img", MiB(10), NodeId(0)));
+  const ImageId img = store_->Intern("/img");
+  ASSERT_TRUE(SaveSync(img, MiB(10), NodeId(0)));
   bool ok = false;
-  store_->Append("/img", MiB(1), NodeId(0), [&](bool a) { ok = a; });
+  store_->Append(img, MiB(1), NodeId(0), [&](bool a) { ok = a; });
   sim_.Run();
   ASSERT_TRUE(ok);
-  EXPECT_TRUE(store_->Remove("/img"));
-  EXPECT_FALSE(store_->Exists("/img"));
+  EXPECT_TRUE(store_->Remove(img));
+  EXPECT_FALSE(store_->Exists(img));
   EXPECT_EQ(dfs_->total_stored(), 0);
 }
 
 TEST_F(DfsStoreTest, AppendWithoutBaseFails) {
+  const ImageId missing = store_->Intern("/missing");
   bool ok = true;
-  store_->Append("/missing", kMiB, NodeId(0), [&](bool a) { ok = a; });
+  store_->Append(missing, kMiB, NodeId(0), [&](bool a) { ok = a; });
   sim_.Run();
   EXPECT_FALSE(ok);
 }
 
 TEST_F(DfsStoreTest, IsLocalToFollowsReplicas) {
-  ASSERT_TRUE(SaveSync("/img", MiB(16), NodeId(1)));
-  EXPECT_TRUE(store_->IsLocalTo("/img", NodeId(1)));
+  const ImageId img = store_->Intern("/img");
+  ASSERT_TRUE(SaveSync(img, MiB(16), NodeId(1)));
+  EXPECT_TRUE(store_->IsLocalTo(img, NodeId(1)));
 }
 
 }  // namespace

@@ -161,7 +161,7 @@ TEST(EngineInvariants, ReplaceExistingForcesFullDump) {
   EXPECT_FALSE(result.was_incremental);
   EXPECT_EQ(result.bytes_written, MiB(128) + proc.metadata_bytes);
   // The old image was removed: stored size equals the fresh dump.
-  EXPECT_EQ(fx.store->StoredSize(proc.image_path), result.bytes_written);
+  EXPECT_EQ(fx.store->StoredSize(proc.image_id), result.bytes_written);
 }
 
 TEST(EngineInvariants, TwoProcessesKeepSeparateImages) {
@@ -172,7 +172,7 @@ TEST(EngineInvariants, TwoProcessesKeepSeparateImages) {
   ASSERT_TRUE(fx.Dump(b).ok);
   EXPECT_NE(a.image_path, b.image_path);
   fx.engine->Discard(a);
-  EXPECT_TRUE(fx.store->Exists(b.image_path));
+  EXPECT_TRUE(fx.store->Exists(b.image_id));
   const RestoreResult restore = fx.Restore(b);
   EXPECT_TRUE(restore.ok);
 }

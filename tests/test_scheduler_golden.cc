@@ -25,6 +25,11 @@
 // that dropping the stamp changed no decision on that path either. Their
 // values equal KillDfs's and AdaptiveDfs's: the index moves no decision.
 //
+// Every cell also runs with an Observability attached and must match the
+// same line: a traced run costs victims the plain run never costs (the
+// preempt_scan audit's not_needed rows), and none of that may move a
+// decision.
+//
 // On a mismatch the test prints the cell's actual line; recording a new
 // golden value means pasting it into kGolden below, and says why the
 // results changed.
@@ -37,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/observability.h"
 #include "scheduler/cluster_scheduler.h"
 #include "service/service_workload.h"
 #include "trace/google_trace.h"
@@ -63,7 +69,7 @@ struct GoldenCell {
 
 void PrintTo(const GoldenCell& cell, std::ostream* os) { *os << cell.name; }
 
-SimulationResult RunCell(const GoldenCell& cell) {
+SimulationResult RunCell(const GoldenCell& cell, Observability* obs) {
   GoogleTraceConfig trace_config;
   trace_config.sample_jobs = 120;
   trace_config.seed = 21;
@@ -75,6 +81,7 @@ SimulationResult RunCell(const GoldenCell& cell) {
   config.policy = cell.policy;
   config.medium = StorageMedium::Ssd();
   config.seed = 5;
+  config.obs = obs;
   config.checkpoint_to_dfs = cell.images != Images::kLocalOnly;
   if (cell.images == Images::kDfsAlwaysLocal) {
     config.restore_policy = RestorePolicy::kAlwaysLocal;
@@ -676,11 +683,8 @@ const char* GoldenFor(const char* cell) {
   return nullptr;
 }
 
-class SchedulerGolden : public ::testing::TestWithParam<GoldenCell> {};
-
-TEST_P(SchedulerGolden, EveryResultFieldMatchesTheRecording) {
-  const GoldenCell& cell = GetParam();
-  const std::vector<std::string> got = Fields(RunCell(cell));
+void ExpectRecorded(const GoldenCell& cell, Observability* obs) {
+  const std::vector<std::string> got = Fields(RunCell(cell, obs));
   std::string line;
   for (const std::string& field : got) line += (line.empty() ? "" : " ") + field;
   const char* golden = GoldenFor(cell.name);
@@ -690,7 +694,18 @@ TEST_P(SchedulerGolden, EveryResultFieldMatchesTheRecording) {
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], want[i]);
   }
-  if (HasFailure()) ADD_FAILURE() << "actual:\n" << line;
+  if (::testing::Test::HasFailure()) ADD_FAILURE() << "actual:\n" << line;
+}
+
+class SchedulerGolden : public ::testing::TestWithParam<GoldenCell> {};
+
+TEST_P(SchedulerGolden, EveryResultFieldMatchesTheRecording) {
+  ExpectRecorded(GetParam(), nullptr);
+}
+
+TEST_P(SchedulerGolden, TracedRunMatchesTheRecording) {
+  Observability obs;
+  ExpectRecorded(GetParam(), &obs);
 }
 
 INSTANTIATE_TEST_SUITE_P(
