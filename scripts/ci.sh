@@ -27,7 +27,10 @@
 # scheduler's golden-result matrix, the feasibility-index tests and the
 # pending-queue property test run there too: crash unwinds and preemptions
 # requeue tasks into the pending queue's chunks while a pass holds a
-# position in them, and mark the index's per-leaf stale lists.
+# position in them, and mark the index's per-leaf stale lists. So do the
+# ResourceManager tests and the YARN golden-result matrix: a node crash
+# erases entries of the RM's per-priority live counts while it drains the
+# node's containers.
 #
 # A further lane rebuilds the threaded pieces under ThreadSanitizer and runs
 # the thread-pool tests plus the parallel-sweep determinism check
@@ -138,14 +141,16 @@ python3 "$repo_root/benchmark/run.py" --smoke
 # records with candidate lists, their exports and owning copies) plus the
 # schedulers and DFS that feed them, the checkpoint lifecycles' crash and
 # I/O-failure unwinds (scheduler and ApplicationMaster), the pending
-# queue's chunk splits and drains, and two traced bench runs.
+# queue's chunk splits and drains, the RM's per-priority live counts, and
+# two traced bench runs.
 if [[ -z "${CKPT_SANITIZE:-}" ]]; then
   asan_dir="$build_dir-asan"
   asan_tests=(test_audit_log test_obs_tracer test_obs_export test_packed_ring
     test_json test_waste_ledger test_cluster_scheduler test_yarn_integration
     test_dfs test_fault test_failure_injection test_interference
-    test_yarn_am test_dag test_dag_shapes test_mapreduce
-    test_scheduler_golden test_feasibility_index test_pending_queue)
+    test_yarn_am test_yarn_rm test_yarn_golden test_dag test_dag_shapes
+    test_mapreduce test_scheduler_golden test_feasibility_index
+    test_pending_queue)
   cmake -B "$asan_dir" -S "$repo_root" -DCKPT_SANITIZE=address,undefined
   cmake --build "$asan_dir" -j "$(nproc)" \
     --target "${asan_tests[@]}" bench_fig3_trace_sim bench_fig8_yarn

@@ -52,8 +52,8 @@ NodeManager* ResourceManager::NodeOf(NodeId node) const {
 
 std::array<int, 2> ResourceManager::QueueUsage() const {
   std::array<int, 2> usage{};
-  for (const auto& [id, container] : live_) {
-    usage[static_cast<size_t>(QueueOf(container.priority))]++;
+  for (const auto& [priority, count] : live_by_priority_) {
+    usage[static_cast<size_t>(QueueOf(priority))] += static_cast<int>(count);
   }
   return usage;
 }
@@ -92,6 +92,12 @@ ResourceManager::AskSet::iterator ResourceManager::EraseAsk(
   return asks_.erase(it);
 }
 
+void ResourceManager::UncountLive(int priority) {
+  auto count = live_by_priority_.find(priority);
+  CKPT_CHECK(count != live_by_priority_.end());
+  if (--count->second == 0) live_by_priority_.erase(count);
+}
+
 void ResourceManager::MarkPreemptPending(const Container& container) {
   preempt_pending_.insert(container.id);
   vacating_[static_cast<size_t>(container.node.value())]++;
@@ -110,6 +116,7 @@ void ResourceManager::ReleaseContainer(ContainerId id) {
   if (it == live_.end()) return;
   NodeOf(it->second.node)->StopContainer(id);
   ClearPreemptPending(it->second);
+  UncountLive(it->second.priority);
   live_.erase(it);
   RequestSchedule();
 }
@@ -147,7 +154,7 @@ void ResourceManager::OnNodeFailure(NodeId node) {
                        static_cast<double>(evicted.size()))});
   }
   for (const Container& container : evicted) {
-    live_.erase(container.id);
+    if (live_.erase(container.id) > 0) UncountLive(container.priority);
     ClearPreemptPending(container);
     auto app_it = apps_.find(container.app);
     if (app_it == apps_.end()) continue;
@@ -261,6 +268,7 @@ bool ResourceManager::Allocate(const Ask& ask) {
   container.started = sim_->Now();
   CKPT_CHECK(nm->LaunchContainer(container));
   live_[container.id] = container;
+  live_by_priority_[container.priority]++;
   AppClient* client = app_it->second.client;
   sim_->ScheduleAfter(kRpcLatency, [client, container] {
     client->OnContainerAllocated(container);
@@ -466,6 +474,11 @@ void ResourceManager::RunPreemptionMonitor() {
   const std::int64_t unsatisfied = asks_by_priority_.at(want_priority);
   const auto in_flight = static_cast<std::int64_t>(preempt_pending_.size());
   if (unsatisfied <= in_flight) return;
+  // No live container ranks below the top ask: there is no victim to find.
+  if (live_by_priority_.empty() ||
+      live_by_priority_.begin()->first >= want_priority) {
+    return;
+  }
 
   CollectVictims([want_priority](const Container& c) {
     return c.priority < want_priority;

@@ -9,10 +9,13 @@
 // over the node's checkpoint bandwidth plus the node's checkpoint-queue
 // backlog — and asks their ApplicationMasters to vacate the cheapest ones.
 //
-// A scheduling round costs O(candidates), not O(outstanding asks): asks are
-// counted per priority as they enter and leave `asks_`, each candidate's
-// cost is evaluated once before ranking, and per-node vacating counts move
-// with `preempt_pending_`.
+// Asks and live containers are counted per priority as they enter and
+// leave `asks_` and `live_`, and per-node vacating counts move with
+// `preempt_pending_`. The preemption monitor returns before walking `live_`
+// when no live container ranks below the top ask, and capacity queue usage
+// is summed from the live counts. A monitor round that does walk `live_`
+// costs O(L + v log v) for L live containers and v candidates; each
+// candidate's cost is evaluated once before ranking.
 #pragma once
 
 #include <array>
@@ -121,6 +124,8 @@ class ResourceManager {
   bool Allocate(const Ask& ask);
   // Every asks_ erase goes through here to keep asks_by_priority_ exact.
   AskSet::iterator EraseAsk(AskSet::iterator it);
+  // Every live_ erase calls this to keep live_by_priority_ exact.
+  void UncountLive(int priority);
   // Live containers not yet asked to vacate that satisfy `eligible`, costed
   // and ranked into victims_.
   template <typename Pred>
@@ -148,6 +153,7 @@ class ResourceManager {
   AskSet asks_;
   std::map<int, std::int64_t> asks_by_priority_;  // no zero entries
   std::unordered_map<ContainerId, Container> live_;
+  std::map<int, std::int64_t> live_by_priority_;  // no zero entries
   std::unordered_set<ContainerId> preempt_pending_;
   std::vector<int> vacating_;  // preempt_pending_ containers per NodeId
   std::vector<Victim> victims_;  // per-round scratch

@@ -38,10 +38,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "golden_line.h"
 #include "obs/observability.h"
 #include "scheduler/cluster_scheduler.h"
 #include "service/service_workload.h"
@@ -196,18 +196,6 @@ std::vector<std::string> Fields(const SimulationResult& r) {
   integer("faults", r.faults_injected);
   return out;
 }
-
-std::vector<std::string> Split(const char* line) {
-  std::vector<std::string> out;
-  std::istringstream in(line);
-  for (std::string token; in >> token;) out.push_back(token);
-  return out;
-}
-
-struct Golden {
-  const char* cell;
-  const char* fields;
-};
 
 // Recorded from the scheduler before the incremental pass, one line per
 // cell (the name order of Fields()).
@@ -676,36 +664,17 @@ const Golden kGolden[] = {
      "failure_kills=0 faults=0"},
 };
 
-const char* GoldenFor(const char* cell) {
-  for (const Golden& g : kGolden) {
-    if (std::strcmp(g.cell, cell) == 0) return g.fields;
-  }
-  return nullptr;
-}
-
-void ExpectRecorded(const GoldenCell& cell, Observability* obs) {
-  const std::vector<std::string> got = Fields(RunCell(cell, obs));
-  std::string line;
-  for (const std::string& field : got) line += (line.empty() ? "" : " ") + field;
-  const char* golden = GoldenFor(cell.name);
-  ASSERT_NE(golden, nullptr) << "no recording; actual:\n" << line;
-  const std::vector<std::string> want = Split(golden);
-  ASSERT_EQ(got.size(), want.size()) << "actual:\n" << line;
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]);
-  }
-  if (::testing::Test::HasFailure()) ADD_FAILURE() << "actual:\n" << line;
-}
-
 class SchedulerGolden : public ::testing::TestWithParam<GoldenCell> {};
 
 TEST_P(SchedulerGolden, EveryResultFieldMatchesTheRecording) {
-  ExpectRecorded(GetParam(), nullptr);
+  ExpectGoldenLine(kGolden, GetParam().name,
+                   Fields(RunCell(GetParam(), nullptr)));
 }
 
 TEST_P(SchedulerGolden, TracedRunMatchesTheRecording) {
   Observability obs;
-  ExpectRecorded(GetParam(), &obs);
+  ExpectGoldenLine(kGolden, GetParam().name,
+                   Fields(RunCell(GetParam(), &obs)));
 }
 
 INSTANTIATE_TEST_SUITE_P(

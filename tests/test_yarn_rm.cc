@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
 #include <random>
@@ -219,186 +220,285 @@ TEST_F(RmTest, CostAwareVictimsPreferIdleStorageNodes) {
   }
 }
 
-// Random churn through every ask and preempt-pending mutation site
-// (RequestContainers, allocation, ReleaseContainer, UnregisterApp,
-// OnNodeFailure/OnNodeRecovered). Each step ends in exactly one scheduling
-// round, after which the monitor must have dispatched exactly
-// unsatisfied - in_flight top-priority preemptions, capped only by the
-// containers it may take. Both sides are rebuilt here from the AMs' records
-// and FindContainer, not from the RM's own counters.
+// The churn tests' cluster: four 4-slot nodes.
+constexpr int kChurnNodes = 4;
+
+// What one churn round starts from, rebuilt from the fake AMs' records and
+// FindContainer rather than from the RM's own counters: the live
+// containers, the ones asked to vacate, whether each one's app is still
+// registered, and the asks still outstanding after the round's allocation
+// pass. `live_after` also holds the containers that pass allocated.
+struct ChurnRound {
+  std::map<ContainerId, Container> live_before;
+  std::set<ContainerId> pending_before;
+  std::map<ContainerId, bool> app_registered;
+  std::map<ContainerId, Container> live_after;
+  std::map<int, std::int64_t> asks_by_priority;
+};
+
+// How many notices one walk can send: each node yields up to its remaining
+// vacating room (unbounded under kill) of the containers that satisfy
+// `eligible`, are not yet asked to vacate and whose app is registered. The
+// count does not depend on the ranking.
+template <typename Pred>
+std::int64_t Dispatchable(const ChurnRound& round, PreemptionPolicy policy,
+                          Pred eligible) {
+  std::vector<int> candidates(kChurnNodes, 0);
+  std::vector<int> room(kChurnNodes, 1 << 20);
+  if (policy != PreemptionPolicy::kKill) {
+    std::fill(room.begin(), room.end(), kMaxVacatingPerNode);
+    for (ContainerId id : round.pending_before) {
+      room[static_cast<size_t>(round.live_before.at(id).node.value())]--;
+    }
+  }
+  for (const auto& [id, c] : round.live_before) {
+    if (eligible(c) && round.pending_before.count(id) == 0 &&
+        round.app_registered.at(id)) {
+      candidates[static_cast<size_t>(c.node.value())]++;
+    }
+  }
+  std::int64_t dispatchable = 0;
+  for (size_t n = 0; n < candidates.size(); ++n) {
+    dispatchable += std::max(0, std::min(candidates[n], room[n]));
+  }
+  return dispatchable;
+}
+
+// Random churn through every ask, live-container and preempt-pending
+// mutation site (RequestContainers, allocation, ReleaseContainer,
+// UnregisterApp, OnNodeFailure/OnNodeRecovered). Each
+// step ends in exactly one scheduling round, after which the RM must have
+// sent exactly `expected(round)` preemption notices.
+template <typename Expected>
+void RunChurn(const YarnConfig& config, std::uint32_t seed, int steps,
+              const std::vector<int>& priorities, Expected expected) {
+  Rig rig(config, kChurnNodes);
+  ResourceManager& rm = *rig.rm;
+  std::mt19937 rng(seed);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+
+  struct App {
+    std::unique_ptr<FakeAm> am;
+    AppId id;
+    int priority = 0;
+    std::int64_t requested = 0;
+    bool registered = true;
+  };
+  std::vector<App> apps;
+  auto add_app = [&] {
+    App app;
+    app.am = std::make_unique<FakeAm>();
+    app.priority = priorities[pick(priorities.size())];
+    app.id = rm.RegisterApp(app.am.get(), app.priority);
+    apps.push_back(std::move(app));
+  };
+  for (int i = 0; i < 4; ++i) add_app();
+  auto registered_app = [&]() -> App& {
+    std::vector<size_t> live;
+    for (size_t i = 0; i < apps.size(); ++i) {
+      if (apps[i].registered) live.push_back(i);
+    }
+    return apps[live[pick(live.size())]];
+  };
+
+  std::int64_t dispatched_total = 0;
+  for (int step = 0; step < steps; ++step) {
+    const int ops = 1 + static_cast<int>(pick(3));
+    for (int op = 0; op < ops; ++op) {
+      switch (pick(8)) {
+        case 0:
+        case 1: {
+          App& app = registered_app();
+          const int count = 1 + static_cast<int>(pick(4));
+          const NodeId preferred =
+              pick(3) == 0
+                  ? NodeId(static_cast<std::int64_t>(pick(kChurnNodes)))
+                  : NodeId();
+          rm.RequestContainers(app.id, count, preferred);
+          app.requested += count;
+          break;
+        }
+        case 2:
+        case 3:
+        case 4: {
+          // Release a live container; preempted ones (the AM complying)
+          // half of the time when there are any.
+          std::vector<ContainerId> live, pending;
+          for (const App& app : apps) {
+            for (const Container& c : app.am->allocated) {
+              if (rm.FindContainer(c.id) != nullptr) live.push_back(c.id);
+            }
+            for (ContainerId id : app.am->preempted) {
+              if (rm.FindContainer(id) != nullptr) pending.push_back(id);
+            }
+          }
+          if (!pending.empty() && pick(2) == 0) {
+            rm.ReleaseContainer(pending[pick(pending.size())]);
+          } else if (!live.empty()) {
+            rm.ReleaseContainer(live[pick(live.size())]);
+          }
+          break;
+        }
+        case 5: {
+          App& app = registered_app();
+          rm.UnregisterApp(app.id);
+          app.registered = false;
+          add_app();
+          break;
+        }
+        case 6: {
+          const NodeId node(static_cast<std::int64_t>(pick(kChurnNodes)));
+          if (pick(3) == 0) {
+            rm.OnNodeFailure(node);
+          } else {
+            rm.OnNodeRecovered(node);
+          }
+          break;
+        }
+        default:
+          break;  // a quiet step: only the nudge below
+      }
+    }
+    // Every step ends in one scheduling round (UnregisterApp alone does
+    // not request one).
+    rm.RequestContainers(apps.back().id, 0);
+
+    // State the round starts from, after this step's mutations.
+    ChurnRound round;
+    for (const App& app : apps) {
+      for (const Container& c : app.am->allocated) {
+        if (rm.FindContainer(c.id) != nullptr) {
+          round.live_before[c.id] = c;
+          round.app_registered[c.id] = app.registered;
+        }
+      }
+      for (ContainerId id : app.am->preempted) {
+        if (rm.FindContainer(id) != nullptr) round.pending_before.insert(id);
+      }
+    }
+    const std::int64_t sent_before = rm.preempt_events_sent();
+    rig.sim.Run();
+    const std::int64_t dispatched = rm.preempt_events_sent() - sent_before;
+    dispatched_total += dispatched;
+
+    // Outstanding asks and live containers after the round's allocation
+    // pass (the round releases nothing).
+    std::int64_t outstanding = 0;
+    for (const App& app : apps) {
+      for (const Container& c : app.am->allocated) {
+        if (rm.FindContainer(c.id) != nullptr) round.live_after[c.id] = c;
+      }
+      if (!app.registered) continue;
+      const std::int64_t left =
+          app.requested - static_cast<std::int64_t>(app.am->allocated.size());
+      ASSERT_GE(left, 0);
+      outstanding += left;
+      if (left > 0) round.asks_by_priority[app.priority] += left;
+    }
+    ASSERT_EQ(outstanding, rm.pending_asks()) << "step " << step;
+    ASSERT_EQ(static_cast<int>(round.live_after.size()), rm.live_containers())
+        << "step " << step;
+    ASSERT_EQ(dispatched, expected(round)) << "step " << step;
+  }
+
+  std::int64_t received = 0;
+  for (const App& app : apps) {
+    received += static_cast<std::int64_t>(app.am->preempted.size());
+  }
+  EXPECT_EQ(received, dispatched_total);
+  EXPECT_EQ(rm.preempt_events_sent(), dispatched_total);
+}
+
+// Priority mode: the monitor dispatches exactly unsatisfied - in_flight
+// top-priority preemptions, capped only by the containers it may take.
 TEST(RmChurn, MonitorDispatchesUnsatisfiedMinusInFlight) {
-  constexpr int kNodes = 4;
-  const std::vector<int> priorities = {1, 3, 5, 9};
   for (PreemptionPolicy policy :
        {PreemptionPolicy::kKill, PreemptionPolicy::kAdaptive}) {
     SCOPED_TRACE(policy == PreemptionPolicy::kKill ? "kill" : "adaptive");
     YarnConfig config;
     config.policy = policy;
-    Rig rig(config, kNodes);
-    ResourceManager& rm = *rig.rm;
-    std::mt19937 rng(policy == PreemptionPolicy::kKill ? 11 : 12);
-    auto pick = [&rng](size_t n) {
-      return static_cast<size_t>(rng() % n);
-    };
-
-    struct App {
-      std::unique_ptr<FakeAm> am;
-      AppId id;
-      int priority = 0;
-      std::int64_t requested = 0;
-      bool registered = true;
-    };
-    std::vector<App> apps;
-    auto add_app = [&] {
-      App app;
-      app.am = std::make_unique<FakeAm>();
-      app.priority = priorities[pick(priorities.size())];
-      app.id = rm.RegisterApp(app.am.get(), app.priority);
-      apps.push_back(std::move(app));
-    };
-    for (int i = 0; i < 4; ++i) add_app();
-    auto registered_app = [&]() -> App& {
-      std::vector<size_t> live;
-      for (size_t i = 0; i < apps.size(); ++i) {
-        if (apps[i].registered) live.push_back(i);
-      }
-      return apps[live[pick(live.size())]];
-    };
-
     int exact_rounds = 0;
-    std::int64_t dispatched_total = 0;
-    for (int step = 0; step < 800; ++step) {
-      const int ops = 1 + static_cast<int>(pick(3));
-      for (int op = 0; op < ops; ++op) {
-        switch (pick(8)) {
-          case 0:
-          case 1: {
-            App& app = registered_app();
-            const int count = 1 + static_cast<int>(pick(4));
-            const NodeId preferred =
-                pick(3) == 0 ? NodeId(static_cast<std::int64_t>(pick(kNodes)))
-                             : NodeId();
-            rm.RequestContainers(app.id, count, preferred);
-            app.requested += count;
-            break;
-          }
-          case 2:
-          case 3:
-          case 4: {
-            // Release a live container; preempted ones (the AM complying)
-            // half of the time when there are any.
-            std::vector<ContainerId> live, pending;
-            for (const App& app : apps) {
-              for (const Container& c : app.am->allocated) {
-                if (rm.FindContainer(c.id) != nullptr) live.push_back(c.id);
-              }
-              for (ContainerId id : app.am->preempted) {
-                if (rm.FindContainer(id) != nullptr) pending.push_back(id);
-              }
-            }
-            if (!pending.empty() && pick(2) == 0) {
-              rm.ReleaseContainer(pending[pick(pending.size())]);
-            } else if (!live.empty()) {
-              rm.ReleaseContainer(live[pick(live.size())]);
-            }
-            break;
-          }
-          case 5: {
-            App& app = registered_app();
-            rm.UnregisterApp(app.id);
-            app.registered = false;
-            add_app();
-            break;
-          }
-          case 6: {
-            const NodeId node(static_cast<std::int64_t>(pick(kNodes)));
-            if (pick(3) == 0) {
-              rm.OnNodeFailure(node);
-            } else {
-              rm.OnNodeRecovered(node);
-            }
-            break;
-          }
-          default:
-            break;  // a quiet step: only the nudge below
-        }
-      }
-      // Every step ends in one scheduling round (UnregisterApp alone does
-      // not request one).
-      rm.RequestContainers(apps.back().id, 0);
-
-      // State the round starts from, after this step's mutations.
-      std::map<ContainerId, Container> live_before;
-      std::set<ContainerId> pending_before;
-      std::map<ContainerId, bool> app_registered;
-      for (const App& app : apps) {
-        for (const Container& c : app.am->allocated) {
-          if (rm.FindContainer(c.id) != nullptr) {
-            live_before[c.id] = c;
-            app_registered[c.id] = app.registered;
-          }
-        }
-        for (ContainerId id : app.am->preempted) {
-          if (rm.FindContainer(id) != nullptr) pending_before.insert(id);
-        }
-      }
-      const std::int64_t sent_before = rm.preempt_events_sent();
-      rig.sim.Run();
-      const std::int64_t dispatched = rm.preempt_events_sent() - sent_before;
-      dispatched_total += dispatched;
-
-      // Outstanding asks after the round's allocation pass.
-      std::int64_t outstanding = 0;
-      std::map<int, std::int64_t> by_priority;
-      for (const App& app : apps) {
-        if (!app.registered) continue;
-        const std::int64_t left =
-            app.requested - static_cast<std::int64_t>(app.am->allocated.size());
-        ASSERT_GE(left, 0);
-        outstanding += left;
-        if (left > 0) by_priority[app.priority] += left;
-      }
-      ASSERT_EQ(outstanding, rm.pending_asks()) << "step " << step;
-
-      std::int64_t expected = 0;
-      if (!by_priority.empty()) {
-        const int top = by_priority.rbegin()->first;
-        const std::int64_t unsatisfied = by_priority.rbegin()->second;
-        const auto in_flight = static_cast<std::int64_t>(pending_before.size());
-        // The dispatchable count does not depend on the ranking: each node
-        // yields up to its remaining vacating room.
-        std::vector<int> eligible(kNodes, 0), room(kNodes, 1 << 20);
-        if (policy != PreemptionPolicy::kKill) {
-          std::fill(room.begin(), room.end(), kMaxVacatingPerNode);
-          for (ContainerId id : pending_before) {
-            room[static_cast<size_t>(live_before.at(id).node.value())]--;
-          }
-        }
-        for (const auto& [id, c] : live_before) {
-          if (c.priority < top && pending_before.count(id) == 0 &&
-              app_registered.at(id)) {
-            eligible[static_cast<size_t>(c.node.value())]++;
-          }
-        }
-        std::int64_t dispatchable = 0;
-        for (int n = 0; n < kNodes; ++n) {
-          dispatchable += std::max(0, std::min(eligible[n], room[n]));
-        }
-        const std::int64_t want = unsatisfied - in_flight;
-        expected = std::max<std::int64_t>(0, std::min(want, dispatchable));
-        if (want > 0 && want <= dispatchable) ++exact_rounds;
-      }
-      ASSERT_EQ(dispatched, expected) << "step " << step;
-    }
-
-    std::int64_t received = 0;
-    for (const App& app : apps) {
-      received += static_cast<std::int64_t>(app.am->preempted.size());
-    }
-    EXPECT_EQ(received, dispatched_total);
-    EXPECT_EQ(rm.preempt_events_sent(), dispatched_total);
+    RunChurn(config, policy == PreemptionPolicy::kKill ? 11 : 12, 800,
+             {1, 3, 5, 9}, [&](const ChurnRound& round) -> std::int64_t {
+               if (round.asks_by_priority.empty()) return 0;
+               const int top = round.asks_by_priority.rbegin()->first;
+               const std::int64_t want =
+                   round.asks_by_priority.rbegin()->second -
+                   static_cast<std::int64_t>(round.pending_before.size());
+               const std::int64_t dispatchable = Dispatchable(
+                   round, policy,
+                   [top](const Container& c) { return c.priority < top; });
+               if (want > 0 && want <= dispatchable) ++exact_rounds;
+               return std::max<std::int64_t>(0, std::min(want, dispatchable));
+             });
     // The churn must reach the uncapped case the property is about.
     EXPECT_GE(exact_rounds, 10);
+  }
+}
+
+// Capacity mode: production first, then batch, the first queue with
+// want = min(deficit, unsatisfied, surplus) > 0 reclaims min(want,
+// dispatchable) containers from the other queue. Deficit and surplus are
+// counted after the round's allocation pass, and a surplus excludes the
+// other queue's containers already asked to vacate. Whenever want > 0 that
+// pass placed no container of the other queue, so the victims are all
+// among the containers live before the round.
+TEST(RmChurn, CapacityMonitorReclaimsTheFirstQueueWithAWant) {
+  auto queue_of = [](int priority) { return priority >= 9 ? 1 : 0; };
+  for (PreemptionPolicy policy :
+       {PreemptionPolicy::kKill, PreemptionPolicy::kAdaptive}) {
+    SCOPED_TRACE(policy == PreemptionPolicy::kKill ? "kill" : "adaptive");
+    // Rounds in which each queue reclaims, over all three guarantees: a
+    // small guarantee makes the production queue's rare, a large one the
+    // batch queue's.
+    std::array<int, 2> reclaims{};
+    for (double guarantee : {0.3, 0.5, 0.7}) {
+      SCOPED_TRACE(::testing::Message() << "guarantee " << guarantee);
+      YarnConfig config;
+      config.scheduling_mode = SchedulingMode::kCapacity;
+      config.policy = policy;
+      config.production_guarantee = guarantee;
+      // The RM rounds the production share to whole slots.
+      constexpr int kSlots = 4 * kChurnNodes;
+      const int production = static_cast<int>(kSlots * guarantee + 0.5);
+      const std::array<std::int64_t, 2> guaranteed = {kSlots - production,
+                                                      production};
+      int exact_rounds = 0;
+      RunChurn(
+          config, policy == PreemptionPolicy::kKill ? 21 : 22, 1500,
+          {1, 3, 9, 11}, [&](const ChurnRound& round) -> std::int64_t {
+            std::array<std::int64_t, 2> usage{}, unsatisfied{}, pending{};
+            for (const auto& [id, c] : round.live_after) {
+              usage[static_cast<size_t>(queue_of(c.priority))]++;
+            }
+            for (const auto& [priority, count] : round.asks_by_priority) {
+              unsatisfied[static_cast<size_t>(queue_of(priority))] += count;
+            }
+            for (ContainerId id : round.pending_before) {
+              pending[static_cast<size_t>(
+                  queue_of(round.live_before.at(id).priority))]++;
+            }
+            for (const size_t queue : {size_t{1}, size_t{0}}) {
+              const size_t other = 1 - queue;
+              const std::int64_t want = std::min(
+                  {guaranteed[queue] - usage[queue], unsatisfied[queue],
+                   usage[other] - guaranteed[other] - pending[other]});
+              if (want <= 0) continue;
+              const std::int64_t dispatchable = Dispatchable(
+                  round, policy, [&](const Container& c) {
+                    return static_cast<size_t>(queue_of(c.priority)) == other;
+                  });
+              reclaims[queue]++;
+              if (want <= dispatchable) ++exact_rounds;
+              return std::min(want, dispatchable);
+            }
+            return 0;
+          });
+      EXPECT_GE(exact_rounds, 10);
+    }
+    // The churn must reach both queues' reclaims.
+    EXPECT_GE(reclaims[0], 10);
+    EXPECT_GE(reclaims[1], 10);
   }
 }
 
