@@ -43,25 +43,34 @@ int main() {
   config.policy = PreemptionPolicy::kAdaptive;
   config.medium = StorageMedium::Nvm();
 
-  const MapReduceRunResult result = RunMapReduceWorkload(jobs, config);
+  const YarnResult result = RunMapReduceWorkload(jobs, config);
+  // The run checks that every job finished, so each ran all of its tasks.
+  long long maps_done = 0;
+  long long reduces_done = 0;
+  for (const MapReduceJobSpec& job : jobs) {
+    maps_done += job.num_maps;
+    reduces_done += job.num_reduces;
+  }
 
   std::printf("mapreduce_pipeline | 3-stage pipeline + production burst\n\n");
   std::printf("  jobs completed:     %lld of %zu\n",
               static_cast<long long>(result.jobs_completed), jobs.size());
-  std::printf("  maps/reduces done:  %lld / %lld\n",
-              static_cast<long long>(result.totals.maps_done),
-              static_cast<long long>(result.totals.reduces_done));
+  std::printf("  maps/reduces done:  %lld / %lld\n", maps_done,
+              reduces_done);
   std::printf("  preempt events:     %lld (kills %lld, checkpoints %lld)\n",
-              static_cast<long long>(result.totals.preempt_events),
-              static_cast<long long>(result.totals.kills),
-              static_cast<long long>(result.totals.checkpoints));
+              static_cast<long long>(result.preempt_events),
+              static_cast<long long>(result.kills),
+              static_cast<long long>(result.checkpoints));
   std::printf("  shuffle fetches:    %lld (%s moved)\n",
-              static_cast<long long>(result.totals.shuffle_fetches),
-              FormatBytes(result.totals.shuffle_bytes_moved).c_str());
+              static_cast<long long>(result.input_fetches),
+              FormatBytes(result.input_bytes_moved).c_str());
+  // Containers are one core, so lost core-hours are lost hours.
   std::printf("  lost work:          %s\n",
-              FormatDuration(result.totals.lost_work).c_str());
+              FormatDuration(Hours(result.lost_work_core_hours)).c_str());
   std::printf("  per-job responses:  ");
-  for (double r : result.job_response_seconds) std::printf("%.1fmin ", r / 60);
+  for (double r : result.all_job_responses.samples()) {
+    std::printf("%.1fmin ", r / 60);
+  }
   std::printf("\n  makespan:           %s\n",
               FormatDuration(result.makespan).c_str());
   return 0;

@@ -1,10 +1,8 @@
 #include "dag/dag.h"
 
-#include <algorithm>
+#include <unordered_map>
 
 #include "common/logging.h"
-#include "obs/observability.h"
-#include "yarn/yarn_cluster.h"
 
 namespace ckpt {
 
@@ -49,11 +47,9 @@ bool DagJobSpec::Validate() const {
 
 // --- Workload driver ----------------------------------------------------------
 
-DagRunResult RunDagWorkload(const std::vector<DagJobSpec>& jobs,
-                            const YarnConfig& config) {
+YarnResult RunDagWorkload(const std::vector<DagJobSpec>& jobs,
+                          const YarnConfig& config) {
   YarnCluster yarn(config);
-  DagRunResult result;
-  std::vector<const DistributedShellAm*> ams;
   for (const DagJobSpec& dag : jobs) {
     CKPT_CHECK(dag.Validate()) << "invalid DAG for job " << dag.id.value();
     // Lower to a staged job: stages in spec order, each owning the next
@@ -84,41 +80,9 @@ DagRunResult RunDagWorkload(const std::vector<DagJobSpec>& jobs,
     }
     const std::uint64_t seed =
         config.seed ^ static_cast<std::uint64_t>(dag.id.value() * 52711);
-    ams.push_back(&yarn.Submit(
-        job, std::move(stages), seed,
-        [&result, &yarn](const DistributedShellAm& am) {
-          result.jobs_completed++;
-          result.job_response_seconds.push_back(
-              ToSeconds(am.finish_time() - am.job().submit_time));
-          result.makespan = std::max(result.makespan, yarn.sim().Now());
-        }));
+    yarn.Submit(job, std::move(stages), seed);
   }
-  yarn.sim().Run();
-  if (config.obs != nullptr) config.obs->FinalizeRun();
-
-  for (size_t j = 0; j < ams.size(); ++j) {
-    CKPT_CHECK(ams[j]->Done()) << "DAG job " << jobs[j].id.value()
-                               << " did not finish";
-    // Every task finished, so each stage contributes all of its tasks.
-    for (const DagStageSpec& stage : jobs[j].stages) {
-      if (stage.num_tasks > 0) {
-        result.totals.done_by_stage[stage.id] += stage.num_tasks;
-      }
-    }
-    const AmStats& stats = ams[j]->stats();
-    result.totals.tasks_done += stats.tasks_done;
-    result.totals.preempt_events += stats.preempt_events;
-    result.totals.kills += stats.kills;
-    result.totals.checkpoints += stats.checkpoints;
-    result.totals.incremental_checkpoints += stats.incremental_checkpoints;
-    result.totals.restores += stats.restores;
-    result.totals.input_fetches += stats.input_fetches;
-    result.totals.input_bytes_moved += stats.input_bytes_moved;
-    result.totals.lost_work += stats.lost_work;
-    result.totals.dump_time += stats.dump_time;
-    result.totals.restore_time += stats.restore_time;
-  }
-  return result;
+  return yarn.Run();
 }
 
 }  // namespace ckpt

@@ -11,18 +11,19 @@
 // Algorithm 1 decides kill vs (incremental) checkpoint per victim, with the
 // input-refetch cost folded into the at-stake side for tasks that already
 // hold their inputs — checkpointing preserves both progress and fetched
-// inputs, killing forfeits both.
+// inputs, killing forfeits both. The run reports through the YarnResult of
+// every YARN run; its input_fetches and input_bytes_moved count the
+// fetches.
 //
 // MapReduce (src/mapreduce) is the two-stage special case of this engine.
 #pragma once
 
-#include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/resources.h"
 #include "common/ids.h"
 #include "common/units.h"
+#include "yarn/yarn_cluster.h"
 #include "yarn/yarn_config.h"
 
 namespace ckpt {
@@ -49,31 +50,9 @@ struct DagJobSpec {
   bool Validate() const;
 };
 
-struct DagStats {
-  std::int64_t tasks_done = 0;
-  std::unordered_map<int, std::int64_t> done_by_stage;
-  std::int64_t preempt_events = 0;
-  std::int64_t kills = 0;
-  std::int64_t checkpoints = 0;
-  std::int64_t incremental_checkpoints = 0;
-  std::int64_t restores = 0;
-  std::int64_t input_fetches = 0;  // including refetches after kills
-  Bytes input_bytes_moved = 0;
-  SimDuration lost_work = 0;
-  SimDuration dump_time = 0;
-  SimDuration restore_time = 0;
-};
-
 // Run a set of DAG jobs on a fresh YarnCluster built from `config`, faults
-// and observability included.
-struct DagRunResult {
-  std::int64_t jobs_completed = 0;
-  DagStats totals;
-  std::vector<double> job_response_seconds;
-  SimDuration makespan = 0;
-};
-
-DagRunResult RunDagWorkload(const std::vector<DagJobSpec>& jobs,
-                            const YarnConfig& config);
+// and observability included; every job must finish.
+YarnResult RunDagWorkload(const std::vector<DagJobSpec>& jobs,
+                          const YarnConfig& config);
 
 }  // namespace ckpt

@@ -36,37 +36,14 @@ DagJobSpec ToDagJob(const MapReduceJobSpec& job) {
   return dag;
 }
 
-MapReduceRunResult RunMapReduceWorkload(
-    const std::vector<MapReduceJobSpec>& jobs, const YarnConfig& config) {
+YarnResult RunMapReduceWorkload(const std::vector<MapReduceJobSpec>& jobs,
+                                const YarnConfig& config) {
   std::vector<DagJobSpec> dag_jobs;
   dag_jobs.reserve(jobs.size());
   for (const MapReduceJobSpec& job : jobs) {
     dag_jobs.push_back(ToDagJob(job));
   }
-  const DagRunResult dag = RunDagWorkload(dag_jobs, config);
-
-  MapReduceRunResult result;
-  result.jobs_completed = dag.jobs_completed;
-  result.job_response_seconds = dag.job_response_seconds;
-  result.makespan = dag.makespan;
-
-  auto stage_done = [&dag](int stage) -> std::int64_t {
-    auto it = dag.totals.done_by_stage.find(stage);
-    return it == dag.totals.done_by_stage.end() ? 0 : it->second;
-  };
-  result.totals.maps_done = stage_done(kMapStage);
-  result.totals.reduces_done = stage_done(kReduceStage);
-  result.totals.preempt_events = dag.totals.preempt_events;
-  result.totals.kills = dag.totals.kills;
-  result.totals.checkpoints = dag.totals.checkpoints;
-  result.totals.incremental_checkpoints = dag.totals.incremental_checkpoints;
-  result.totals.restores = dag.totals.restores;
-  result.totals.shuffle_fetches = dag.totals.input_fetches;
-  result.totals.shuffle_bytes_moved = dag.totals.input_bytes_moved;
-  result.totals.lost_work = dag.totals.lost_work;
-  result.totals.dump_time = dag.totals.dump_time;
-  result.totals.restore_time = dag.totals.restore_time;
-  return result;
+  return RunDagWorkload(dag_jobs, config);
 }
 
 }  // namespace ckpt

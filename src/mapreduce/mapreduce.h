@@ -7,10 +7,10 @@
 // preemption behaviour — Algorithm 1 with the shuffle-refetch cost on the
 // at-stake side, incremental dumps, Algorithm-2 resumption — comes from the
 // YARN ApplicationMaster the DAG engine runs on; this header provides the
-// MapReduce-shaped job spec and statistics.
+// MapReduce-shaped job spec and its lowering. Runs report through the
+// YarnResult of every YARN run.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "common/units.h"
@@ -38,30 +38,9 @@ struct MapReduceJobSpec {
 // reduces).
 DagJobSpec ToDagJob(const MapReduceJobSpec& job);
 
-struct MapReduceStats {
-  std::int64_t maps_done = 0;
-  std::int64_t reduces_done = 0;
-  std::int64_t preempt_events = 0;
-  std::int64_t kills = 0;
-  std::int64_t checkpoints = 0;
-  std::int64_t incremental_checkpoints = 0;
-  std::int64_t restores = 0;
-  std::int64_t shuffle_fetches = 0;  // including repeats after kills
-  Bytes shuffle_bytes_moved = 0;
-  SimDuration lost_work = 0;
-  SimDuration dump_time = 0;
-  SimDuration restore_time = 0;
-};
-
-struct MapReduceRunResult {
-  std::int64_t jobs_completed = 0;
-  MapReduceStats totals;
-  std::vector<double> job_response_seconds;
-  SimDuration makespan = 0;
-};
-
-// Run a set of MapReduce jobs on a fresh YARN-like cluster.
-MapReduceRunResult RunMapReduceWorkload(
-    const std::vector<MapReduceJobSpec>& jobs, const YarnConfig& config);
+// Run a set of MapReduce jobs on a fresh YARN-like cluster: the DAG run of
+// their lowered jobs, whose input fetches are the shuffle fetches.
+YarnResult RunMapReduceWorkload(const std::vector<MapReduceJobSpec>& jobs,
+                                const YarnConfig& config);
 
 }  // namespace ckpt

@@ -1,6 +1,7 @@
 #include "yarn/yarn_cluster.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/observability.h"
@@ -76,40 +77,38 @@ YarnCluster::~YarnCluster() {
   if (config_.obs != nullptr) ClearLogClock();
 }
 
-DistributedShellAm& YarnCluster::Submit(
-    const JobSpec& job, std::vector<JobStage> stages, std::uint64_t seed,
-    std::function<void(const DistributedShellAm&)> on_done) {
+void YarnCluster::Submit(const JobSpec& job, std::vector<JobStage> stages,
+                         std::uint64_t seed) {
   ams_.push_back(std::make_unique<DistributedShellAm>(
       sim_.get(), rm_.get(), engine_.get(), network_.get(), job,
-      std::move(stages), seed, config_, std::move(on_done)));
+      std::move(stages), seed, config_, [this](const DistributedShellAm& am) {
+        result_.jobs_completed++;
+        const double response =
+            ToSeconds(am.finish_time() - am.job().submit_time);
+        result_.all_job_responses.Add(response);
+        if (BandOf(am.job().priority) == PriorityBand::kProduction) {
+          result_.high_priority_job_responses.Add(response);
+        } else {
+          result_.low_priority_job_responses.Add(response);
+        }
+        result_.makespan = std::max(result_.makespan, sim_->Now());
+      }));
   DistributedShellAm* am = ams_.back().get();
   sim_->ScheduleAt(job.submit_time, [am] { am->Start(); });
-  return *am;
 }
 
 YarnResult YarnCluster::RunWorkload(const Workload& workload) {
-  YarnResult result;
-
   for (const JobSpec& job : workload.jobs) {
-    const std::uint64_t seed =
-        config_.seed ^ static_cast<std::uint64_t>(job.id.value() * 7919);
-    Submit(
-        job, {}, seed,
-        [&result, this](const DistributedShellAm& am) {
-          result.jobs_completed++;
-          const double response =
-              ToSeconds(am.finish_time() - am.job().submit_time);
-          result.all_job_responses.Add(response);
-          if (BandOf(am.job().priority) == PriorityBand::kProduction) {
-            result.high_priority_job_responses.Add(response);
-          } else {
-            result.low_priority_job_responses.Add(response);
-          }
-          result.makespan = std::max(result.makespan, sim_->Now());
-        });
+    Submit(job, {},
+           config_.seed ^ static_cast<std::uint64_t>(job.id.value() * 7919));
   }
+  return Run();
+}
 
+YarnResult YarnCluster::Run() {
   sim_->Run();
+  // Start from the job completions recorded during the run.
+  YarnResult result = std::move(result_);
 
   // Aggregate AM-side statistics.
   SimDuration lost_work = 0;
@@ -125,6 +124,8 @@ YarnResult YarnCluster::RunWorkload(const Workload& workload) {
     result.incremental_checkpoints += stats.incremental_checkpoints;
     result.restores += stats.restores;
     result.remote_restores += stats.remote_restores;
+    result.input_fetches += stats.input_fetches;
+    result.input_bytes_moved += stats.input_bytes_moved;
     result.containers_lost += stats.containers_lost;
     result.dump_failures += stats.dump_failures;
     result.restore_failures += stats.restore_failures;

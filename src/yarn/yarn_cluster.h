@@ -1,10 +1,10 @@
 // Top-level facade: wires the simulator, nodes, network, HDFS, the CRIU-like
-// engine, the ResourceManager and per-job ApplicationMasters, runs a
-// workload, and aggregates the paper's S5.3 metrics.
+// engine, the ResourceManager and per-job ApplicationMasters, runs the
+// submitted jobs, and aggregates the paper's S5.3 metrics. Plain, DAG and
+// MapReduce jobs all run and report through here.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -48,6 +48,10 @@ struct YarnResult {
   std::int64_t incremental_checkpoints = 0;
   std::int64_t restores = 0;
   std::int64_t remote_restores = 0;
+  // Staged jobs' input fetches (a reduce's shuffle partitions, a DAG
+  // task's upstream outputs), refetches after kills included.
+  std::int64_t input_fetches = 0;
+  Bytes input_bytes_moved = 0;
   std::int64_t jobs_completed = 0;
   std::int64_t tasks_completed = 0;
   SimDuration makespan = 0;
@@ -76,14 +80,16 @@ class YarnCluster {
   YarnCluster(const YarnCluster&) = delete;
   YarnCluster& operator=(const YarnCluster&) = delete;
 
-  // Submit every job at its submit_time, run to completion, aggregate.
+  // Submit every job at its submit_time, then Run().
   YarnResult RunWorkload(const Workload& workload);
 
   // Create the AM for `job` (DistributedShellAm describes `stages` and
-  // `seed`) and start it at job.submit_time; the caller then runs sim().
-  DistributedShellAm& Submit(
-      const JobSpec& job, std::vector<JobStage> stages, std::uint64_t seed,
-      std::function<void(const DistributedShellAm&)> on_done);
+  // `seed`) and start it at job.submit_time.
+  void Submit(const JobSpec& job, std::vector<JobStage> stages,
+              std::uint64_t seed);
+
+  // Run every submitted job to completion and aggregate; call once.
+  YarnResult Run();
 
   // Script a node crash at `at`; with `down_for >= 0` the node rejoins
   // (empty) after that long. Crashes listed in config.fault.node_crashes
@@ -108,6 +114,8 @@ class YarnCluster {
   std::vector<std::unique_ptr<NodeManager>> node_managers_;
   std::unique_ptr<ResourceManager> rm_;
   std::vector<std::unique_ptr<DistributedShellAm>> ams_;
+  // Job responses, bands and makespan, recorded as jobs finish.
+  YarnResult result_;
 };
 
 }  // namespace ckpt

